@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -396,6 +397,7 @@ def _verify_rows(art, snaps, alphas, n_list, mode):
     cfg = snaps.config
     m = snaps.u_tensor.shape[0]
     n_t = cfg.n_steps
+    cap_u = art.local_dim_bounds()[0]
     rows = []
     violations = 0
     for alpha in alphas:
@@ -409,10 +411,12 @@ def _verify_rows(art, snaps, alphas, n_list, mode):
         r_f = float(np.linalg.norm(f_ref - f_interp))
         e_u = float(np.linalg.norm(u_interp - u_tilde))
         e_f = float(np.linalg.norm(f_interp - f_tilde))
+        # One pair of core SVDs per alpha; each n slices the leading columns.
+        full = trom.local_bases(art, alpha, min(max(n_list), cap_u), max(n_list))
         for n in n_list:
-            local = trom.build_reduced_system(
-                art, trom.local_bases(art, alpha, min(n, art.local_dim_bounds()[0]), n),
-                mode=mode)
+            local = trom.build_reduced_system(art, dataclasses.replace(
+                full, u_coords=full.u_coords[:, :min(n, cap_u)],
+                f_coords=full.f_coords[:, :n]), mode=mode)
             # Reduced-basis representation error of the fresh states.
             u_loc = art.u_part.basis @ local.u_coords
             lhs_u = float(np.sum((u_ref - u_loc @ (u_loc.T @ u_ref))**2)) / (n_t * m)

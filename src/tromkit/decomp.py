@@ -5,6 +5,21 @@ and guarantee ``|t - reconstruct| <= eps * |t|`` in the Frobenius norm by
 splitting the error budget equally over the truncated SVD sweeps.  CP is
 fitted by alternating least squares at a user-chosen rank and reports the
 accuracy it achieved instead of guaranteeing one.
+
+Every truncated SVD goes through ``truncated_left_svd``, which picks one of
+two paths from the shape of the unfolding and the size of the budget:
+
+* a wide matrix (more columns than rows) with a budget well above the
+  rounding error of its Gram matrix takes the eigen-decomposition of the
+  row Gram matrix ``mat @ mat.T``, which costs far less than an SVD of the
+  wide matrix and builds no right singular vectors;
+* everything else, tall matrices and small budgets (``eps = 0`` included),
+  takes ``np.linalg.svd``.  A tall matrix never takes a column-Gram path,
+  because ``mat @ v / s`` loses orthogonality at small singular values.
+
+``hosvd`` is sequentially truncated: each unfolding is taken from the core
+already contracted with the factors found before it, which keeps the
+eps-guarantee and shrinks the later unfoldings.
 """
 from __future__ import annotations
 
@@ -13,8 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import store
-from .tensors import frobenius_norm, guard_dense_size, unfold
+from .tensors import frobenius_norm, guard_dense_size, refold, unfold
 
 
 @dataclass(frozen=True)
@@ -89,6 +103,36 @@ def _kept_rank(s: np.ndarray, budget: float) -> int:
     return max(r, 1)
 
 
+# Gram eigenvalues carry an absolute error of about rows * u * sigma_1^2
+# (u the unit roundoff); the Gram path runs only when the squared budget
+# clears that error by this factor.
+_GRAM_SAFETY = 1e3
+
+
+def truncated_left_svd(mat: np.ndarray, budget: float
+                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Leading left singular vectors of ``mat`` with tail energy <= budget^2.
+
+    Returns ``(u_r, s, u_r.T @ mat)``: the kept left singular vectors as a
+    C-contiguous array, every singular value (descending), and the projected
+    rows.  A wide matrix (cols > rows) takes the eigen-decomposition of
+    ``mat @ mat.T`` when ``budget^2 > _GRAM_SAFETY * rows * u * |mat|_F^2``,
+    so that the rounding error of the Gram eigenvalues cannot move the
+    kept rank; otherwise, and for every tall matrix, ``np.linalg.svd`` runs.
+    """
+    rows, cols = mat.shape
+    floor = _GRAM_SAFETY * rows * np.finfo(np.float64).eps * frobenius_norm(mat)**2
+    if cols > rows and budget * budget > floor:
+        evals, evecs = np.linalg.eigh(mat @ mat.T)
+        s = np.sqrt(np.clip(evals[::-1], 0.0, None))
+        r = _kept_rank(s, budget)
+        u_r = np.ascontiguousarray(evecs[:, ::-1][:, :r])
+        return u_r, s, u_r.T @ mat
+    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+    r = _kept_rank(s, budget)
+    return np.ascontiguousarray(u[:, :r]), s, s[:r, None] * vt[:r]
+
+
 def tt_svd(t: np.ndarray, eps: float) -> TTDecomposition:
     """Sequential truncated-SVD sweep producing a tensor train.
 
@@ -105,20 +149,14 @@ def tt_svd(t: np.ndarray, eps: float) -> TTDecomposition:
     d = t.ndim
     budget = eps * frobenius_norm(t) / math.sqrt(d - 1)
 
-    mat = t.reshape(dims[0], -1, order="F")
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
-    r = _kept_rank(s, budget)
-    first = u[:, :r]
-    rest = s[:r, None] * vt[:r]
-
+    first, _, rest = truncated_left_svd(t.reshape(dims[0], -1, order="F"), budget)
     cores = []
-    rank = r
+    rank = first.shape[1]
     for k in range(1, d - 1):
-        mat = rest.reshape(rank * dims[k], -1, order="F")
-        u, s, vt = np.linalg.svd(mat, full_matrices=False)
-        r = _kept_rank(s, budget)
-        cores.append(u[:, :r].reshape(rank, dims[k], r, order="F"))
-        rest = s[:r, None] * vt[:r]
+        u, _, rest = truncated_left_svd(rest.reshape(rank * dims[k], -1, order="F"),
+                                        budget)
+        r = u.shape[1]
+        cores.append(u.reshape(rank, dims[k], r, order="F"))
         rank = r
 
     # rest is ranks[-1] x N; its rows are orthogonal with norms equal to the
@@ -128,20 +166,21 @@ def tt_svd(t: np.ndarray, eps: float) -> TTDecomposition:
 
 
 def hosvd(t: np.ndarray, eps: float) -> TuckerDecomposition:
-    """Truncated higher-order SVD with per-mode budget ``eps*|t|/sqrt(order)``."""
+    """Sequentially truncated higher-order SVD with per-mode budget
+    ``eps*|t|/sqrt(order)``; mode k is unfolded from the core already
+    contracted with the factors of modes 0..k-1."""
     t = np.asarray(t, dtype=np.float64)
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     d = t.ndim
     budget = eps * frobenius_norm(t) / math.sqrt(d)
     factors = []
-    for k in range(d):
-        u, s, _ = np.linalg.svd(unfold(t, k), full_matrices=False)
-        factors.append(u[:, :_kept_rank(s, budget)])
     core = t
-    for k, f in enumerate(factors):
-        core = np.moveaxis(np.tensordot(core, f, axes=(k, 0)), -1, k)
-    return TuckerDecomposition(core=core, factors=tuple(factors))
+    for k in range(d):
+        u, _, rest = truncated_left_svd(unfold(core, k), budget)
+        factors.append(u)
+        core = refold(rest, k, core.shape[:k] + (u.shape[1],) + core.shape[k + 1:])
+    return TuckerDecomposition(core=np.ascontiguousarray(core), factors=tuple(factors))
 
 
 def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
@@ -266,59 +305,3 @@ def relative_error(d: Decomposition, t: np.ndarray) -> float:
         raise ValueError("relative error undefined for a zero tensor")
     return frobenius_norm(t - reconstruct(d)) / norm_t
 
-
-_FORMAT_TAGS = {TTDecomposition: "TT", TuckerDecomposition: "TUCKER", CPDecomposition: "CP"}
-
-
-def save_decomposition(path, d: Decomposition, *, eps: float | None = None) -> None:
-    tag = _FORMAT_TAGS[type(d)]
-    meta: dict = {"format": tag, "shape": list(d.shape)}
-    blobs: dict[str, np.ndarray] = {}
-    if isinstance(d, TTDecomposition):
-        meta["ranks"] = list(d.ranks)
-        blobs["first"] = d.first
-        for i, core in enumerate(d.cores):
-            blobs[f"core{i}"] = core
-        blobs["last"] = d.last
-    elif isinstance(d, TuckerDecomposition):
-        meta["ranks"] = list(d.ranks)
-        blobs["core"] = d.core
-        for i, f in enumerate(d.factors):
-            blobs[f"factor{i}"] = f
-    else:
-        meta["rank"] = d.rank
-        meta["rel_error"] = d.rel_error
-        meta["sweeps"] = d.sweeps
-        meta["converged"] = d.converged
-        for i, f in enumerate(d.factors):
-            blobs[f"factor{i}"] = f
-    if eps is not None:
-        meta["eps"] = eps
-    store.save_bundle(path, meta, blobs)
-
-
-def load_decomposition(path) -> Decomposition:
-    meta, blobs = store.load_bundle(path)
-    tag = meta["format"]
-    if tag == "TT":
-        n_cores = len(meta["ranks"]) - 1
-        return TTDecomposition(
-            first=blobs["first"],
-            cores=tuple(blobs[f"core{i}"] for i in range(n_cores)),
-            last=blobs["last"],
-        )
-    if tag == "TUCKER":
-        n = len(meta["shape"])
-        return TuckerDecomposition(
-            core=blobs["core"],
-            factors=tuple(blobs[f"factor{i}"] for i in range(n)),
-        )
-    if tag == "CP":
-        n = len(meta["shape"])
-        return CPDecomposition(
-            factors=tuple(blobs[f"factor{i}"] for i in range(n)),
-            rel_error=meta["rel_error"],
-            sweeps=meta["sweeps"],
-            converged=meta["converged"],
-        )
-    raise ValueError(f"unknown decomposition tag {tag!r}")

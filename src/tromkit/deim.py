@@ -1,16 +1,16 @@
-"""Greedy empirical-interpolation index selection and the associated
+"""Empirical-interpolation (DEIM) index selection and the associated
 oblique projector / least-squares fits used for hyper-reduction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 
 @dataclass(frozen=True)
 class SelectionIndices:
-    """Distinct row indices picked by the greedy selection, in pick order."""
+    """Distinct row indices picked by the DEIM selection, in pick order."""
 
     indices: np.ndarray
 
@@ -31,35 +31,30 @@ class SelectionIndices:
 
 
 def deim_select(basis: np.ndarray) -> SelectionIndices:
-    """Greedy row selection on a column basis.
+    """Greedy DEIM row selection on a column basis.
 
     The first index maximizes |first column|; each later index maximizes the
     residual of the next column after interpolating it at the rows already
-    selected.  Ties resolve to the smallest index (argmax convention).
-    Raises ``LinAlgError`` naming the offending column if the columns are
-    dependent enough to make an intermediate system singular.
+    selected.  That residual is the next column of the Schur complement in
+    Gaussian elimination with partial pivoting, so the DEIM indices are the
+    first n row pivots of one LU factorisation (Sorensen & Embree, SISC 2016).
+    Ties resolve as LAPACK's ``dgetrf`` resolves them: to the first maximal
+    entry in the current pivot order.  Raises ``LinAlgError`` naming the
+    offending column if a pivot is exactly zero, i.e. that column depends on
+    the ones before it at the selected rows.
     """
     y = np.asarray(basis, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] > y.shape[0]:
         raise ValueError("basis must be a tall matrix (cols <= rows)")
     m, n = y.shape
-    indices = np.empty(n, dtype=np.intp)
-    indices[0] = int(np.argmax(np.abs(y[:, 0])))
-    if y[indices[0], 0] == 0.0:
-        raise np.linalg.LinAlgError("column 0 of the selection basis is zero")
-    for j in range(1, n):
-        sub = y[indices[:j], :j]
-        try:
-            coeff = scipy.linalg.lu_solve(scipy.linalg.lu_factor(sub), y[indices[:j], j])
-        except (scipy.linalg.LinAlgError, ValueError) as exc:
-            raise np.linalg.LinAlgError(
-                f"singular interpolation system at column {j}") from exc
-        residual = y[:, j] - y[:, :j] @ coeff
-        indices[j] = int(np.argmax(np.abs(residual)))
-        if residual[indices[j]] == 0.0:
-            raise np.linalg.LinAlgError(
-                f"column {j} is dependent on previously selected columns")
-    return SelectionIndices(indices)
+    _, piv, info = scipy.linalg.lapack.dgetrf(y)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"column {info - 1} is dependent on previously selected columns")
+    rows = np.arange(m)
+    for j, p in enumerate(piv[:n]):
+        rows[[j, p]] = rows[[p, j]]
+    return SelectionIndices(rows[:n])
 
 
 def deim_apply(basis: np.ndarray, sel: SelectionIndices, f: np.ndarray) -> np.ndarray:

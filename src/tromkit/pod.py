@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .decomp import truncated_left_svd
 from .deim import SelectionIndices, deim_select
 from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm,
                        ReducedSystem, integrate_reduced)
@@ -21,21 +22,10 @@ def pod_basis(snapshot_tensor: np.ndarray, count: int | None = None
               ) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of the mode-1 unfolding.
 
-    Uses a Gram eigen-decomposition when there are fewer columns than rows,
-    a direct SVD otherwise; both agree to working accuracy.
+    Budget 0 keeps every direction with a nonzero singular value, so this
+    runs the SVD path of ``truncated_left_svd``.
     """
-    mat = unfold_mode1(snapshot_tensor)
-    m, cols = mat.shape
-    if cols < m:
-        gram = mat.T @ mat
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = np.clip(evals[order], 0.0, None)
-        svals = np.sqrt(evals)
-        keep = svals > 0
-        u = (mat @ evecs[:, order][:, keep]) / svals[keep]
-    else:
-        u, svals, _ = np.linalg.svd(mat, full_matrices=False)
+    u, svals, _ = truncated_left_svd(unfold_mode1(snapshot_tensor), 0.0)
     if count is not None:
         if count > u.shape[1]:
             raise ValueError(f"requested {count} modes, only {u.shape[1]} available")

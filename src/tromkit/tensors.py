@@ -97,26 +97,27 @@ def write_tensor(fh: BinaryIO, t: np.ndarray) -> None:
     fh.write(np.ascontiguousarray(t.ravel(order="F"), dtype="<f8").tobytes())
 
 
+def read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
+    """Read exactly ``count`` bytes; a short read raises ``ValueError``."""
+    data = fh.read(count)
+    if len(data) != count:
+        raise ValueError(f"truncated {what}: expected {count} bytes, got {len(data)}")
+    return data
+
+
 def read_tensor(fh: BinaryIO) -> np.ndarray:
-    magic = fh.read(4)
+    magic = read_exact(fh, 4, "tensor magic")
     if magic != MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
-    (version,) = struct.unpack("<I", fh.read(4))
+    (version,) = struct.unpack("<I", read_exact(fh, 4, "tensor header"))
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported tensor format version {version}")
-    (order,) = struct.unpack("<B", fh.read(1))
-    dims = struct.unpack(f"<{order}q", fh.read(8 * order))
+    (order,) = struct.unpack("<B", read_exact(fh, 1, "tensor header"))
+    dims = struct.unpack(f"<{order}q", read_exact(fh, 8 * order, "tensor header"))
+    if any(n < 0 for n in dims):
+        raise ValueError(f"negative tensor extent in {dims}")
     count = int(np.prod(dims, dtype=np.int64)) if order else 0
-    data = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
+    raw = read_exact(fh, 8 * count, f"tensor data of shape {dims}")
+    data = np.frombuffer(raw, dtype="<f8", count=count)
     # C-contiguous result so downstream kernels see the usual memory layout
     return np.ascontiguousarray(np.reshape(data.astype(np.float64), dims, order="F"))
-
-
-def save_tensor(path, t: np.ndarray) -> None:
-    with open(path, "wb") as fh:
-        write_tensor(fh, t)
-
-
-def load_tensor(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        return read_tensor(fh)

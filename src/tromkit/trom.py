@@ -71,10 +71,6 @@ class TTPart:
         """Assembled local snapshot matrix (M x N); testing/verification aid."""
         return self.basis @ self.scaled_core_matrix(weights) @ self.time_factor.T
 
-    def right_singular_vectors(self, core_vt: np.ndarray) -> np.ndarray:
-        """Lift right singular vectors of the scaled core matrix to length N."""
-        return self.time_factor @ core_vt.T
-
 
 @dataclass(frozen=True)
 class TuckerPart:
@@ -107,9 +103,6 @@ class TuckerPart:
 
     def dense_local(self, weights) -> np.ndarray:
         return self.basis @ self.core_matrix(weights) @ self.time_factor.T
-
-    def right_singular_vectors(self, core_vt: np.ndarray) -> np.ndarray:
-        return self.time_factor @ core_vt.T
 
 
 @dataclass(frozen=True)
@@ -152,9 +145,6 @@ class CPPart:
 
     def dense_local(self, weights) -> np.ndarray:
         return self.basis @ self.core_matrix(weights) @ self.time_factor.T
-
-    def right_singular_vectors(self, core_vt: np.ndarray) -> np.ndarray:
-        return self.time_factor @ core_vt.T
 
 
 OnlinePart = TTPart | TuckerPart | CPPart

@@ -200,6 +200,35 @@ class TestVerify:
         scale = np.mean(snaps.f_tensor**2)
         assert lhs[n_full] <= 1e-10 * scale
 
+    @pytest.mark.parametrize("eps,n_list", [("1e-3", (14, 20)), ("0", (14, 40))])
+    def test_n_list_rows_match_separate_runs(self, workdir, tmp_path, eps, n_list):
+        # At eps 1e-3 the state bound is 13, so both n clamp the state
+        # dimension; at eps 0 neither does.
+        root, snap = workdir
+        art = tmp_path / "art.trbl"
+        assert run("offline", "--snapshots", snap, "--format", "tt", "--eps", eps,
+                   "--skip-errors", "--out", art) == 0
+        common = ("verify", "--artifact", art, "--snapshots", snap,
+                  "--alphas", "0.05,0.5;0.02,0.3")
+        assert run(*common, "--n-list", ",".join(map(str, n_list)),
+                   "--out", tmp_path / "both.csv") == 0
+        _, together = read_csv(tmp_path / "both.csv")
+        separate = {}
+        for n in n_list:
+            assert run(*common, "--n-list", n, "--out", tmp_path / f"{n}.csv") == 0
+            for row in read_csv(tmp_path / f"{n}.csv")[1]:
+                separate[(row[0], row[1])] = row
+        assert len(together) == len(separate) == 2 * len(n_list)
+        assert all(row == separate[(row[0], row[1])] for row in together)
+
+    def test_n_above_term_bound_rejected(self, workdir, tmp_path):
+        root, snap = workdir
+        n_f = trom.load_artifact(root / "art.trbl").local_dim_bounds()[1]
+        with pytest.raises(ValueError, match="admissible"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--alphas", "0.05,0.5", "--n-list", f"4,{n_f + 1}",
+                "--out", tmp_path / "v.csv")
+
     def test_lhs_grows_as_dims_shrink(self, workdir, tmp_path):
         root, snap = workdir
         out = tmp_path / "v2.csv"

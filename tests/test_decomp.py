@@ -18,6 +18,49 @@ def random_tensor(shape, seed):
     return np.random.default_rng(seed).standard_normal(shape)
 
 
+def with_spectrum(rows, cols, svals, seed):
+    """Seeded matrix with prescribed singular values."""
+    rng = np.random.default_rng(seed)
+    left = np.linalg.qr(rng.standard_normal((rows, svals.size)))[0]
+    right = np.linalg.qr(rng.standard_normal((cols, svals.size)))[0]
+    return (left * svals) @ right.T
+
+
+class TestTruncatedLeftSvd:
+    def test_gram_path_matches_svd_on_wide_matrix(self, monkeypatch):
+        # A spectral gap after the kept rank fixes the kept span; without one
+        # the span is determined only to the Gram rounding error over the gap.
+        svals = np.concatenate([np.logspace(0, -3, 20), np.logspace(-6, -9, 40)])
+        mat = with_spectrum(60, 200, svals, seed=30)
+        budget = 1e-4 * np.linalg.norm(mat)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        r = decomp._kept_rank(s, budget)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("wide matrix at eps 1e-4 must take the Gram path")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        u_r, s_gram, rest = decomp.truncated_left_svd(mat, budget)
+        assert u_r.shape[1] == r == 20
+        assert u_r.flags.c_contiguous
+        assert np.max(np.abs(s_gram[:r] - s[:r])) <= 1e-10 * s[0]
+        assert np.linalg.norm(u[:, :r] - u_r @ (u_r.T @ u[:, :r]), 2) < 1e-8
+        assert np.array_equal(rest, u_r.T @ mat)
+
+    @pytest.mark.parametrize("budget_rel", [0.0, 1e-9])
+    def test_small_budget_takes_svd_path(self, monkeypatch, budget_rel):
+        mat = with_spectrum(40, 120, np.logspace(0, -12, 40), seed=31)
+        ref_u, ref_s, _ = np.linalg.svd(mat, full_matrices=False)
+
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("small budgets must take the SVD path")
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        u_r, s, rest = decomp.truncated_left_svd(mat, budget_rel * np.linalg.norm(mat))
+        assert np.array_equal(s, ref_s)
+        assert np.array_equal(u_r, ref_u[:, :u_r.shape[1]])
+        assert u_r.flags.c_contiguous
+        assert np.allclose(rest, u_r.T @ mat, rtol=0, atol=1e-13)
+
+
 class TestTTSVD:
     def test_rank_one_is_exact_with_unit_ranks(self):
         t = rank_one((5, 4, 3), seed=1)
@@ -213,24 +256,3 @@ class TestRelativeError:
         tt = decomp.tt_svd(t, 0.2)
         oracle = np.linalg.norm(t - decomp.reconstruct(tt)) / np.linalg.norm(t)
         assert decomp.relative_error(tt, t) == pytest.approx(oracle, rel=1e-14)
-
-
-class TestSerialization:
-    @pytest.mark.parametrize("kind", ["tt", "tucker", "cp"])
-    def test_round_trip(self, tmp_path, kind):
-        t = random_tensor((5, 4, 3), seed=22)
-        if kind == "tt":
-            d = decomp.tt_svd(t, 0.1)
-        elif kind == "tucker":
-            d = decomp.hosvd(t, 0.1)
-        else:
-            d = decomp.cp_als(t, 3, seed=7, max_sweeps=30)
-        path = tmp_path / f"{kind}.trbl"
-        decomp.save_decomposition(path, d, eps=0.1)
-        loaded = decomp.load_decomposition(path)
-        assert np.allclose(decomp.reconstruct(loaded), decomp.reconstruct(d),
-                           rtol=0, atol=1e-15)
-        # write -> read -> write is byte-identical
-        path2 = tmp_path / f"{kind}2.trbl"
-        decomp.save_decomposition(path2, loaded, eps=0.1)
-        assert path.read_bytes() == path2.read_bytes()

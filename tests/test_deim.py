@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,11 @@ class TestSelect:
             sel = deim.deim_select(y)
             assert np.array_equal(sel.indices, greedy_oracle(y))
 
+    @pytest.mark.parametrize("m,n,seed", [(400, 120, 40), (1000, 300, 41)])
+    def test_matches_greedy_oracle_on_large_bases(self, m, n, seed):
+        y = orthonormal(m, n, seed)
+        assert np.array_equal(deim.deim_select(y).indices, greedy_oracle(y))
+
     def test_selected_square_block_nonsingular(self):
         y = orthonormal(20, 8, 1234)
         sel = deim.deim_select(y)
@@ -48,8 +55,10 @@ class TestSelect:
         y = np.zeros((5, 2))
         y[:, 0] = [1.0, 2.0, 0.0, 0.0, 1.0]
         y[:, 1] = 2.0 * y[:, 0]
-        with pytest.raises(np.linalg.LinAlgError, match="column 1"):
-            deim.deim_select(y)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="column 1"):
+                deim.deim_select(y)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(7)

@@ -26,7 +26,7 @@ class TestPodBasis:
 
     def test_gram_path_matches_direct_svd(self):
         rng = np.random.default_rng(0)
-        mat = rng.standard_normal((30, 8))  # cols < rows triggers the Gram path
+        mat = rng.standard_normal((30, 8))  # tall unfolding (cols < rows)
         tall = mat.reshape(30, 2, 4)
         u_gram, s_gram = pod.pod_basis(tall)
         u_ref, s_ref, _ = np.linalg.svd(mat, full_matrices=False)

@@ -159,6 +159,14 @@ class TestBinaryFormat:
             bufs.append(buf.getvalue())
         assert bufs[0] == bufs[1]
 
+    @pytest.mark.parametrize("cut", [2, 6, 20, 33, 40])
+    def test_short_read_states_byte_counts(self, cut):
+        buf = io.BytesIO()
+        tensors.write_tensor(buf, np.ones((2, 2, 2)))
+        raw = buf.getvalue()[:cut]
+        with pytest.raises(ValueError, match=r"truncated .*expected \d+ bytes, got \d+"):
+            tensors.read_tensor(io.BytesIO(raw))
+
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):
             tensors.read_tensor(io.BytesIO(b"NOPE" + b"\x00" * 16))

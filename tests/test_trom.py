@@ -396,6 +396,26 @@ class TestArtifactSerialization:
             outs.append(trom.trom_solve(a, local, term, u0, cfg.dt, cfg.n_steps)[1])
         assert np.array_equal(outs[0], outs[1])
 
+    def test_truncated_artifact_rejected(self, tmp_path):
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        raw = path.read_bytes()
+        meta_end = 16 + int.from_bytes(raw[8:16], "little")
+        # inside the header, the metadata, a blob header and a blob's data
+        for cut in (10, meta_end - 5, meta_end + 20, len(raw) - 1):
+            path.write_bytes(raw[:cut])
+            with pytest.raises(ValueError, match="truncated"):
+                trom.load_artifact(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        path.write_bytes(path.read_bytes() + b"\0" * 8)
+        with pytest.raises(ValueError, match="8 trailing bytes"):
+            trom.load_artifact(path)
+
     def test_online_payload_count_matches_formula(self, tmp_path):
         from tromkit import store
         for fmt, kw in (
