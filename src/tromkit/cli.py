@@ -170,22 +170,20 @@ def _build_artifact(snaps: fom.SnapshotSet, fmt: str, eps, cp_rank, interp_order
     return art, time.perf_counter() - t0
 
 
+def _part_error(part, tensor: np.ndarray, grid: ParameterGrid) -> float:
+    """Relative Frobenius error of a compressed part against its snapshot
+    tensor, reconstructed one grid node at a time with identity weights."""
+    eyes = [np.eye(k) for k in grid.shape]
+    sq = 0.0
+    for mi, _ in grid.points():
+        w = [eye[:, j] for eye, j in zip(eyes, mi)]
+        sq += float(np.sum((part.dense_local(w) - tensor[(slice(None),) + mi])**2))
+    return np.sqrt(sq) / np.linalg.norm(tensor)
+
+
 def _compression_errors(art: trom.OfflineArtifact, snaps: fom.SnapshotSet):
-    nu = np.linalg.norm(snaps.u_tensor)
-    nf = np.linalg.norm(snaps.f_tensor)
-    w_all = [np.eye(k) for k in snaps.grid.shape]
-
-    def dense(part):
-        # Reconstruct by sweeping identity weights over the parametric modes.
-        out = np.empty_like(snaps.u_tensor)
-        for mi, _ in snaps.grid.points():
-            w = [eye[:, j] for eye, j in zip(w_all, mi)]
-            out[(slice(None),) + mi + (slice(None),)] = part.dense_local(w)
-        return out
-
-    err_u = np.linalg.norm(dense(art.u_part) - snaps.u_tensor) / nu
-    err_f = np.linalg.norm(dense(art.f_part) - snaps.f_tensor) / nf
-    return err_u, err_f
+    return (_part_error(art.u_part, snaps.u_tensor, snaps.grid),
+            _part_error(art.f_part, snaps.f_tensor, snaps.grid))
 
 
 def cmd_offline(args) -> int:
@@ -290,12 +288,7 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
         n_f = min(cfgd.get("n_f", 20), bounds[1])
         errs = []
         for al, ref in zip(alphas, refs):
-            term = fom.nonlinearity_for(cfg, al)
-            stab = 0.0 if isinstance(term, AdvectiveTerm) else cfg.stabilization(cfg.dt)
-            local = trom.build_reduced_system(
-                art, trom.local_bases(art, al, n_u, n_f), mode=cfgd.get("mode", "ls"))
-            _, states = trom.trom_solve(art, local, term, fom.initial_state_for(cfg, al),
-                                        cfg.dt, cfg.n_steps, stab=stab)
+            states = _solve_query(art, al, n_u, n_f, cfgd.get("mode", "ls"))[3]
             errs.append(metrics.rel_l2h1_quotient(states, ref, cfg.h, times, t_lo))
         errs = np.array(errs)
         rows.append(["x".join(map(str, shape)), n_u, n_f,
@@ -337,13 +330,7 @@ def _study_effrank(snaps, cfgd, out_dir, rows_out):
                                      cfgd.get("interp_order", 2))
             part = art.u_part if tag == "u" else art.f_part
             eff = part.time_scale.size if part.kind == "tt" else part.ranks[-1]
-            w_all = [np.eye(k) for k in snaps.grid.shape]
-            sq = 0.0
-            for mi, _ in snaps.grid.points():
-                w = [eye[:, j] for eye, j in zip(w_all, mi)]
-                sl = (slice(None),) + mi + (slice(None),)
-                sq += float(np.sum((part.dense_local(w) - tensor[sl])**2))
-            err_lrtd = np.sqrt(sq) / norm
+            err_lrtd = _part_error(part, tensor, snaps.grid)
             tail = max(total - float(np.sum(svals[:eff]**2)), 0.0)
             err_svd = np.sqrt(tail) / norm
             rows.append([tag, eps, eff, f"{err_lrtd:.6e}", f"{err_svd:.6e}"])

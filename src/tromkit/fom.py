@@ -1,8 +1,10 @@
 """Full-order finite-difference models for the two test problems and
 snapshot-tensor generation over a training grid.
 
-Both problems march with the semi-implicit BDF2 family from
-:mod:`tromkit.stepping` (BDF1 first step).  States are sampled at
+Both problems march with the one semi-implicit BDF2 loop of
+:mod:`tromkit.stepping` (BDF1 first step); the transport model hands it a
+banded solve.  A non-finite state raises ``FloatingPointError`` naming the
+first bad step and the parameter.  States are sampled at
 ``t = dt .. T`` and the nonlinear-term snapshots are the values the stepping
 actually used, so one extra internal step past ``T`` feeds the final one.
 """
@@ -17,7 +19,8 @@ import scipy.sparse as sp
 
 from . import store
 from .grids import GridAxis, ParameterGrid, uniform_axis
-from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm, integrate_full
+from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
+                       integrate_full)
 
 
 # ---------------------------------------------------------------------------
@@ -86,6 +89,17 @@ def burgers_grid(cfg: BurgersConfig, shape: tuple[int, int] = (8, 16)) -> Parame
     ))
 
 
+def _require_finite(states: np.ndarray, run: str, alpha: np.ndarray) -> None:
+    """Raise naming the first step (column j-1 holds t = j dt) whose state is
+    not finite."""
+    finite = np.isfinite(states)
+    if not finite.all():
+        step = int(np.argmin(finite.all(axis=0))) + 1
+        raise FloatingPointError(
+            f"non-finite state in {run} run at step {step} "
+            f"of {states.shape[1]}, alpha={alpha.tolist()}")
+
+
 def burgers_fom(cfg: BurgersConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     """Trajectory and nonlinear-term snapshots at one parameter point.
 
@@ -94,12 +108,12 @@ def burgers_fom(cfg: BurgersConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     nu, front = float(alpha[0]), float(alpha[1])
-    m, h, dt, n = cfg.m, cfg.h, cfg.dt, cfg.n_steps
+    m, h = cfg.m, cfg.h
     u0 = burgers_initial_state(cfg, front)
 
     diff = nu / h**2
-    states = np.empty((m, n))
-    f_vals = np.empty((m, n))
+    f_vals = np.empty((m, cfg.n_steps))
+    f_cols = iter(f_vals.T)     # column j-1 takes the term value of step j
     ab = np.zeros((3, m))
     ab[0, 1:] = -diff
 
@@ -109,23 +123,17 @@ def burgers_fom(cfg: BurgersConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
         gu[1:] = (u[1:] - u[:-1]) / h
         return gu
 
-    def step(c0, w, rhs):
-        ab[1, :] = c0 + 2.0 * diff + w / h
-        ab[2, :-1] = -diff - w[1:] / h
-        return scipy.linalg.solve_banded((1, 1), ab, rhs)
+    def solve(c, w, rhs):
+        coeff = u0 if w is None else w
+        ab[1, :] = c + 2.0 * diff + coeff / h
+        ab[2, :-1] = -diff - coeff[1:] / h
+        u_next = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        if w is not None:
+            next(f_cols)[:] = -w * grad_of(u_next)
+        return u_next
 
-    u_prev = u0
-    u_curr = step(1.0 / dt, u0, u0 / dt)
-    states[:, 0] = u_curr
-    c0 = 1.5 / dt
-    for j in range(1, n + 1):
-        w = 2.0 * u_curr - u_prev
-        u_next = step(c0, w, (2.0 * u_curr - 0.5 * u_prev) / dt)
-        f_vals[:, j - 1] = -w * grad_of(u_next)
-        if j == n:
-            break
-        u_prev, u_curr = u_curr, u_next
-        states[:, j] = u_curr
+    states = _bdf2(solve, u0, cfg.dt, cfg.n_steps, tail=True)
+    _require_finite(states, "transport", alpha)
     return states, f_vals
 
 
@@ -236,10 +244,6 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     return out
 
 
-def ac_initial_states(cfg: AllenCahnConfig, probabilities) -> dict[float, np.ndarray]:
-    return {float(p): ac_initial_state(cfg, float(p)) for p in probabilities}
-
-
 def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
                    u0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Stabilized BDF2 trajectory and nonlinear-term snapshots."""
@@ -253,9 +257,7 @@ def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
     term = ac_nonlinearity(cfg, asym)
     states, f_vals = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps,
                                     stab=cfg.stabilization(cfg.dt))
-    if not np.all(np.isfinite(states)):
-        raise FloatingPointError(
-            f"non-finite state in phase-field run at alpha={alpha.tolist()}")
+    _require_finite(states, "phase-field", alpha)
     return states, f_vals
 
 
@@ -333,10 +335,6 @@ class SnapshotSet:
     def times(self) -> np.ndarray:
         n = self.u_tensor.shape[-1]
         return self.config.dt * np.arange(1, n + 1)
-
-    def slab(self, multi_index) -> tuple[np.ndarray, np.ndarray]:
-        sl = (slice(None),) + tuple(multi_index) + (slice(None),)
-        return self.u_tensor[sl], self.f_tensor[sl]
 
 
 def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:

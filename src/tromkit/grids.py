@@ -39,13 +39,6 @@ class GridAxis:
         """Scale coordinate in which closeness is measured."""
         return np.log(x) if self.log_scale else np.asarray(x, dtype=np.float64)
 
-    @property
-    def spacing(self) -> float:
-        """Mesh parameter: the largest gap between adjacent nodes."""
-        if self.nodes.size == 1:
-            return 0.0
-        return float(np.max(np.diff(self.nodes)))
-
 
 def uniform_axis(lo: float, hi: float, count: int, *,
                  log_scale: bool = False,

@@ -13,8 +13,8 @@ import numpy as np
 
 from .decomp import truncated_left_svd
 from .deim import SelectionIndices, deim_select
-from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm,
-                       ReducedSystem, integrate_reduced)
+from .stepping import (AffineOperator, affine_sum, integrate_reduced,
+                       reduced_system)
 from .tensors import unfold_mode1
 
 
@@ -71,19 +71,6 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
                   a_terms_reduced=reduced, a_op=a_op)
 
 
-def pod_reduced_system(rom: PodRom, alpha, term) -> ReducedSystem:
-    if rom.a_terms_reduced is None:
-        raise ValueError("offline stage was built without an operator")
-    a_red = rom.a_op.assemble_reduced(rom.a_terms_reduced, alpha)
-    rows = rom.selection.indices
-    sel_state = rom.u_basis[rows, :]
-    sel_grad = None
-    if isinstance(term, AdvectiveTerm):
-        sel_grad = term.grad[rows, :] @ rom.u_basis
-    return ReducedSystem(a_red=a_red, f_map=rom.f_map, sel_state=sel_state,
-                         u0_sel=np.zeros(rows.size), term=term, sel_grad=sel_grad)
-
-
 def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
               stab: float = 0.0, lift: bool = True):
     """Integrate the projected system; returns (betas, states or None).
@@ -91,18 +78,10 @@ def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
     ``betas`` holds reduced coordinates at t = dt .. n_steps*dt; ``states``
     is the lifted trajectory when requested.
     """
-    base = pod_reduced_system(rom, alpha, term)
-    u0 = np.asarray(u0, dtype=np.float64)
-    if isinstance(term, AdvectiveTerm):
-        f0_red = None
-        n0_red = rom.u_basis.T @ (u0[:, None] * (term.grad @ rom.u_basis))
-    else:
-        f0_red = rom.u_basis.T @ term.full(u0)
-        n0_red = None
-    sys = ReducedSystem(a_red=base.a_red, f_map=base.f_map, sel_state=base.sel_state,
-                        u0_sel=u0[rom.selection.indices],
-                        term=term, sel_grad=base.sel_grad, stab=stab,
-                        f0_red=f0_red, n0_red=n0_red)
-    beta0 = rom.u_basis.T @ u0
+    if rom.a_terms_reduced is None:
+        raise ValueError("offline stage was built without an operator")
+    a_red = affine_sum(rom.a_op.coeff, rom.a_terms_reduced, alpha)
+    sys, beta0 = reduced_system(rom.u_basis, rom.selection.indices, a_red, rom.f_map,
+                                term, u0, stab)
     betas = integrate_reduced(sys, beta0, dt, n_steps)
     return betas, (rom.u_basis @ betas if lift else None)

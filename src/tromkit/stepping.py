@@ -1,26 +1,46 @@
-"""Semi-implicit BDF2 time stepping shared by the full-order solvers and the
-projected reduced systems.
+"""One semi-implicit BDF2 loop behind every solver, full-order and reduced.
+
+``_bdf2`` holds the recurrence: a BDF1 start, then BDF2 steps whose history
+term is ``(2 x_j - x_{j-1} / 2) / dt`` and whose nonlinearity is treated at
+the extrapolation ``2 y_j - y_{j-1}`` of an observation y of the state.  The
+observation is the state itself for the full-order models and the selected
+rows ``sel_state @ beta`` for the reduced systems, whose extrapolation
+starts from the exact initial-state entries.  A solver differs from another
+only in the per-step solve callback it hands to the loop:
+
+* pointwise full order -- a cached ``splu`` of the constant step matrix;
+* advective full order -- ``spsolve`` with the extrapolated transport
+  coefficient (``fom.burgers_fom`` passes a banded solve instead);
+* reduced -- dense ``np.linalg.solve`` on rank-sized matrices.
 
 Two nonlinearity shapes cover the test problems:
 
 * ``PointwiseTerm`` -- f acts entrywise on the state and is evaluated
-  explicitly at the extrapolated state ``2 u_j - u_{j-1}``;
+  explicitly at the extrapolated state;
 * ``AdvectiveTerm`` -- f(u) = -u * (G u); the transported factor is treated
   implicitly inside each step (the coefficient is extrapolated), which keeps
   the step a linear solve.
 
-The first step is BDF1.  Both integrators record the nonlinear-term value
-actually used at step ``j`` as the j-th f-snapshot, and both produce states
-at times ``dt, 2 dt, ..., n_steps * dt``.
+The full-order integrators record the nonlinear-term value actually used at
+step ``j`` as the j-th f-snapshot; every integrator produces states at times
+``dt, 2 dt, ..., n_steps * dt``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+
+
+def affine_sum(coeff: Callable[[np.ndarray], np.ndarray], terms, alpha):
+    """sum_i g_i(alpha) * terms[i], for the sparse terms and for their
+    pre-projected counterparts alike."""
+    g = np.atleast_1d(coeff(np.atleast_1d(np.asarray(alpha, dtype=np.float64))))
+    return sum(gi * ti for gi, ti in zip(g, terms))
 
 
 @dataclass(frozen=True)
@@ -31,22 +51,11 @@ class AffineOperator:
     coeff: Callable[[np.ndarray], np.ndarray]
 
     def assemble(self, alpha) -> sp.csr_matrix:
-        g = np.atleast_1d(self.coeff(np.atleast_1d(np.asarray(alpha, dtype=np.float64))))
-        out = g[0] * self.terms[0]
-        for gi, ti in zip(g[1:], self.terms[1:]):
-            out = out + gi * ti
-        return sp.csr_matrix(out)
+        return sp.csr_matrix(affine_sum(self.coeff, self.terms, alpha))
 
     def reduce(self, basis: np.ndarray) -> tuple[np.ndarray, ...]:
         """Project every term: basis^T A_i basis."""
         return tuple(basis.T @ (t @ basis) for t in self.terms)
-
-    def assemble_reduced(self, reduced_terms, alpha) -> np.ndarray:
-        g = np.atleast_1d(self.coeff(np.atleast_1d(np.asarray(alpha, dtype=np.float64))))
-        out = g[0] * reduced_terms[0]
-        for gi, ti in zip(g[1:], reduced_terms[1:]):
-            out = out + gi * ti
-        return out
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,41 @@ class AdvectiveTerm:
         return self.mixed(u, u)
 
 
+def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
+          observe=None, y0: np.ndarray | None = None, tail: bool = False) -> np.ndarray:
+    """March x_1 .. x_{n_steps}; returns them as the columns of an array.
+
+    ``solve(c, w, rhs)`` returns the solution of the step with diagonal shift
+    ``c`` (``1/dt + stab`` for the BDF1 start, ``1.5/dt + stab`` after) and
+    right-hand side ``rhs`` (history plus ``stab`` times the extrapolated
+    state), adding its own nonlinearity: at the exact initial state when
+    ``w`` is None (the start), otherwise at the extrapolated observation
+    ``w``.  ``observe`` maps a state to what the nonlinearity reads
+    (identity by default), ``y0`` being the exact observed initial state.
+    ``tail`` launches one more step past the last stored state, so that the
+    full-order solvers can record its term value; its solution is dropped.
+    """
+    states = np.empty((x0.size, n_steps))
+    identity = observe is None
+    c = 1.0 / dt + stab
+    x_prev, x_curr = x0, solve(c, None, c * x0)
+    y_prev, y_curr = (x_prev, x_curr) if identity else (y0, observe(x_curr))
+    states[:, 0] = x_curr
+    c = 1.5 / dt + stab
+    for j in range(1, n_steps + tail):
+        w = 2.0 * y_curr - y_prev
+        rhs = (2.0 * x_curr - 0.5 * x_prev) / dt
+        if stab:
+            rhs += stab * (w if identity else 2.0 * x_curr - x_prev)
+        x_next = solve(c, w, rhs)
+        if j == n_steps:
+            break
+        x_prev, x_curr = x_curr, x_next
+        states[:, j] = x_curr
+        y_prev, y_curr = y_curr, (x_curr if identity else observe(x_curr))
+    return states
+
+
 def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
                    n_steps: int, stab: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
     """Run the full-order scheme; returns (states, f_values), each M x n_steps.
@@ -83,53 +127,34 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
     """
     a_mat = sp.csr_matrix(a_mat)
     u0 = np.asarray(u0, dtype=np.float64)
-    m = u0.size
-    states = np.empty((m, n_steps))
-    f_vals = np.empty((m, n_steps))
-    eye = sp.identity(m, format="csr")
+    eye = sp.identity(u0.size, format="csr")
+    f_vals = np.empty((u0.size, n_steps))
+    f_cols = iter(f_vals.T)     # column j-1 takes the term value of step j
 
     if isinstance(term, PointwiseTerm):
-        c1 = 1.0 / dt + stab
-        lu1 = spla.splu((c1 * eye - a_mat).tocsc())
-        u_prev = u0
-        u_curr = lu1.solve(c1 * u0 + term.full(u0))
-        c0 = 1.5 / dt + stab
-        lu = spla.splu((c0 * eye - a_mat).tocsc())
-        states[:, 0] = u_curr
-        for j in range(1, n_steps + 1):
-            w = 2.0 * u_curr - u_prev
-            fj = term.full(w)
-            f_vals[:, j - 1] = fj
-            if j == n_steps:
-                break
-            rhs = (2.0 * u_curr - 0.5 * u_prev) / dt + stab * w + fj
-            u_prev, u_curr = u_curr, lu.solve(rhs)
-            states[:, j] = u_curr
-        return states, f_vals
+        factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
 
-    if isinstance(term, AdvectiveTerm):
+        def solve(c, w, rhs):
+            f = term.full(u0 if w is None else w)
+            if w is not None:
+                next(f_cols)[:] = f
+            return factor(c).solve(rhs + f)
+
+    elif isinstance(term, AdvectiveTerm):
         if stab != 0.0:
             raise ValueError("stabilization shift applies to the pointwise form only")
         g = term.grad
-        c1 = 1.0 / dt
-        mat1 = (c1 * eye - a_mat + sp.diags(u0) @ g).tocsc()
-        u_prev = u0
-        u_curr = spla.spsolve(mat1, c1 * u0)
-        c0 = 1.5 / dt
-        states[:, 0] = u_curr
-        for j in range(1, n_steps + 1):
-            w = 2.0 * u_curr - u_prev
-            mat = (c0 * eye - a_mat + sp.diags(w) @ g).tocsc()
-            rhs = (2.0 * u_curr - 0.5 * u_prev) / dt
-            u_next = spla.spsolve(mat, rhs)
-            f_vals[:, j - 1] = -w * (g @ u_next)
-            if j == n_steps:
-                break
-            u_prev, u_curr = u_curr, u_next
-            states[:, j] = u_curr
-        return states, f_vals
 
-    raise TypeError(f"unsupported nonlinearity {type(term)!r}")
+        def solve(c, w, rhs):
+            coeff = u0 if w is None else w
+            u_next = spla.spsolve((c * eye - a_mat + sp.diags(coeff) @ g).tocsc(), rhs)
+            if w is not None:
+                next(f_cols)[:] = -w * (g @ u_next)
+            return u_next
+
+    else:
+        raise TypeError(f"unsupported nonlinearity {type(term)!r}")
+    return _bdf2(solve, u0, dt, n_steps, stab=stab, tail=True), f_vals
 
 
 @dataclass(frozen=True)
@@ -144,9 +169,9 @@ class ReducedSystem:
     the advective form.
 
     The BDF1 start-up step evaluates the nonlinearity at the fully known
-    initial state, so its exactly projected contribution (``f0_red`` for the
-    pointwise form, the matrix ``n0_red`` for the advective one) is supplied
-    up front; later steps never touch full-size data.
+    initial state, so its exactly projected contribution ``start`` (a vector
+    for the pointwise form, a matrix for the advective one) is supplied up
+    front; later steps never touch full-size data.
     """
 
     a_red: np.ndarray
@@ -154,59 +179,56 @@ class ReducedSystem:
     sel_state: np.ndarray
     u0_sel: np.ndarray
     term: PointwiseTerm | AdvectiveTerm
+    start: np.ndarray
     sel_grad: np.ndarray | None = None
     stab: float = 0.0
-    f0_red: np.ndarray | None = None
-    n0_red: np.ndarray | None = None
+
+
+def reduced_system(lifted: np.ndarray, rows: np.ndarray, a_red: np.ndarray,
+                   f_map: np.ndarray, term, u0: np.ndarray,
+                   stab: float = 0.0) -> tuple[ReducedSystem, np.ndarray]:
+    """Projected system on the lifted basis (M x n, orthonormal columns) with
+    the nonlinearity sampled at ``rows``; returns (system, beta0).
+
+    The products with ``lifted`` here are M-sized; every later step is
+    sized by the ranks.
+    """
+    u0 = np.asarray(u0, dtype=np.float64)
+    sel_grad = None
+    if isinstance(term, AdvectiveTerm):
+        sel_grad = term.grad[rows, :] @ lifted
+        start = lifted.T @ (u0[:, None] * (term.grad @ lifted))
+    else:
+        start = lifted.T @ term.full(u0)
+    sys = ReducedSystem(a_red=a_red, f_map=f_map, sel_state=lifted[rows, :],
+                        u0_sel=u0[rows], term=term, start=start,
+                        sel_grad=sel_grad, stab=stab)
+    return sys, lifted.T @ u0
 
 
 def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
                       n_steps: int) -> np.ndarray:
     """Project the full-order scheme onto the reduced space; returns the
     coefficient trajectory, n x n_steps, at times dt .. n_steps*dt."""
-    n = beta0.size
-    eye = np.eye(n)
-    betas = np.empty((n, n_steps))
+    eye = np.eye(beta0.size)
+    shifted = lru_cache(maxsize=None)(lambda c: c * eye - sys.a_red)
 
     if isinstance(sys.term, PointwiseTerm):
         fn = sys.term.fn
-        c1 = 1.0 / dt + sys.stab
-        b_prev = beta0
-        f_first = sys.f0_red if sys.f0_red is not None else sys.f_map @ fn(sys.u0_sel)
-        b_curr = np.linalg.solve(c1 * eye - sys.a_red, c1 * beta0 + f_first)
-        c0 = 1.5 / dt + sys.stab
-        step_mat = c0 * eye - sys.a_red
-        betas[:, 0] = b_curr
-        sel_prev = sys.u0_sel
-        sel_curr = sys.sel_state @ b_curr
-        for j in range(1, n_steps):
-            w_sel = 2.0 * sel_curr - sel_prev
-            rhs = (2.0 * b_curr - 0.5 * b_prev) / dt \
-                + sys.stab * (2.0 * b_curr - b_prev) + sys.f_map @ fn(w_sel)
-            b_prev, b_curr = b_curr, np.linalg.solve(step_mat, rhs)
-            betas[:, j] = b_curr
-            sel_prev, sel_curr = sel_curr, sys.sel_state @ b_curr
-        return betas
 
-    if isinstance(sys.term, AdvectiveTerm):
-        if sys.sel_grad is None:
-            raise ValueError("advective reduced system needs sel_grad")
-        c1 = 1.0 / dt
-        n_first = sys.n0_red if sys.n0_red is not None \
-            else sys.f_map @ (sys.u0_sel[:, None] * sys.sel_grad)
-        b_prev = beta0
-        b_curr = np.linalg.solve(c1 * eye - sys.a_red + n_first, c1 * beta0)
-        c0 = 1.5 / dt
-        betas[:, 0] = b_curr
-        sel_prev = sys.u0_sel
-        sel_curr = sys.sel_state @ b_curr
-        for j in range(1, n_steps):
-            w_sel = 2.0 * sel_curr - sel_prev
-            mat = c0 * eye - sys.a_red + sys.f_map @ (w_sel[:, None] * sys.sel_grad)
-            rhs = (2.0 * b_curr - 0.5 * b_prev) / dt
-            b_prev, b_curr = b_curr, np.linalg.solve(mat, rhs)
-            betas[:, j] = b_curr
-            sel_prev, sel_curr = sel_curr, sys.sel_state @ b_curr
-        return betas
+        def solve(c, w, rhs):
+            f = sys.start if w is None else sys.f_map @ fn(w)
+            return np.linalg.solve(shifted(c), rhs + f)
 
-    raise TypeError(f"unsupported nonlinearity {type(sys.term)!r}")
+    elif isinstance(sys.term, AdvectiveTerm):
+        if sys.stab != 0.0:
+            raise ValueError("stabilization shift applies to the pointwise form only")
+
+        def solve(c, w, rhs):
+            n = sys.start if w is None else sys.f_map @ (w[:, None] * sys.sel_grad)
+            return np.linalg.solve(shifted(c) + n, rhs)
+
+    else:
+        raise TypeError(f"unsupported nonlinearity {type(sys.term)!r}")
+    return _bdf2(solve, beta0, dt, n_steps, stab=sys.stab,
+                 observe=sys.sel_state.__matmul__, y0=sys.u0_sel)

@@ -24,8 +24,8 @@ from . import store
 from .decomp import cp_als, hosvd, tt_svd
 from .deim import SelectionIndices, deim_select
 from .grids import ParameterGrid, interp_weights
-from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm,
-                       ReducedSystem, integrate_reduced)
+from .stepping import (AffineOperator, affine_sum, integrate_reduced,
+                       reduced_system)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +211,6 @@ class OfflineArtifact:
     def weights(self, alpha) -> list[np.ndarray]:
         return interp_weights(self.grid, alpha, self.interp_order)
 
-    def core_matrices(self, alpha) -> tuple[np.ndarray, np.ndarray]:
-        w = self.weights(alpha)
-        return self.u_part.core_matrix(w), self.f_part.core_matrix(w)
-
     def local_dim_bounds(self) -> tuple[int, int]:
         return self.u_part.local_dim_bound, self.f_part.local_dim_bound
 
@@ -356,8 +352,7 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM, mode: str = "ls"
         lifted = art.u_part.basis @ local.u_coords
         a_red = lifted.T @ (a_op.assemble(local.alpha) @ lifted)
     elif art.a_terms_reduced is not None:
-        g = np.atleast_1d(art.a_coeff(local.alpha))
-        a_tilde = sum(gi * ti for gi, ti in zip(g, art.a_terms_reduced))
+        a_tilde = affine_sum(art.a_coeff, art.a_terms_reduced, local.alpha)
         a_red = local.u_coords.T @ a_tilde @ local.u_coords
     else:
         raise ValueError("no operator available; pass a_op")
@@ -389,26 +384,11 @@ def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
     """
     if local.mode is None:
         raise ValueError("complete the local ROM with build_reduced_system first")
-    u0 = np.asarray(u0, dtype=np.float64)
-    rows = local.used_rows
-    basis = art.u_part.basis
-    sel_state = basis[rows, :] @ local.u_coords
-    sel_grad = None
-    f0_red = None
-    n0_red = None
-    if isinstance(term, AdvectiveTerm):
-        sel_grad = (term.grad[rows, :] @ basis) @ local.u_coords
-        lifted = basis @ local.u_coords
-        n0_red = lifted.T @ (u0[:, None] * (term.grad @ lifted))
-    else:
-        f0_red = local.u_coords.T @ (basis.T @ term.full(u0))
-    sys = ReducedSystem(a_red=local.a_red, f_map=local.f_map, sel_state=sel_state,
-                        u0_sel=u0[rows], term=term, sel_grad=sel_grad, stab=stab,
-                        f0_red=f0_red, n0_red=n0_red)
-    beta0 = local.u_coords.T @ (basis.T @ u0)
+    lifted = art.u_part.basis @ local.u_coords
+    sys, beta0 = reduced_system(lifted, local.used_rows, local.a_red, local.f_map,
+                                term, u0, stab)
     betas = integrate_reduced(sys, beta0, dt, n_steps)
-    states = basis @ (local.u_coords @ betas) if lift else None
-    return betas, states
+    return betas, (lifted @ betas if lift else None)
 
 
 # ---------------------------------------------------------------------------
