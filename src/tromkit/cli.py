@@ -65,12 +65,6 @@ def _parse_shape(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.lower().split("x"))
 
 
-def _fmt_ranks(part) -> str:
-    if part.kind == "cp":
-        return str(part.rank)
-    return "-".join(map(str, part.ranks))
-
-
 def _alpha_str(alpha) -> str:
     return ";".join(f"{a:.10g}" for a in np.atleast_1d(alpha))
 
@@ -118,6 +112,19 @@ def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str
     return cfg, local, betas, states, t_basis, t_int
 
 
+def _error_metrics(cfg: fom.ProblemConfig, t_window: float) -> dict:
+    """Error functions ``(states, reference) -> float`` by name: the
+    space-time l2 error and, for transport, the late-window gradient-energy
+    quotient.  The last one is the problem's headline metric, which the
+    refine study tabulates."""
+    out = {"l2l2": metrics.rel_l2l2}
+    if isinstance(cfg, fom.BurgersConfig):
+        times = cfg.dt * np.arange(1, cfg.n_steps + 1)
+        out["h1"] = lambda states, ref: metrics.rel_l2h1_quotient(
+            states, ref, cfg.h, times, t_window)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # sample
 # ---------------------------------------------------------------------------
@@ -149,7 +156,8 @@ def cmd_sample(args) -> int:
 
 def _offline_report_row(art: trom.OfflineArtifact, err_u, err_f, elapsed) -> list:
     cf = art.compression_factors()
-    return [art.fmt, art.eps, art.cp_rank, _fmt_ranks(art.u_part), _fmt_ranks(art.f_part),
+    return [art.fmt, art.eps, art.cp_rank, "-".join(map(str, art.u_part.ranks)),
+            "-".join(map(str, art.f_part.ranks)),
             f"{cf['cf_u']:.1f}", f"{cf['cf_f']:.1f}",
             f"{cf['cf_combined']:.1f}" if "cf_combined" in cf else "",
             "" if err_u is None else f"{err_u:.6e}",
@@ -224,10 +232,9 @@ def cmd_query(args) -> int:
         t0 = time.perf_counter()
         u_ref, _ = fom.run_fom(cfg, alpha)
         t_fom = f"{time.perf_counter() - t0:.3f}"
-        times = cfg.dt * np.arange(1, cfg.n_steps + 1)
-        err_l2l2 = f"{metrics.rel_l2l2(states, u_ref):.6e}"
-        if isinstance(cfg, fom.BurgersConfig):
-            err_h1 = f"{metrics.rel_l2h1_quotient(states, u_ref, cfg.h, times, args.t_window):.6e}"
+        errs = {k: fn(states, u_ref) for k, fn in _error_metrics(cfg, args.t_window).items()}
+        err_l2l2 = f"{errs['l2l2']:.6e}"
+        err_h1 = f"{errs['h1']:.6e}" if "h1" in errs else ""
 
     header = ["alpha", "format", "eps", "cp_rank", "n_u", "n_f", "mode", "cstar",
               "err_l2l2", "err_l2h1", "t_basis", "t_integrate", "t_fom"]
@@ -249,33 +256,30 @@ def cmd_query(args) -> int:
 def _study_ranks(snaps, cfgd, out_dir, rows_out):
     """Ranks, compression factors, and achieved errors versus accuracy."""
     fmt = cfgd.get("format", "tt")
-    rows = []
     if fmt == "cp":
-        for rank in cfgd.get("cp_rank_list", [20, 50]):
-            art, elapsed = _build_artifact(snaps, "cp", None, rank,
-                                           cfgd.get("interp_order", 2),
-                                           cfgd.get("cp_opts"))
-            err_u, err_f = _compression_errors(art, snaps)
-            rows.append(_offline_report_row(art, err_u, err_f, elapsed))
+        levels = [(None, rank) for rank in cfgd.get("cp_rank_list", [20, 50])]
     else:
-        for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01]):
-            art, elapsed = _build_artifact(snaps, fmt, eps, None,
-                                           cfgd.get("interp_order", 2))
-            err_u, err_f = _compression_errors(art, snaps)
-            rows.append(_offline_report_row(art, err_u, err_f, elapsed))
+        levels = [(eps, None) for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
+    rows = []
+    for eps, rank in levels:
+        art, elapsed = _build_artifact(snaps, fmt, eps, rank, cfgd.get("interp_order", 2),
+                                       cfgd.get("cp_opts"))
+        err_u, err_f = _compression_errors(art, snaps)
+        rows.append(_offline_report_row(art, err_u, err_f, elapsed))
     path = out_dir / "ranks_vs_eps.csv"
     _write_csv(path, _OFFLINE_HEADER, rows)
     rows_out.append(path)
 
 
 def _study_refine(snaps, cfgd, out_dir, rows_out):
-    """Averaged/max late-window gradient-energy error versus grid refinement."""
+    """Averaged/max query error versus grid refinement: the late-window
+    gradient-energy quotient for transport, the space-time l2 error for the
+    phase field."""
     cfg = snaps.config
     rng = np.random.default_rng(cfgd.get("seed", 2024))
     count = cfgd.get("query_count", 100)
     alphas = snaps.grid.sample(count, rng)
-    times = cfg.dt * np.arange(1, cfg.n_steps + 1)
-    t_lo = cfgd.get("t_window", 0.5)
+    metric, error = list(_error_metrics(cfg, cfgd.get("t_window", 0.5)).items())[-1]
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
     rows = []
     for shape in cfgd.get("refine_grids", [[2, 4], [4, 8], [8, 16]]):
@@ -286,15 +290,13 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
         bounds = art.local_dim_bounds()
         n_u = min(cfgd.get("n_u", 10), bounds[0])
         n_f = min(cfgd.get("n_f", 20), bounds[1])
-        errs = []
-        for al, ref in zip(alphas, refs):
-            states = _solve_query(art, al, n_u, n_f, cfgd.get("mode", "ls"))[3]
-            errs.append(metrics.rel_l2h1_quotient(states, ref, cfg.h, times, t_lo))
-        errs = np.array(errs)
+        errs = np.array([error(_solve_query(art, al, n_u, n_f, cfgd.get("mode", "ls"))[3], ref)
+                         for al, ref in zip(alphas, refs)])
         rows.append(["x".join(map(str, shape)), n_u, n_f,
                      f"{errs.mean():.6e}", f"{errs.max():.6e}", count])
     path = out_dir / "error_vs_grid.csv"
-    _write_csv(path, ["grid", "n_u", "n_f", "avg_err_h1", "max_err_h1", "n_queries"], rows)
+    _write_csv(path, ["grid", "n_u", "n_f", f"avg_err_{metric}", f"max_err_{metric}",
+                      "n_queries"], rows)
     rows_out.append(path)
 
 
@@ -329,7 +331,7 @@ def _study_effrank(snaps, cfgd, out_dir, rows_out):
             art, _ = _build_artifact(snaps, cfgd.get("format", "tt"), eps, None,
                                      cfgd.get("interp_order", 2))
             part = art.u_part if tag == "u" else art.f_part
-            eff = part.time_scale.size if part.kind == "tt" else part.ranks[-1]
+            eff = part.ranks[-1]
             err_lrtd = _part_error(part, tensor, snaps.grid)
             tail = max(total - float(np.sum(svals[:eff]**2)), 0.0)
             err_svd = np.sqrt(tail) / norm

@@ -53,10 +53,6 @@ class TTDecomposition:
         return (self.first.shape[0],) + tuple(c.shape[1] for c in self.cores) \
             + (self.last.shape[0],)
 
-    @property
-    def order(self) -> int:
-        return len(self.cores) + 2
-
 
 @dataclass(frozen=True)
 class TuckerDecomposition:
@@ -199,14 +195,13 @@ def cp_als(
     max_sweeps: int = 300,
     tol: float = 1e-9,
     seed: int = 0,
-    init: str = "random",
 ) -> CPDecomposition:
     """Fit a rank-``rank`` CP model by alternating least squares.
 
     Stops when the relative-error improvement between sweeps drops below
     ``tol`` or after ``max_sweeps``.  Non-convergence is reported through the
-    ``converged`` flag, not raised.  ``init`` is ``"random"`` (seeded uniform)
-    or ``"hosvd"`` (leading singular vectors per mode, padded randomly).
+    ``converged`` flag, not raised.  The factors start from seeded uniform
+    draws on [-1, 1].
     """
     t = np.asarray(t, dtype=np.float64)
     if rank < 1:
@@ -219,18 +214,7 @@ def cp_als(
         return CPDecomposition(factors, rel_error=0.0, sweeps=0, converged=True)
 
     rng = np.random.default_rng(seed)
-    if init == "hosvd":
-        factors = []
-        for k in range(d):
-            u = np.linalg.svd(unfold(t, k), full_matrices=False)[0]
-            if u.shape[1] < rank:
-                pad = rng.uniform(-1.0, 1.0, size=(dims[k], rank - u.shape[1]))
-                u = np.hstack([u, pad])
-            factors.append(u[:, :rank].copy())
-    elif init == "random":
-        factors = [rng.uniform(-1.0, 1.0, size=(n, rank)) for n in dims]
-    else:
-        raise ValueError(f"unknown init {init!r}")
+    factors = [rng.uniform(-1.0, 1.0, size=(n, rank)) for n in dims]
 
     unfoldings = [unfold(t, k) for k in range(d)]
     grams = [f.T @ f for f in factors]

@@ -1,5 +1,5 @@
-"""Empirical-interpolation (DEIM) index selection and the associated
-oblique projector / least-squares fits used for hyper-reduction."""
+"""Empirical-interpolation (DEIM) row selection on a column basis, the
+oblique projector it defines and that projector's stability constant."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -73,11 +73,3 @@ def selection_gain(basis: np.ndarray, sel: SelectionIndices) -> float:
         raise np.linalg.LinAlgError("selected square system is singular")
     return float(1.0 / smin)
 
-
-def ls_fit(a: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution with singular values below
-    ``1e-12 * sigma_1`` treated as zero."""
-    a = np.asarray(a, dtype=np.float64)
-    if a.shape[0] < a.shape[1]:
-        raise ValueError("least-squares fit expects rows >= cols")
-    return np.linalg.lstsq(a, np.asarray(rhs, dtype=np.float64), rcond=1e-12)[0]

@@ -322,13 +322,13 @@ def default_grid(cfg: ProblemConfig, shape=None) -> ParameterGrid:
 
 @dataclass(frozen=True)
 class SnapshotSet:
-    """Snapshot tensors (M x K_1 x ... x K_D x N) plus everything needed to
-    regenerate them: grid, time grid, per-point initial states, config."""
+    """Snapshot tensors (M x K_1 x ... x K_D x N) plus what regenerates
+    them: the grid and the problem config, which also fixes the time grid
+    and the initial state at every parameter (``initial_state_for``)."""
 
     u_tensor: np.ndarray
     f_tensor: np.ndarray
     grid: ParameterGrid
-    initial_states: np.ndarray
     config: ProblemConfig
 
     @property
@@ -343,18 +343,15 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
     shape = (m,) + grid.shape + (cfg.n_steps,)
     u_tensor = np.empty(shape)
     f_tensor = np.empty(shape)
-    inits = np.empty((m,) + grid.shape)
     for mi, alpha in grid.points():
         try:
             u_traj, f_traj = run_fom(cfg, alpha)
         except Exception as exc:
             raise RuntimeError(f"full-order run failed at alpha={alpha.tolist()}") from exc
-        sl = (slice(None),) + mi
-        u_tensor[sl + (slice(None),)] = u_traj
-        f_tensor[sl + (slice(None),)] = f_traj
-        inits[sl] = initial_state_for(cfg, alpha)
-    return SnapshotSet(u_tensor=u_tensor, f_tensor=f_tensor, grid=grid,
-                       initial_states=inits, config=cfg)
+        sl = (slice(None),) + mi + (slice(None),)
+        u_tensor[sl] = u_traj
+        f_tensor[sl] = f_traj
+    return SnapshotSet(u_tensor=u_tensor, f_tensor=f_tensor, grid=grid, config=cfg)
 
 
 def save_snapshots(path, snaps: SnapshotSet) -> None:
@@ -364,14 +361,12 @@ def save_snapshots(path, snaps: SnapshotSet) -> None:
         "grid": snaps.grid.to_dict(),
         "times": snaps.times.tolist(),
     }
-    store.save_bundle(path, meta, {
-        "u_tensor": snaps.u_tensor,
-        "f_tensor": snaps.f_tensor,
-        "initial_states": snaps.initial_states,
-    })
+    store.save_bundle(path, meta, {"u_tensor": snaps.u_tensor, "f_tensor": snaps.f_tensor})
 
 
 def load_snapshots(path) -> SnapshotSet:
+    """Read a snapshot bundle; the per-point initial-state blob that older
+    bundles carry is read and ignored."""
     meta, blobs = store.load_bundle(path)
     if meta.get("schema") != "tromkit-snapshots-1":
         raise ValueError("not a snapshot bundle")
@@ -379,6 +374,5 @@ def load_snapshots(path) -> SnapshotSet:
         u_tensor=blobs["u_tensor"],
         f_tensor=blobs["f_tensor"],
         grid=ParameterGrid.from_dict(meta["grid"]),
-        initial_states=blobs["initial_states"],
         config=config_from_dict(meta["problem"]),
     )

@@ -15,21 +15,16 @@ from .decomp import truncated_left_svd
 from .deim import SelectionIndices, deim_select
 from .stepping import (AffineOperator, affine_sum, integrate_reduced,
                        reduced_system)
-from .tensors import unfold_mode1
+from .tensors import unfold
 
 
-def pod_basis(snapshot_tensor: np.ndarray, count: int | None = None
-              ) -> tuple[np.ndarray, np.ndarray]:
+def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of the mode-1 unfolding.
 
     Budget 0 keeps every direction with a nonzero singular value, so this
     runs the SVD path of ``truncated_left_svd``.
     """
-    u, svals, _ = truncated_left_svd(unfold_mode1(snapshot_tensor), 0.0)
-    if count is not None:
-        if count > u.shape[1]:
-            raise ValueError(f"requested {count} modes, only {u.shape[1]} available")
-        u = u[:, :count]
+    u, svals, _ = truncated_left_svd(unfold(snapshot_tensor, 0), 0.0)
     return u, svals
 
 
@@ -46,10 +41,6 @@ class PodRom:
     f_sing_vals: np.ndarray
     a_terms_reduced: tuple[np.ndarray, ...] | None
     a_op: AffineOperator | None
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.u_basis.shape[1], self.f_basis.shape[1]
 
 
 def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
@@ -72,11 +63,11 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
 
 
 def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
-              stab: float = 0.0, lift: bool = True):
-    """Integrate the projected system; returns (betas, states or None).
+              stab: float = 0.0):
+    """Integrate the projected system; returns (betas, states).
 
     ``betas`` holds reduced coordinates at t = dt .. n_steps*dt; ``states``
-    is the lifted trajectory when requested.
+    is the lifted trajectory.
     """
     if rom.a_terms_reduced is None:
         raise ValueError("offline stage was built without an operator")
@@ -84,4 +75,4 @@ def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
     sys, beta0 = reduced_system(rom.u_basis, rom.selection.indices, a_red, rom.f_map,
                                 term, u0, stab)
     betas = integrate_reduced(sys, beta0, dt, n_steps)
-    return betas, (rom.u_basis @ betas if lift else None)
+    return betas, rom.u_basis @ betas

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import store
 from .decomp import cp_als, hosvd, tt_svd
-from .deim import SelectionIndices, deim_select
+from .deim import SelectionIndices, deim_select, selection_gain
 from .grids import ParameterGrid, interp_weights
 from .stepping import (AffineOperator, affine_sum, integrate_reduced,
                        reduced_system)
@@ -277,12 +277,11 @@ def build_offline(
     selection = deim_select(f_part.basis)
     uty = u_part.basis.T @ f_part.basis
     pty = f_part.basis[selection.indices, :]
-    cstar_ls = float(1.0 / np.linalg.svd(pty, compute_uv=False)[-1])
     reduced = a_op.reduce(u_part.basis) if a_op is not None else None
     return OfflineArtifact(
         fmt=fmt, eps=eps, cp_rank=cp_rank, interp_order=interp_order, grid=grid,
         u_part=u_part, f_part=f_part, selection=selection, uty=uty, pty=pty,
-        cstar_ls=cstar_ls, a_terms_reduced=reduced,
+        cstar_ls=selection_gain(f_part.basis, selection), a_terms_reduced=reduced,
         a_coeff=a_op.coeff if a_op is not None else None,
         problem=problem, full_shape=tuple(u_snaps.shape), cp_fit=cp_fit)
 
@@ -315,10 +314,6 @@ class LocalROM:
     used_rows: np.ndarray | None = None   # global row indices the term needs
     cstar: float | None = None
 
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.u_coords.shape[1], self.f_coords.shape[1]
-
 
 def local_bases(art: OfflineArtifact, alpha, n_u: int, n_f: int) -> LocalROM:
     """SVD the two scaled core matrices; the leading left singular vectors
@@ -337,25 +332,22 @@ def local_bases(art: OfflineArtifact, alpha, n_u: int, n_f: int) -> LocalROM:
                     u_sing_vals=su, f_sing_vals=sf)
 
 
-def build_reduced_system(art: OfflineArtifact, local: LocalROM, mode: str = "ls",
-                         a_op: AffineOperator | None = None) -> LocalROM:
+def build_reduced_system(art: OfflineArtifact, local: LocalROM,
+                         mode: str = "ls") -> LocalROM:
     """Second hyper-reduction stage plus operator projection.
 
     ``mode="deim"`` re-runs the greedy selection on the rank-sized matrix
     (P^T Y) Y_n and inverts the selected square block; ``mode="ls"`` keeps
-    all offline rows and uses the pseudo-inverse.  All composed matrices are
-    sized by ranks.
+    all offline rows and uses the pseudo-inverse.  The operator comes from
+    the artifact's pre-projected terms.  All composed matrices are sized by
+    ranks.
     """
     if mode not in ("ls", "deim"):
         raise ValueError(f"unknown hyper-reduction mode {mode!r}")
-    if a_op is not None:
-        lifted = art.u_part.basis @ local.u_coords
-        a_red = lifted.T @ (a_op.assemble(local.alpha) @ lifted)
-    elif art.a_terms_reduced is not None:
-        a_tilde = affine_sum(art.a_coeff, art.a_terms_reduced, local.alpha)
-        a_red = local.u_coords.T @ a_tilde @ local.u_coords
-    else:
-        raise ValueError("no operator available; pass a_op")
+    if art.a_terms_reduced is None:
+        raise ValueError("artifact has no reduced operator; build it with a_op")
+    a_tilde = affine_sum(art.a_coeff, art.a_terms_reduced, local.alpha)
+    a_red = local.u_coords.T @ a_tilde @ local.u_coords
 
     proj = local.u_coords.T @ art.uty @ local.f_coords     # n_u x n_f
     b = art.pty @ local.f_coords                           # r_first_f x n_f
@@ -375,12 +367,12 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM, mode: str = "ls"
 
 
 def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
-               dt: float, n_steps: int, stab: float = 0.0, lift: bool = True):
+               dt: float, n_steps: int, stab: float = 0.0):
     """Integrate the local reduced system with the shared BDF2 family.
 
     Returns (betas, states): reduced coordinates at t = dt .. n_steps*dt and
-    the lifted trajectory when requested.  Per-step work in the nonlinear
-    path is bounded by the ranks; only the optional lift is M-sized.
+    the lifted trajectory.  Per-step work in the nonlinear path is bounded
+    by the ranks; only the lift is M-sized.
     """
     if local.mode is None:
         raise ValueError("complete the local ROM with build_reduced_system first")
@@ -388,7 +380,7 @@ def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
     sys, beta0 = reduced_system(lifted, local.used_rows, local.a_red, local.f_map,
                                 term, u0, stab)
     betas = integrate_reduced(sys, beta0, dt, n_steps)
-    return betas, (lifted @ betas if lift else None)
+    return betas, lifted @ betas
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +467,12 @@ def _part_from_blobs(tag: str, meta: dict, blobs: dict) -> OnlinePart:
 
 
 def save_artifact(path, art: OfflineArtifact) -> None:
+    """Write the artifact as a bundle.  Operator coefficients are functions
+    and are rebuilt on load from ``problem``, so an artifact with reduced
+    operator terms but no problem description is refused."""
+    if art.a_terms_reduced and art.problem is None:
+        raise ValueError("artifact has reduced operator terms but no problem "
+                         "description to rebuild their coefficients from")
     u_meta, u_blobs, u_online = _part_blobs("u", art.u_part)
     f_meta, f_blobs, f_online = _part_blobs("f", art.f_part)
     blobs = {**u_blobs, **f_blobs, "uty": art.uty, "pty": art.pty}

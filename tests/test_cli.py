@@ -163,6 +163,27 @@ class TestStudy:
         tensors = {r[0] for r in rows}
         assert tensors == {"u", "f"}
 
+    def test_phase_field_runs_every_study(self, tmp_path):
+        config = {
+            "problem": {"kind": "allen_cahn", "m": 8, "n_steps": 12, "pre_steps": 3,
+                        "seed": 42},
+            "grid": [2, 2, 2],
+            "refine_grids": [[2, 2, 2], [3, 2, 2]],
+            "query_count": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "res"
+        assert run("study", "--config", cfg_path, "--out", out) == 0
+        for name in ("ranks_vs_eps.csv", "error_vs_grid.csv",
+                     "sing_val_decay.csv", "effective_rank.csv"):
+            assert (out / name).exists()
+        # the phase field tabulates the space-time l2 error, as query reports
+        header, rows = read_csv(out / "error_vs_grid.csv")
+        assert header[3:5] == ["avg_err_l2l2", "max_err_l2l2"]
+        assert len(rows) == 2
+        assert all(np.isfinite(float(r[3])) for r in rows)
+
 
 class TestVerify:
     def test_no_violations_and_exit_code(self, workdir, tmp_path):
@@ -228,6 +249,25 @@ class TestVerify:
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list", f"4,{n_f + 1}",
                 "--out", tmp_path / "v.csv")
+
+    @pytest.mark.parametrize("mode", ["ls", "deim"])
+    @pytest.mark.parametrize("fmt,kw", [("tt", ("--eps", "1e-3")),
+                                        ("hosvd", ("--eps", "1e-3")),
+                                        ("cp", ("--cp-rank", "10"))])
+    def test_no_violations_over_seeded_random_queries(self, workdir, tmp_path,
+                                                       fmt, kw, mode):
+        root, snap = workdir
+        art = tmp_path / f"{fmt}.trbl"
+        assert run("offline", "--snapshots", snap, "--format", fmt, *kw,
+                   "--skip-errors", "--out", art) == 0
+        for seed in range(3):
+            out = tmp_path / f"v{seed}.csv"
+            assert run("verify", "--artifact", art, "--snapshots", snap,
+                       "--seed", seed, "--random", "4", "--n-list", "2,4,8",
+                       "--mode", mode, "--out", out) == 0
+            header, rows = read_csv(out)
+            assert len(rows) == 12
+            assert all(r[header.index("status")] == "ok" for r in rows)
 
     def test_lhs_grows_as_dims_shrink(self, workdir, tmp_path):
         root, snap = workdir

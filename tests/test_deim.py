@@ -116,36 +116,3 @@ class TestApply:
         assert deim.selection_gain(y, sel) == pytest.approx(oracle, rel=1e-12)
         assert np.isfinite(deim.selection_gain(y, sel))
 
-
-class TestLsFit:
-    def test_square_nonsingular_is_exact_solve(self):
-        rng = np.random.default_rng(10)
-        a = rng.standard_normal((4, 4)) + 4 * np.eye(4)
-        rhs = rng.standard_normal(4)
-        x = deim.ls_fit(a, rhs)
-        assert np.linalg.norm(a @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-
-    def test_orthonormal_columns_gives_transpose_product(self):
-        q = orthonormal(8, 3, 12)
-        rhs = np.random.default_rng(13).standard_normal(8)
-        assert np.allclose(deim.ls_fit(q, rhs), q.T @ rhs, rtol=0, atol=1e-12)
-
-    def test_overdetermined_matches_normal_equations_oracle(self):
-        rng = np.random.default_rng(14)
-        a = rng.standard_normal((8, 3))
-        rhs = rng.standard_normal(8)
-        oracle = np.linalg.solve(a.T @ a, a.T @ rhs)
-        assert np.linalg.norm(deim.ls_fit(a, rhs) - oracle) <= 1e-10
-
-    def test_rank_deficient_returns_minimum_norm(self):
-        a = np.zeros((6, 2))
-        a[:, 0] = 1.0
-        a[:, 1] = 1.0
-        rhs = np.ones(6)
-        x = deim.ls_fit(a, rhs)
-        assert np.linalg.norm(a @ x - rhs) < 1e-12
-        assert np.allclose(x, [0.5, 0.5], atol=1e-12)
-
-    def test_underdetermined_rejected(self):
-        with pytest.raises(ValueError):
-            deim.ls_fit(np.ones((2, 3)), np.ones(2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tromkit import fom
+from tromkit import fom, store
 from tromkit.stepping import AdvectiveTerm, PointwiseTerm, affine_sum, integrate_full
 
 
@@ -213,6 +213,20 @@ class TestSampling:
         path2 = tmp_path / "snaps2.trbl"
         fom.save_snapshots(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_bundle_with_initial_state_blob_loads(self, tmp_path, small_burgers):
+        # older bundles also stored every node's initial state; it is ignored
+        cfg, grid, snaps = small_burgers
+        path = tmp_path / "old.trbl"
+        meta = {"schema": "tromkit-snapshots-1", "problem": fom.config_to_dict(cfg),
+                "grid": grid.to_dict(), "times": snaps.times.tolist()}
+        inits = np.stack([fom.initial_state_for(cfg, a) for _, a in grid.points()], axis=1)
+        store.save_bundle(path, meta, {"u_tensor": snaps.u_tensor, "f_tensor": snaps.f_tensor,
+                                       "initial_states": inits.reshape((cfg.m,) + grid.shape)})
+        loaded = fom.load_snapshots(path)
+        assert np.array_equal(loaded.u_tensor, snaps.u_tensor)
+        assert np.array_equal(loaded.f_tensor, snaps.f_tensor)
+        assert loaded.config == cfg
 
     def test_failure_identifies_grid_point(self):
         cfg = fom.AllenCahnConfig(m=6, n_steps=4)

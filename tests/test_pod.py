@@ -4,7 +4,7 @@ import scipy.sparse as sp
 
 from tromkit import deim, fom, pod
 from tromkit.stepping import AffineOperator, PointwiseTerm
-from tromkit.tensors import unfold_mode1
+from tromkit.tensors import unfold
 
 
 class TestPodBasis:
@@ -18,7 +18,7 @@ class TestPodBasis:
     def test_tail_energy_identity(self, small_burgers):
         _, _, snaps = small_burgers
         rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 12, 12)
-        mat = unfold_mode1(snaps.u_tensor)
+        mat = unfold(snaps.u_tensor, 0)
         proj = rom.u_basis @ (rom.u_basis.T @ mat)
         residual = np.sum((mat - proj) ** 2)
         tail = np.sum(rom.u_sing_vals[12:] ** 2)

@@ -15,7 +15,7 @@ def smooth_grid():
                           GridAxis(np.linspace(-1.0, 1.0, 4))))
 
 
-def build_smooth(fmt="tt", eps=1e-10, cp_rank=None, seed=0):
+def build_smooth(fmt="tt", eps=1e-10, cp_rank=None, seed=0, a_op=None):
     t = smooth_tensor()
     u = t
     f = t + 0.05 * np.sin(3.0 * t)
@@ -23,7 +23,8 @@ def build_smooth(fmt="tt", eps=1e-10, cp_rank=None, seed=0):
     kw = {}
     if fmt == "cp":
         kw["cp_opts"] = {"seed": seed, "max_sweeps": 500, "tol": 1e-14}
-    return trom.build_offline(u, f, grid, fmt=fmt, eps=eps, cp_rank=cp_rank, **kw), u, f, grid
+    return (trom.build_offline(u, f, grid, fmt=fmt, eps=eps, cp_rank=cp_rank, a_op=a_op, **kw),
+            u, f, grid)
 
 
 class TestOffline:
@@ -201,13 +202,13 @@ class TestBuildReducedSystem:
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
     def test_linear_term_composition_matches_dense_oracle(self):
-        art, u, f, grid = build_smooth()
+        m = smooth_tensor().shape[0]
+        art, u, f, grid = build_smooth(a_op=AffineOperator(terms=(np.eye(m) * 0,),
+                                                           coeff=lambda a: np.ones(1)))
         alpha = np.array([0.9, 0.5])
         n_u, n_f = 4, 5
         local = trom.build_reduced_system(
-            art, trom.local_bases(art, alpha, n_u, n_f), mode="ls",
-            a_op=AffineOperator(terms=(np.eye(u.shape[0]) * 0,),
-                                coeff=lambda a: np.ones(1)))
+            art, trom.local_bases(art, alpha, n_u, n_f), mode="ls")
         rng = np.random.default_rng(6)
         vec = rng.standard_normal(u.shape[0])
         got = local.f_map @ vec[local.used_rows]
@@ -254,11 +255,11 @@ class TestBuildReducedSystem:
 
 class TestSolve:
     def test_constant_when_operator_and_term_vanish(self):
-        art, u, f, grid = build_smooth()
-        zero_op = AffineOperator(
-            terms=(np.zeros((u.shape[0], u.shape[0])),), coeff=lambda a: np.ones(1))
+        m = smooth_tensor().shape[0]
+        zero_op = AffineOperator(terms=(np.zeros((m, m)),), coeff=lambda a: np.ones(1))
+        art, u, f, grid = build_smooth(a_op=zero_op)
         local = trom.build_reduced_system(
-            art, trom.local_bases(art, [0.8, 0.0], 3, 3), mode="ls", a_op=zero_op)
+            art, trom.local_bases(art, [0.8, 0.0], 3, 3), mode="ls")
         from tromkit.stepping import PointwiseTerm
         term = PointwiseTerm(fn=lambda v: np.zeros_like(v))
         u0 = u[:, 2, 1, 0]
@@ -312,6 +313,11 @@ class TestSolve:
         slab_u = snaps.u_tensor[(slice(None),) + mi]
         err = np.linalg.norm(states - slab_u) / np.linalg.norm(slab_u)
         assert err < 1e-6
+
+    def test_artifact_without_operator_rejected(self):
+        art, *_ = build_smooth()
+        with pytest.raises(ValueError, match="no reduced operator"):
+            trom.build_reduced_system(art, trom.local_bases(art, [0.8, 0.0], 3, 3))
 
     def test_requires_completed_local_rom(self, small_burgers):
         cfg, grid, snaps = small_burgers
@@ -415,6 +421,16 @@ class TestArtifactSerialization:
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError, match="8 trailing bytes"):
             trom.load_artifact(path)
+
+    def test_operator_without_problem_refused(self, tmp_path, small_burgers):
+        # the coefficient function cannot be stored; load rebuilds it from problem
+        cfg, grid, snaps = small_burgers
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-3, a_op=fom.burgers_affine(cfg))
+        path = tmp_path / "a.trbl"
+        with pytest.raises(ValueError, match="no problem"):
+            trom.save_artifact(path, art)
+        assert not path.exists()
 
     def test_online_payload_count_matches_formula(self, tmp_path):
         from tromkit import store
