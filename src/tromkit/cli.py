@@ -222,8 +222,8 @@ def cmd_query(args) -> int:
     if not art.grid.contains(alpha):
         raise SystemExit(f"alpha {alpha.tolist()} is outside the parameter box")
     bounds = art.local_dim_bounds()
-    n_u = args.n_phi or bounds[0]
-    n_f = args.n_psi or bounds[1]
+    n_u = bounds[0] if args.n_phi is None else args.n_phi
+    n_f = bounds[1] if args.n_psi is None else args.n_psi
     cfg, local, betas, states, t_basis, t_int = _solve_query(art, alpha, n_u, n_f, args.mode)
 
     err_l2l2 = err_h1 = ""
@@ -253,17 +253,24 @@ def cmd_query(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
-def _study_ranks(snaps, cfgd, out_dir, rows_out):
-    """Ranks, compression factors, and achieved errors versus accuracy."""
+def _study_builds(snaps, cfgd):
+    """Build one artifact per accuracy level of the study config (eps for
+    TT and Tucker, CP rank for CP); yields (eps, artifact, seconds)."""
     fmt = cfgd.get("format", "tt")
     if fmt == "cp":
         levels = [(None, rank) for rank in cfgd.get("cp_rank_list", [20, 50])]
     else:
         levels = [(eps, None) for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
-    rows = []
     for eps, rank in levels:
         art, elapsed = _build_artifact(snaps, fmt, eps, rank, cfgd.get("interp_order", 2),
                                        cfgd.get("cp_opts"))
+        yield eps, art, elapsed
+
+
+def _study_ranks(snaps, cfgd, out_dir, rows_out):
+    """Ranks, compression factors, and achieved errors versus accuracy."""
+    rows = []
+    for _, art, elapsed in _study_builds(snaps, cfgd):
         err_u, err_f = _compression_errors(art, snaps)
         rows.append(_offline_report_row(art, err_u, err_f, elapsed))
     path = out_dir / "ranks_vs_eps.csv"
@@ -322,22 +329,19 @@ def _study_svdecay(snaps, cfgd, out_dir, rows_out):
 
 def _study_effrank(snaps, cfgd, out_dir, rows_out):
     """Compressed-format error versus truncated-SVD error at equal effective rank."""
-    rows = []
-    for tag, tensor in (("u", snaps.u_tensor), ("f", snaps.f_tensor)):
-        _, svals = pod.pod_basis(tensor)
-        total = float(np.sum(svals**2))
-        norm = np.linalg.norm(tensor)
-        for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01]):
-            art, _ = _build_artifact(snaps, cfgd.get("format", "tt"), eps, None,
-                                     cfgd.get("interp_order", 2))
-            part = art.u_part if tag == "u" else art.f_part
+    tensors = {"u": snaps.u_tensor, "f": snaps.f_tensor}
+    svals = {tag: pod.pod_basis(tensor)[1] for tag, tensor in tensors.items()}
+    rows = {tag: [] for tag in tensors}
+    for eps, art, _ in _study_builds(snaps, cfgd):
+        for tag, part in (("u", art.u_part), ("f", art.f_part)):
             eff = part.ranks[-1]
-            err_lrtd = _part_error(part, tensor, snaps.grid)
-            tail = max(total - float(np.sum(svals[:eff]**2)), 0.0)
-            err_svd = np.sqrt(tail) / norm
-            rows.append([tag, eps, eff, f"{err_lrtd:.6e}", f"{err_svd:.6e}"])
+            err_lrtd = _part_error(part, tensors[tag], snaps.grid)
+            tail = max(float(np.sum(svals[tag]**2)) - float(np.sum(svals[tag][:eff]**2)), 0.0)
+            err_svd = np.sqrt(tail) / np.linalg.norm(tensors[tag])
+            rows[tag].append([tag, eps, eff, f"{err_lrtd:.6e}", f"{err_svd:.6e}"])
     path = out_dir / "effective_rank.csv"
-    _write_csv(path, ["tensor", "eps", "effective_rank", "err_lrtd", "err_trunc_svd"], rows)
+    _write_csv(path, ["tensor", "eps", "effective_rank", "err_lrtd", "err_trunc_svd"],
+               rows["u"] + rows["f"])
     rows_out.append(path)
 
 
@@ -448,6 +452,8 @@ def cmd_verify(args) -> int:
     else:
         alphas = list(snaps.grid.sample(args.random, rng))
     n_list = [int(x) for x in args.n_list.split(",")]
+    if min(n_list) < 1:
+        raise SystemExit(f"--n-list entries must be at least 1, got {args.n_list}")
     rows, violations = _verify_rows(art, snaps, alphas, n_list, args.mode)
     out = Path(args.out or "verify.csv")
     _write_csv(out, _VERIFY_HEADER, rows)

@@ -331,11 +331,6 @@ class SnapshotSet:
     grid: ParameterGrid
     config: ProblemConfig
 
-    @property
-    def times(self) -> np.ndarray:
-        n = self.u_tensor.shape[-1]
-        return self.config.dt * np.arange(1, n + 1)
-
 
 def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
     """Run the full-order model at every grid node and pack the tensors."""
@@ -359,7 +354,6 @@ def save_snapshots(path, snaps: SnapshotSet) -> None:
         "schema": "tromkit-snapshots-1",
         "problem": config_to_dict(snaps.config),
         "grid": snaps.grid.to_dict(),
-        "times": snaps.times.tolist(),
     }
     store.save_bundle(path, meta, {"u_tensor": snaps.u_tensor, "f_tensor": snaps.f_tensor})
 

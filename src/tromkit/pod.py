@@ -46,6 +46,8 @@ class PodRom:
 def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
                 a_op: AffineOperator | None = None) -> PodRom:
     """Build the baseline ROM from the two snapshot tensors."""
+    if n_u < 1 or n_f < 1:
+        raise ValueError(f"basis sizes ({n_u}, {n_f}) must be at least 1")
     u_basis, u_svals = pod_basis(u_snaps)
     f_basis, f_svals = pod_basis(f_snaps)
     for name, have, want, svals in (("state", u_basis.shape[1], n_u, u_svals),

@@ -109,6 +109,14 @@ class TestQuery:
         assert float(row["t_integrate"]) >= 0.0
         assert row["mode"] == "ls"
 
+    @pytest.mark.parametrize("flags", [("--n-phi", "0"), ("--n-psi=-2",)])
+    def test_nonpositive_dims_rejected(self, workdir, flags):
+        # 0 is a dimension, not "unset": only a missing flag takes the bound
+        root, _ = workdir
+        with pytest.raises(ValueError, match="admissible"):
+            run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                "--no-reference", *flags)
+
 
 class TestStudy:
     @pytest.fixture(scope="class")
@@ -162,6 +170,29 @@ class TestStudy:
         header, rows = read_csv(study_out / "effective_rank.csv")
         tensors = {r[0] for r in rows}
         assert tensors == {"u", "f"}
+
+    def test_cp_format_runs_every_study(self, tmp_path):
+        config = {
+            "problem": {"kind": "burgers", "m": 40, "n_steps": 30},
+            "grid": [3, 4],
+            "format": "cp",
+            "cp_rank": 4,
+            "cp_rank_list": [4, 6],
+            "n_u": 4, "n_f": 4,
+            "query_count": 2,
+            "refine_grids": [[2, 3], [3, 4]],
+            "svdecay_count": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "res"
+        assert run("study", "--config", cfg_path, "--out", out) == 0
+        header, rows = read_csv(out / "ranks_vs_eps.csv")
+        assert [r[header.index("cp_rank")] for r in rows] == ["4", "6"]
+        # effrank uses the same CP levels: all state rows, then all term rows
+        header, rows = read_csv(out / "effective_rank.csv")
+        assert [(r[0], r[2]) for r in rows] == [("u", "4"), ("u", "6"),
+                                                ("f", "4"), ("f", "6")]
 
     def test_phase_field_runs_every_study(self, tmp_path):
         config = {
@@ -249,6 +280,12 @@ class TestVerify:
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list", f"4,{n_f + 1}",
                 "--out", tmp_path / "v.csv")
+
+    def test_n_below_one_rejected(self, workdir, tmp_path):
+        root, snap = workdir
+        with pytest.raises(SystemExit, match="at least 1"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--alphas", "0.05,0.5", "--n-list=-1,5", "--out", tmp_path / "v.csv")
 
     @pytest.mark.parametrize("mode", ["ls", "deim"])
     @pytest.mark.parametrize("fmt,kw", [("tt", ("--eps", "1e-3")),

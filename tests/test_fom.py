@@ -215,11 +215,13 @@ class TestSampling:
         assert path.read_bytes() == path2.read_bytes()
 
     def test_bundle_with_initial_state_blob_loads(self, tmp_path, small_burgers):
-        # older bundles also stored every node's initial state; it is ignored
+        # older bundles also stored every node's initial state and the list of
+        # snapshot times; both are ignored
         cfg, grid, snaps = small_burgers
         path = tmp_path / "old.trbl"
+        times = cfg.dt * np.arange(1, cfg.n_steps + 1)
         meta = {"schema": "tromkit-snapshots-1", "problem": fom.config_to_dict(cfg),
-                "grid": grid.to_dict(), "times": snaps.times.tolist()}
+                "grid": grid.to_dict(), "times": times.tolist()}
         inits = np.stack([fom.initial_state_for(cfg, a) for _, a in grid.points()], axis=1)
         store.save_bundle(path, meta, {"u_tensor": snaps.u_tensor, "f_tensor": snaps.f_tensor,
                                        "initial_states": inits.reshape((cfg.m,) + grid.shape)})

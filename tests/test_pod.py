@@ -40,6 +40,12 @@ class TestPodBasis:
         with pytest.raises(ValueError, match="rank-deficient"):
             pod.pod_offline(tensor, tensor, 2, 1)
 
+    @pytest.mark.parametrize("n_u,n_f", [(-3, 5), (5, 0)])
+    def test_basis_size_below_one_rejected(self, small_burgers, n_u, n_f):
+        _, _, snaps = small_burgers
+        with pytest.raises(ValueError, match="at least 1"):
+            pod.pod_offline(snaps.u_tensor, snaps.f_tensor, n_u, n_f)
+
     def test_selection_comes_from_term_basis(self, small_burgers):
         _, _, snaps = small_burgers
         rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)

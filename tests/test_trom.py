@@ -180,6 +180,13 @@ class TestLocalBases:
         with pytest.raises(ValueError, match="admissible"):
             trom.local_bases(art, [0.8, 0.0], bounds[0] + 1, 1)
 
+    @pytest.mark.parametrize("n_u,n_f", [(0, 1), (1, 0), (-2, -1)])
+    def test_dims_below_one_rejected(self, n_u, n_f):
+        # negative dims would slice columns off the end of the local bases
+        art, *_ = build_smooth()
+        with pytest.raises(ValueError, match="admissible"):
+            trom.local_bases(art, [0.8, 0.0], n_u, n_f)
+
 
 class TestBuildReducedSystem:
     def test_ls_with_full_dims_matches_universal_path(self, small_burgers):
@@ -433,21 +440,49 @@ class TestArtifactSerialization:
         assert not path.exists()
 
     def test_online_payload_count_matches_formula(self, tmp_path):
-        from tromkit import store
-        for fmt, kw in (
+        def paper_count(part, ks):
+            r = part.ranks
+            if part.kind == "tt":        # sum r_i K_i r_{i+1} plus the r_last^2 scales
+                return sum(a * k * b for a, k, b in zip(r, ks, r[1:])) + r[-1]**2
+            if part.kind == "hosvd":     # core plus the K_i x K~_i factors
+                return int(np.prod(r)) + sum(k * kt for k, kt in zip(ks, r[1:-1]))
+            return r[0] * (r[0] + 1) + r[0] * sum(ks)   # two triangles plus R K_i
+        for i, (fmt, kw) in enumerate((
             ("tt", {"eps": 1e-6}),
             ("hosvd", {"eps": 1e-6}),
             ("cp", {"cp_rank": 8}),   # below min(M, N): square QR factors
-        ):
+            ("cp", {"cp_rank": 15}),  # above min(M, N): trapezoidal QR factors
+        )):
             art, u, *_ = build_smooth(fmt=fmt, **kw)
-            path = tmp_path / f"{fmt}.trbl"
+            path = tmp_path / f"{fmt}{i}.trbl"
             trom.save_artifact(path, art)
-            meta, blobs = store.load_bundle(path)
-            for tag, part in (("u", art.u_part), ("f", art.f_part)):
-                counted = sum(blobs[name].size for name in meta["online_blobs"][tag])
-                assert counted == part.online_entries
+            loaded = trom.load_artifact(path)
+            for part in (art.u_part, art.f_part, loaded.u_part, loaded.f_part):
+                assert part.online_entries == paper_count(part, art.grid.shape)
             cf = art.compression_factors()
             assert cf["cf_u"] == u.size / art.u_part.online_entries
+
+    def test_other_schema_refused(self, tmp_path):
+        from tromkit import store
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["schema"] = "tromkit-artifact-1"
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match="'tromkit-artifact-1'.*tromkit offline"):
+            trom.load_artifact(path)
+
+    def test_unknown_part_kind_refused(self, tmp_path):
+        from tromkit import store
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["f_part"]["kind"] = "ht"
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match="unknown part kind 'ht'"):
+            trom.load_artifact(path)
 
 
 class TestCompressionFactors:
