@@ -253,12 +253,24 @@ def cmd_query(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
+_STUDY_CP_RANKS = (20, 50)     # default cp_rank_list
+
+
+def _study_cp_rank(cfgd):
+    """CP rank of the studies that build one artifact: ``cp_rank``, else,
+    for a CP config, the largest level of ``cp_rank_list``."""
+    rank = cfgd.get("cp_rank")
+    if rank is None and cfgd.get("format", "tt") == "cp":
+        rank = max(cfgd.get("cp_rank_list", _STUDY_CP_RANKS))
+    return rank
+
+
 def _study_builds(snaps, cfgd):
     """Build one artifact per accuracy level of the study config (eps for
     TT and Tucker, CP rank for CP); yields (eps, artifact, seconds)."""
     fmt = cfgd.get("format", "tt")
     if fmt == "cp":
-        levels = [(None, rank) for rank in cfgd.get("cp_rank_list", [20, 50])]
+        levels = [(None, rank) for rank in cfgd.get("cp_rank_list", _STUDY_CP_RANKS)]
     else:
         levels = [(eps, None) for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
     for eps, rank in levels:
@@ -293,7 +305,7 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
         grid = fom.default_grid(cfg, shape)
         sub = fom.sample_snapshots(cfg, grid)
         art, _ = _build_artifact(sub, cfgd.get("format", "tt"), cfgd.get("eps", 1e-3),
-                                 cfgd.get("cp_rank"), cfgd.get("interp_order", 2))
+                                 _study_cp_rank(cfgd), cfgd.get("interp_order", 2))
         bounds = art.local_dim_bounds()
         n_u = min(cfgd.get("n_u", 10), bounds[0])
         n_f = min(cfgd.get("n_f", 20), bounds[1])
@@ -310,7 +322,7 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
 def _study_svdecay(snaps, cfgd, out_dir, rows_out):
     """Scaled singular values: all-snapshot unfolding versus local matrices."""
     art, _ = _build_artifact(snaps, cfgd.get("format", "tt"), cfgd.get("eps", 1e-4),
-                             cfgd.get("cp_rank"), cfgd.get("interp_order", 2))
+                             _study_cp_rank(cfgd), cfgd.get("interp_order", 2))
     _, f_svals = pod.pod_basis(snaps.f_tensor)
     rng = np.random.default_rng(cfgd.get("seed", 2024))
     alphas = snaps.grid.sample(cfgd.get("svdecay_count", 10), rng)

@@ -223,6 +223,22 @@ def _ac_uniform_field(cfg: AllenCahnConfig) -> np.ndarray:
     return rng.random(cfg.n_dofs)
 
 
+@lru_cache(maxsize=8)
+def _ac_sorted_field(cfg: AllenCahnConfig) -> np.ndarray:
+    field = np.sort(_ac_uniform_field(cfg))
+    field.flags.writeable = False
+    return field
+
+
+def _ac_class_probability(cfg: AllenCahnConfig, p_high: float) -> float:
+    """The probability that stands for every ``p_high`` with the same mask
+    ``field < p_high``: the smallest field value at or above ``p_high``, or
+    1.0 when ``p_high`` exceeds them all (the field lies in [0, 1))."""
+    field = _ac_sorted_field(cfg)
+    i = int(np.searchsorted(field, p_high, side="left"))
+    return float(field[i]) if i < field.size else 1.0
+
+
 @lru_cache(maxsize=64)
 def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     """Thresholded Bernoulli field relaxed by a short pre-simulation.
@@ -230,6 +246,13 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     Thresholding one shared uniform field couples the draws across
     probabilities, which keeps the initial state meaningful for
     probabilities between the training values.
+
+    The state depends on ``p_high`` only through the mask
+    ``field < p_high``, so the callers in this module pass one probability
+    per mask (``_ac_class_probability``) and a query relaxes a field only
+    when its mask is not among the cached ones.  The cache stays an
+    ``lru_cache`` keyed by ``(cfg, p_high)``: its ``cache_info()`` is how
+    hits and misses are counted.
     """
     field = (_ac_uniform_field(cfg) < p_high).astype(np.float64)
     if cfg.pre_steps == 0:
@@ -250,7 +273,7 @@ def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     width, asym = float(alpha[0]), float(alpha[1])
     if u0 is None:
-        u0 = ac_initial_state(cfg, float(alpha[2]))
+        u0 = ac_initial_state(cfg, _ac_class_probability(cfg, float(alpha[2])))
     if u0.size != cfg.n_dofs:
         raise ValueError(f"initial state has {u0.size} entries, expected {cfg.n_dofs}")
     a_mat = allen_cahn_operators(cfg.m, width)
@@ -305,7 +328,7 @@ def initial_state_for(cfg: ProblemConfig, alpha) -> np.ndarray:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if isinstance(cfg, BurgersConfig):
         return burgers_initial_state(cfg, float(alpha[1]))
-    return np.array(ac_initial_state(cfg, float(alpha[2])))
+    return np.array(ac_initial_state(cfg, _ac_class_probability(cfg, float(alpha[2]))))
 
 
 def run_fom(cfg: ProblemConfig, alpha) -> tuple[np.ndarray, np.ndarray]:

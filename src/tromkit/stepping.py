@@ -11,7 +11,11 @@ only in the per-step solve callback it hands to the loop:
 * pointwise full order -- a cached ``splu`` of the constant step matrix;
 * advective full order -- ``spsolve`` with the extrapolated transport
   coefficient (``fom.burgers_fom`` passes a banded solve instead);
-* reduced -- dense ``np.linalg.solve`` on rank-sized matrices.
+* reduced pointwise -- the inverse of the constant rank-sized step matrix,
+  formed once per shift with ``f_map`` folded into it, so a step is two
+  matrix-vector products;
+* reduced advective -- dense ``np.linalg.solve`` of the rank-sized step
+  matrix, which changes with the extrapolated state.
 
 Two nonlinearity shapes cover the test problems:
 
@@ -211,18 +215,29 @@ def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
     """Project the full-order scheme onto the reduced space; returns the
     coefficient trajectory, n x n_steps, at times dt .. n_steps*dt."""
     eye = np.eye(beta0.size)
-    shifted = lru_cache(maxsize=None)(lambda c: c * eye - sys.a_red)
 
     if isinstance(sys.term, PointwiseTerm):
         fn = sys.term.fn
 
+        @lru_cache(maxsize=None)
+        def inverse(c):
+            # The step matrix is constant for each shift c.  For the phase
+            # field a_red projects a negative semi-definite Laplacian, so the
+            # eigenvalues of c I - a_red are at least c and the explicit
+            # inverse is well conditioned.
+            inv = np.linalg.inv(c * eye - sys.a_red)
+            return inv, inv @ sys.f_map
+
         def solve(c, w, rhs):
-            f = sys.start if w is None else sys.f_map @ fn(w)
-            return np.linalg.solve(shifted(c), rhs + f)
+            inv, inv_f_map = inverse(c)
+            if w is None:
+                return inv @ (rhs + sys.start)
+            return inv @ rhs + inv_f_map @ fn(w)
 
     elif isinstance(sys.term, AdvectiveTerm):
         if sys.stab != 0.0:
             raise ValueError("stabilization shift applies to the pointwise form only")
+        shifted = lru_cache(maxsize=None)(lambda c: c * eye - sys.a_red)
 
         def solve(c, w, rhs):
             n = sys.start if w is None else sys.f_map @ (w[:, None] * sys.sel_grad)

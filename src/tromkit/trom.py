@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
+import scipy.linalg
 
 from . import store
 from .decomp import cp_als, hosvd, tt_svd
@@ -84,9 +85,15 @@ class TTPart(OnlinePart):
         return sum(c.size for c in self.cores) + self.time_scale.size**2
 
     def core_matrix(self, weights) -> np.ndarray:
-        out = np.einsum("rkq,k->rq", self.cores[0], weights[0])
-        for core, w in zip(self.cores[1:], weights[1:]):
-            out = out @ np.einsum("rkq,k->rq", core, w)
+        # Right to left, so that every product is only as wide as the last
+        # rank; each core is read between its first and last nonzero weight
+        # only (interp_weights gives at most two, adjacent).
+        out = None
+        for core, w in zip(self.cores[::-1], weights[::-1]):
+            nz = np.flatnonzero(w)
+            lo, hi = nz[0], nz[-1] + 1
+            mat = np.einsum("rkq,k->rq", core[:, lo:hi], w[lo:hi])
+            out = mat if out is None else mat @ out
         return out
 
     def scaled_core_matrix(self, weights) -> np.ndarray:
@@ -340,10 +347,13 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM,
     """Second hyper-reduction stage plus operator projection.
 
     ``mode="deim"`` re-runs the greedy selection on the rank-sized matrix
-    (P^T Y) Y_n and inverts the selected square block; ``mode="ls"`` keeps
-    all offline rows and uses the pseudo-inverse.  The operator comes from
-    the artifact's pre-projected terms.  All composed matrices are sized by
-    ranks.
+    b = (P^T Y) Y_n and inverts the selected square block; ``mode="ls"``
+    keeps all offline rows and applies the pseudo-inverse of b as R^-1 Q^T
+    from one QR of b.  That needs b of full column rank, which holds since
+    P^T Y is nonsingular and Y_n has orthonormal columns, so the smallest
+    singular value of b is at least 1 / ``cstar_ls``.  The operator comes
+    from the artifact's pre-projected terms.  All composed matrices are
+    sized by ranks.
     """
     if mode not in ("ls", "deim"):
         raise ValueError(f"unknown hyper-reduction mode {mode!r}")
@@ -362,7 +372,9 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM,
         used = art.selection.indices[sub_sel.indices]
         cstar = float(np.linalg.norm(gain, 2))
     else:
-        f_map = proj @ np.linalg.pinv(b)
+        q, r = scipy.linalg.qr(b, mode="economic", check_finite=False)
+        f_map = scipy.linalg.solve_triangular(r, proj.T, trans="T",
+                                              check_finite=False).T @ q.T
         used = art.selection.indices
         cstar = art.cstar_ls
     return dataclasses.replace(local, mode=mode, a_red=a_red, f_map=f_map,

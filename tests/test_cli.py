@@ -194,6 +194,31 @@ class TestStudy:
         assert [(r[0], r[2]) for r in rows] == [("u", "4"), ("u", "6"),
                                                 ("f", "4"), ("f", "6")]
 
+    def test_cp_rank_list_alone_serves_refine_and_svdecay(self, tmp_path):
+        # without cp_rank the one-artifact studies build at the largest level
+        config = {
+            "problem": {"kind": "burgers", "m": 40, "n_steps": 30},
+            "grid": [3, 4],
+            "format": "cp",
+            "cp_rank_list": [4, 6],
+            "n_u": 4, "n_f": 4,
+            "query_count": 2,
+            "refine_grids": [[2, 3], [3, 4]],
+            "svdecay_count": 2,
+        }
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "res"
+        assert run("study", "--config", cfg_path, "--out", out,
+                   "--kind", "refine", "--kind", "svdecay") == 0
+        header, rows = read_csv(out / "error_vs_grid.csv")
+        assert len(rows) == 2
+        assert all(np.isfinite(float(r[3])) for r in rows)
+        header, rows = read_csv(out / "sing_val_decay.csv")
+        assert len(header) == 2 + 2 and rows
+        assert cli._study_cp_rank(config) == 6
+        assert cli._study_cp_rank({"format": "tt"}) is None
+
     def test_phase_field_runs_every_study(self, tmp_path):
         config = {
             "problem": {"kind": "allen_cahn", "m": 8, "n_steps": 12, "pre_steps": 3,

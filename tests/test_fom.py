@@ -179,6 +179,45 @@ class TestInitialStates:
         assert np.all(hi >= lo)
 
 
+class TestInitialStateClasses:
+    """The initial state depends on the probability only through the mask
+    ``field < p``; each mask is relaxed once, at one probability."""
+
+    def test_class_state_bitwise_equals_direct_relaxation(self):
+        cfg = fom.AllenCahnConfig(m=10, n_steps=5, seed=5)
+        field = np.sort(fom._ac_uniform_field(cfg))
+        probs = {
+            "inside": 0.5 * (field[40] + field[41]),
+            "on_field_value": float(field[40]),
+            "below_min": 0.5 * field[0],
+            "above_max": 0.5 * (field[-1] + 1.0),
+            "one": 1.0,
+        }
+        for name, p in probs.items():
+            alpha = [0.015, 0.1, p]
+            fom.ac_initial_state.cache_clear()
+            got = fom.initial_state_for(cfg, alpha)
+            got_fom = fom.allen_cahn_fom(cfg, alpha)
+            fom.ac_initial_state.cache_clear()
+            direct = fom.ac_initial_state(cfg, p)
+            assert np.array_equal(got, direct), name
+            ref = fom.allen_cahn_fom(cfg, alpha, u0=np.array(direct))
+            assert all(np.array_equal(a, b) for a, b in zip(got_fom, ref)), name
+
+    def test_two_probabilities_of_one_class_relax_once(self):
+        cfg = fom.AllenCahnConfig(m=10, n_steps=5, seed=6)
+        field = np.sort(fom._ac_uniform_field(cfg))
+        lo, hi = field[40], field[41]
+        fom.ac_initial_state.cache_clear()
+        a = fom.initial_state_for(cfg, [0.015, 0.1, lo + 0.25 * (hi - lo)])
+        info = fom.ac_initial_state.cache_info()
+        assert (info.misses, info.hits) == (1, 0)
+        b = fom.initial_state_for(cfg, [0.015, 0.1, lo + 0.75 * (hi - lo)])
+        info = fom.ac_initial_state.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+        assert np.array_equal(a, b)
+
+
 class TestSampling:
     def test_single_point_grid(self):
         cfg = fom.BurgersConfig(m=20, n_steps=10)

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tromkit import decomp, fom, trom
+from tromkit import decomp, fom, stepping, trom
 from tromkit.grids import GridAxis, ParameterGrid
 from tromkit.stepping import AffineOperator
 
@@ -103,6 +103,28 @@ class TestCoreMatrices:
         oracle = trom.interpolate_dense(dense, w)
         implicit = art.u_part.dense_local(w)
         assert np.linalg.norm(implicit - oracle) <= 1e-10 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("case,nonzeros", [("node", [1, 1]), ("off_node", [2, 2]),
+                                               ("single_node_axis", [2, 1])])
+    def test_tt_kernel_matches_left_to_right_einsum_chain(self, case, nonzeros):
+        if case == "single_node_axis":
+            t = smooth_tensor(k2=1)
+            grid = ParameterGrid((GridAxis(np.linspace(0.5, 1.5, 5)),
+                                  GridAxis(np.array([0.3]), lo=0.0, hi=1.0)))
+            alpha = [0.83, 0.9]
+        else:
+            t = smooth_tensor()
+            grid = smooth_grid()
+            alpha = grid.node((1, 2)) if case == "node" else [0.83, 0.21]
+        art = trom.build_offline(t, t + 0.05 * np.sin(3.0 * t), grid, fmt="tt", eps=1e-10)
+        w = art.weights(alpha)
+        assert [np.count_nonzero(x) for x in w] == nonzeros
+        for part in (art.u_part, art.f_part):
+            chain = np.einsum("rkq,k->rq", part.cores[0], w[0])
+            for core, wk in zip(part.cores[1:], w[1:]):
+                chain = chain @ np.einsum("rkq,k->rq", core, wk)
+            got = part.core_matrix(w)
+            assert np.linalg.norm(got - chain) <= 1e-13 * np.linalg.norm(chain)
 
     def test_in_sample_extraction_is_exact_at_zero_eps(self, small_burgers):
         cfg, grid, snaps = small_burgers
@@ -227,6 +249,19 @@ class TestBuildReducedSystem:
         assert np.linalg.norm(got - oracle) <= 1e-10 * max(np.linalg.norm(oracle), 1.0)
         assert np.allclose(y_loc.T @ y_loc, np.eye(n_f), atol=1e-12)
 
+    @pytest.mark.parametrize("fmt,kw", [("tt", {"eps": 1e-10}),
+                                        ("hosvd", {"eps": 1e-10}),
+                                        ("cp", {"cp_rank": 8})])
+    def test_ls_fit_matches_pseudo_inverse(self, fmt, kw):
+        m = smooth_tensor().shape[0]
+        art, *_ = build_smooth(fmt=fmt, a_op=AffineOperator(terms=(np.zeros((m, m)),),
+                                                            coeff=lambda a: np.ones(1)), **kw)
+        local = trom.local_bases(art, [0.9, 0.5], 4, 5)
+        got = trom.build_reduced_system(art, local, mode="ls").f_map
+        proj = local.u_coords.T @ art.uty @ local.f_coords
+        oracle = proj @ np.linalg.pinv(art.pty @ local.f_coords)
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
     def test_deim_mode_selects_square_invertible_block(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-6,
@@ -320,6 +355,32 @@ class TestSolve:
         slab_u = snaps.u_tensor[(slice(None),) + mi]
         err = np.linalg.norm(states - slab_u) / np.linalg.norm(slab_u)
         assert err < 1e-6
+
+    @pytest.mark.parametrize("mode", ["ls", "deim"])
+    def test_pointwise_step_inverse_matches_per_step_solve(self, tiny_ac, mode):
+        cfg, grid, snaps = tiny_ac
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-6, a_op=fom.ac_affine(cfg))
+        alpha = np.array([0.017, 0.12, 0.507])
+        local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 8, 12),
+                                          mode=mode)
+        stab = cfg.stabilization(cfg.dt)
+        assert stab != 0.0
+        sys, beta0 = stepping.reduced_system(
+            art.u_part.basis @ local.u_coords, local.used_rows, local.a_red, local.f_map,
+            fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha), stab)
+        eye = np.eye(beta0.size)
+
+        def solve(c, w, rhs):
+            # a fresh dense solve of the shifted step matrix at every step
+            f = sys.start if w is None else sys.f_map @ sys.term.fn(w)
+            return np.linalg.solve(c * eye - sys.a_red, rhs + f)
+
+        oracle = stepping._bdf2(solve, beta0, cfg.dt, cfg.n_steps, stab=stab,
+                                observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+        got = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
+        assert np.all(np.isfinite(oracle))
+        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_artifact_without_operator_rejected(self):
         art, *_ = build_smooth()
