@@ -55,17 +55,23 @@ class BurgersConfig:
         return self.h * np.arange(1, self.m + 1)
 
 
-def burgers_operators(m: int, nu: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Diffusion matrix ``nu * D2 / h^2`` and the upwind (backward) first
-    derivative, both with eliminated homogeneous Dirichlet rows."""
+def _upwind_gradient(m: int) -> sp.csr_matrix:
+    """Upwind (backward) first derivative with eliminated Dirichlet rows."""
     if m < 3:
         raise ValueError("need at least 3 interior nodes")
     h = 1.0 / (m + 1)
     ones = np.ones(m)
+    return (sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / h).tocsr()
+
+
+def burgers_operators(m: int, nu: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
+    """Diffusion matrix ``nu * D2 / h^2`` and the upwind (backward) first
+    derivative, both with eliminated homogeneous Dirichlet rows."""
+    grad = _upwind_gradient(m)
+    h = 1.0 / (m + 1)
+    ones = np.ones(m)
     d2 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], offsets=(-1, 0, 1))
-    a_mat = (nu / h**2) * d2
-    grad = sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / h
-    return a_mat.tocsr(), grad.tocsr()
+    return ((nu / h**2) * d2).tocsr(), grad
 
 
 def burgers_affine(cfg: BurgersConfig) -> AffineOperator:
@@ -73,8 +79,13 @@ def burgers_affine(cfg: BurgersConfig) -> AffineOperator:
     return AffineOperator(terms=(base,), coeff=lambda alpha: alpha[:1])
 
 
+@lru_cache(maxsize=8)
 def burgers_nonlinearity(cfg: BurgersConfig) -> AdvectiveTerm:
-    _, grad = burgers_operators(cfg.m, 1.0)
+    """The transport term of ``cfg``, built once per config and shared by
+    every caller; its gradient's arrays are read-only."""
+    grad = _upwind_gradient(cfg.m)
+    for part in (grad.data, grad.indices, grad.indptr):
+        part.flags.writeable = False
     return AdvectiveTerm(grad=grad)
 
 

@@ -14,8 +14,11 @@ only in the per-step solve callback it hands to the loop:
 * reduced pointwise -- the inverse of the constant rank-sized step matrix,
   formed once per shift with ``f_map`` folded into it, so a step is two
   matrix-vector products;
-* reduced advective -- dense ``np.linalg.solve`` of the rank-sized step
-  matrix, which changes with the extrapolated state.
+* reduced advective -- one LAPACK ``dgesv`` of the rank-sized step matrix,
+  which changes with the extrapolated state.  The hyper-reduced transport
+  term is linear in that state, so it is contracted once per query into an
+  (n+1) x n^2 tensor and a step forms its matrix with one product against
+  the observed ``[beta; 0]`` (the last entry carries the initial state).
 
 Two nonlinearity shapes cover the test problems:
 
@@ -31,6 +34,7 @@ step ``j`` as the j-th f-snapshot; every integrator produces states at times
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -38,6 +42,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgesv
 
 
 def affine_sum(coeff: Callable[[np.ndarray], np.ndarray], terms, alpha):
@@ -169,8 +174,15 @@ class ReducedSystem:
     state equation; ``sel_state`` maps reduced coordinates to the state
     entries the nonlinearity needs at the selected rows; ``u0_sel`` holds the
     exact initial-state entries there (the early steps reference the initial
-    state directly).  ``sel_grad`` is the selected-rows transport matrix for
-    the advective form.
+    state directly).
+
+    For the advective form, ``transport`` is the (n+1) x n^2 contraction of
+    the hyper-reduced transport term: with ``s_l`` column l of ``sel_state``
+    (l < n) or ``u0_sel`` (l = n), row l is ``f_map diag(s_l) sel_grad``
+    flattened in Fortran order, ``sel_grad`` being the selected rows of the
+    transport matrix times the basis.  So ``(y @ transport)`` read in
+    Fortran order is the step-matrix part at the extrapolation
+    ``[sel_state, u0_sel] @ y``.
 
     The BDF1 start-up step evaluates the nonlinearity at the fully known
     initial state, so its exactly projected contribution ``start`` (a vector
@@ -184,8 +196,18 @@ class ReducedSystem:
     u0_sel: np.ndarray
     term: PointwiseTerm | AdvectiveTerm
     start: np.ndarray
-    sel_grad: np.ndarray | None = None
+    transport: np.ndarray | None = None
     stab: float = 0.0
+
+
+def _transport_tensor(f_map: np.ndarray, samples: np.ndarray,
+                      sel_grad: np.ndarray) -> np.ndarray:
+    """Row l: ``f_map @ (samples[:, l, None] * sel_grad)`` in Fortran order,
+    from one product of ``samples.T`` with the row-wise Kronecker product of
+    ``sel_grad`` and ``f_map.T``."""
+    rows, n = sel_grad.shape
+    kron = (sel_grad[:, :, None] * f_map.T[:, None, :]).reshape(rows, n * n)
+    return samples.T @ kron
 
 
 def reduced_system(lifted: np.ndarray, rows: np.ndarray, a_red: np.ndarray,
@@ -198,15 +220,18 @@ def reduced_system(lifted: np.ndarray, rows: np.ndarray, a_red: np.ndarray,
     sized by the ranks.
     """
     u0 = np.asarray(u0, dtype=np.float64)
-    sel_grad = None
+    sel_state, u0_sel = lifted[rows, :], u0[rows]
+    transport = None
     if isinstance(term, AdvectiveTerm):
-        sel_grad = term.grad[rows, :] @ lifted
-        start = lifted.T @ (u0[:, None] * (term.grad @ lifted))
+        grad_lifted = term.grad @ lifted
+        start = lifted.T @ (u0[:, None] * grad_lifted)
+        transport = _transport_tensor(f_map, np.column_stack((sel_state, u0_sel)),
+                                      grad_lifted[rows, :])
     else:
         start = lifted.T @ term.full(u0)
-    sys = ReducedSystem(a_red=a_red, f_map=f_map, sel_state=lifted[rows, :],
-                        u0_sel=u0[rows], term=term, start=start,
-                        sel_grad=sel_grad, stab=stab)
+    sys = ReducedSystem(a_red=a_red, f_map=f_map, sel_state=sel_state,
+                        u0_sel=u0_sel, term=term, start=start,
+                        transport=transport, stab=stab)
     return sys, lifted.T @ u0
 
 
@@ -214,7 +239,8 @@ def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
                       n_steps: int) -> np.ndarray:
     """Project the full-order scheme onto the reduced space; returns the
     coefficient trajectory, n x n_steps, at times dt .. n_steps*dt."""
-    eye = np.eye(beta0.size)
+    n = beta0.size
+    eye = np.eye(n)
 
     if isinstance(sys.term, PointwiseTerm):
         fn = sys.term.fn
@@ -234,16 +260,37 @@ def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
                 return inv @ (rhs + sys.start)
             return inv @ rhs + inv_f_map @ fn(w)
 
+        observe, y0 = sys.sel_state.__matmul__, sys.u0_sel
+
     elif isinstance(sys.term, AdvectiveTerm):
         if sys.stab != 0.0:
             raise ValueError("stabilization shift applies to the pointwise form only")
-        shifted = lru_cache(maxsize=None)(lambda c: c * eye - sys.a_red)
+        shifted = lru_cache(maxsize=None)(lambda c: (c * eye - sys.a_red).ravel(order="F"))
+        step_mat = np.empty((n, n), order="F")      # dgesv factors it in place
+        flat = step_mat.reshape(n * n, order="F")   # a view, written by the products
+        steps = itertools.count(1)
 
         def solve(c, w, rhs):
-            n = sys.start if w is None else sys.f_map @ (w[:, None] * sys.sel_grad)
-            return np.linalg.solve(shifted(c) + n, rhs)
+            step = next(steps)
+            if w is None:
+                np.add(shifted(c), sys.start.ravel(order="F"), out=flat)
+            else:
+                np.add(np.dot(w, sys.transport, out=flat), shifted(c), out=flat)
+            _, _, x, info = dgesv(step_mat, rhs, overwrite_a=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"singular reduced step matrix at step {step} of {n_steps}, n={n} "
+                    f"(dgesv info={info})")
+            return x
+
+        # The observation [beta; 0] starts from e_{n+1}, so the first
+        # extrapolation is 2 sel_state beta_1 - u0_sel, as in the pointwise form.
+        zero = np.zeros(1)
+        y0 = np.append(np.zeros(n), 1.0)
+
+        def observe(beta):
+            return np.concatenate((beta, zero))
 
     else:
         raise TypeError(f"unsupported nonlinearity {type(sys.term)!r}")
-    return _bdf2(solve, beta0, dt, n_steps, stab=sys.stab,
-                 observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+    return _bdf2(solve, beta0, dt, n_steps, stab=sys.stab, observe=observe, y0=y0)

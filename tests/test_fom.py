@@ -325,3 +325,13 @@ class TestAdvectiveTermShape:
         u = np.random.default_rng(1).standard_normal(10)
         assert np.allclose(term.full(u), term.mixed(u, u))
         assert isinstance(term.grad, sp.csr_matrix)
+
+    def test_built_once_per_config_and_read_only(self):
+        cfg = fom.BurgersConfig(m=12)
+        term = fom.nonlinearity_for(cfg, [0.1, 0.3])
+        assert fom.nonlinearity_for(cfg, [0.2, 0.6]) is term
+        assert fom.burgers_nonlinearity(fom.BurgersConfig(m=12)) is term
+        assert fom.burgers_nonlinearity(fom.BurgersConfig(m=13)) is not term
+        assert (term.grad != fom.burgers_operators(12, 1.0)[1]).nnz == 0
+        with pytest.raises(ValueError, match="read-only"):
+            term.grad.data[0] = 0.0

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tromkit import decomp, fom, stepping, trom
+from tromkit import decomp, fom, pod, stepping, trom
 from tromkit.grids import GridAxis, ParameterGrid
-from tromkit.stepping import AffineOperator
+from tromkit.stepping import AffineOperator, affine_sum
 
 from conftest import smooth_tensor
 
@@ -25,6 +25,26 @@ def build_smooth(fmt="tt", eps=1e-10, cp_rank=None, seed=0, a_op=None):
         kw["cp_opts"] = {"seed": seed, "max_sweeps": 500, "tol": 1e-14}
     return (trom.build_offline(u, f, grid, fmt=fmt, eps=eps, cp_rank=cp_rank, a_op=a_op, **kw),
             u, f, grid)
+
+
+def _assert_advective_step_matches_oracle(cfg, lifted, rows, a_red, f_map, alpha):
+    """The contracted transport step against a fresh dense solve per step
+    with the selected-row transport matrix formed independently."""
+    term = fom.nonlinearity_for(cfg, alpha)
+    sys, beta0 = stepping.reduced_system(lifted, rows, a_red, f_map, term,
+                                         fom.initial_state_for(cfg, alpha))
+    sel_grad = term.grad[rows, :] @ lifted
+    eye = np.eye(beta0.size)
+
+    def solve(c, w, rhs):
+        n = sys.start if w is None else f_map @ (w[:, None] * sel_grad)
+        return np.linalg.solve(c * eye - a_red + n, rhs)
+
+    oracle = stepping._bdf2(solve, beta0, cfg.dt, cfg.n_steps,
+                            observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+    got = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
+    assert np.all(np.isfinite(oracle))
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 class TestOffline:
@@ -381,6 +401,40 @@ class TestSolve:
         got = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
         assert np.all(np.isfinite(oracle))
         assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+    @pytest.mark.parametrize("mode", ["ls", "deim"])
+    def test_advective_step_tensor_matches_per_step_solve(self, small_burgers, mode):
+        cfg, grid, snaps = small_burgers
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-6, a_op=fom.burgers_affine(cfg))
+        alpha = np.array([0.05, 0.45])
+        local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 10, 14),
+                                          mode=mode)
+        _assert_advective_step_matches_oracle(
+            cfg, art.u_part.basis @ local.u_coords, local.used_rows, local.a_red,
+            local.f_map, alpha)
+
+    def test_pod_advective_step_tensor_matches_per_step_solve(self, small_burgers):
+        cfg, grid, snaps = small_burgers
+        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 9, 13,
+                              a_op=fom.burgers_affine(cfg))
+        alpha = np.array([0.05, 0.45])
+        a_red = affine_sum(rom.a_op.coeff, rom.a_terms_reduced, alpha)
+        _assert_advective_step_matches_oracle(
+            cfg, rom.u_basis, rom.selection.indices, a_red, rom.f_map, alpha)
+
+    def test_singular_advective_step_names_its_step(self, small_burgers):
+        cfg, _, snaps = small_burgers
+        lifted = np.linalg.qr(snaps.u_tensor[:, 1, 1, :6])[0]
+        rows = np.arange(0, cfg.m, 4)
+        # c I - a_red vanishes at the BDF2 shift and the term does too
+        a_red = 1.5 / cfg.dt * np.eye(6)
+        sys, beta0 = stepping.reduced_system(
+            lifted, rows, a_red, np.zeros((6, rows.size)), fom.burgers_nonlinearity(cfg),
+            np.zeros(cfg.m))
+        assert not sys.start.any()
+        with pytest.raises(np.linalg.LinAlgError, match=r"at step 2 of 9, n=6"):
+            stepping.integrate_reduced(sys, beta0, cfg.dt, 9)
 
     def test_artifact_without_operator_rejected(self):
         art, *_ = build_smooth()
