@@ -57,8 +57,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _parse_alpha(text: str) -> np.ndarray:
-    return np.array([float(x) for x in text.split(",")])
+def _parse_alpha(text: str, grid: ParameterGrid) -> np.ndarray:
+    """A comma-separated parameter vector, one entry per grid axis inside its box."""
+    alpha = np.array([float(x) for x in text.split(",")])
+    if not grid.contains(alpha):
+        box = " x ".join(f"[{ax.lo:.6g}, {ax.hi:.6g}]" for ax in grid.axes)
+        raise SystemExit(f"alpha {alpha.tolist()} is not a point of the parameter "
+                         f"box: expected {grid.ndim} entries in {box}")
+    return alpha
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
@@ -86,7 +92,10 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
         spec["m"] = args.m
     if getattr(args, "steps", None):
         spec["n_steps"] = args.steps
-    if getattr(args, "seed", None) is not None and spec["kind"] == "allen_cahn":
+    if getattr(args, "seed", None) is not None:
+        if spec["kind"] != "allen_cahn":
+            raise SystemExit("--seed sets the random initial state of the phase "
+                             "field only; the transport problem takes none")
         spec["seed"] = args.seed
     if spec["kind"] == "burgers" and getattr(args, "paper_scale", False):
         spec.setdefault("m", 400)
@@ -218,9 +227,7 @@ def cmd_offline(args) -> int:
 
 def cmd_query(args) -> int:
     art = trom.load_artifact(args.artifact)
-    alpha = _parse_alpha(args.alpha)
-    if not art.grid.contains(alpha):
-        raise SystemExit(f"alpha {alpha.tolist()} is outside the parameter box")
+    alpha = _parse_alpha(args.alpha, art.grid)
     bounds = art.local_dim_bounds()
     n_u = bounds[0] if args.n_phi is None else args.n_phi
     n_f = bounds[1] if args.n_psi is None else args.n_psi
@@ -460,7 +467,7 @@ def cmd_verify(args) -> int:
         raise SystemExit("instance too large for dense verification")
     rng = np.random.default_rng(args.seed)
     if args.alphas:
-        alphas = [_parse_alpha(a) for a in args.alphas.split(";")]
+        alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
     else:
         alphas = list(snaps.grid.sample(args.random, rng))
     n_list = [int(x) for x in args.n_list.split(",")]

@@ -81,10 +81,6 @@ class CPDecomposition:
     converged: bool
 
     @property
-    def rank(self) -> int:
-        return self.factors[0].shape[1]
-
-    @property
     def shape(self) -> tuple[int, ...]:
         return tuple(f.shape[0] for f in self.factors)
 

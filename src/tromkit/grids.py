@@ -9,7 +9,7 @@ import numpy as np
 
 @dataclass(frozen=True)
 class GridAxis:
-    """Strictly increasing nodes on one parameter axis.
+    """Strictly increasing finite nodes on one parameter axis.
 
     ``log_scale`` marks axes sampled log-uniformly; node closeness is then
     measured in log coordinates.  ``lo``/``hi`` bound the admissible query
@@ -25,6 +25,8 @@ class GridAxis:
         nodes = np.asarray(self.nodes, dtype=np.float64)
         if nodes.ndim != 1 or nodes.size < 1:
             raise ValueError("axis needs at least one node")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("axis nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("axis nodes must be strictly increasing")
         if self.log_scale and nodes[0] <= 0:
@@ -74,8 +76,10 @@ class ParameterGrid:
         return len(self.axes)
 
     def contains(self, alpha) -> bool:
+        """True when alpha has one entry per axis, each inside its box."""
         alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-        return all(ax.lo <= a <= ax.hi for ax, a in zip(self.axes, alpha))
+        return alpha.size == self.ndim and all(
+            ax.lo <= a <= ax.hi for ax, a in zip(self.axes, alpha))
 
     def node(self, multi_index) -> np.ndarray:
         return np.array([ax.nodes[j] for ax, j in zip(self.axes, multi_index)])

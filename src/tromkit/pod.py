@@ -13,8 +13,7 @@ import numpy as np
 
 from .decomp import truncated_left_svd
 from .deim import SelectionIndices, deim_select
-from .stepping import (AffineOperator, affine_sum, integrate_reduced,
-                       reduced_system)
+from .stepping import AffineOperator, integrate_reduced, reduced_system
 from .tensors import unfold
 
 
@@ -30,8 +29,8 @@ def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class PodRom:
-    """Offline data of the baseline ROM: bases, selection, and the
-    pre-composed projection factors."""
+    """Offline data of the baseline ROM: bases, selection, the pre-composed
+    projection factors, and the linear operator projected onto ``u_basis``."""
 
     u_basis: np.ndarray            # M x n_u, orthonormal
     f_basis: np.ndarray            # M x n_f, orthonormal
@@ -39,8 +38,7 @@ class PodRom:
     f_map: np.ndarray              # (U^T Y)(P^T Y)^{-1}
     u_sing_vals: np.ndarray        # full spectrum of the state unfolding
     f_sing_vals: np.ndarray
-    a_terms_reduced: tuple[np.ndarray, ...] | None
-    a_op: AffineOperator | None
+    a_reduced: AffineOperator | None
 
 
 def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
@@ -58,10 +56,9 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
     f_basis = f_basis[:, :n_f]
     sel = deim_select(f_basis)
     f_map = (u_basis.T @ f_basis) @ np.linalg.inv(f_basis[sel.indices, :])
-    reduced = a_op.reduce(u_basis) if a_op is not None else None
     return PodRom(u_basis=u_basis, f_basis=f_basis, selection=sel, f_map=f_map,
                   u_sing_vals=u_svals, f_sing_vals=f_svals,
-                  a_terms_reduced=reduced, a_op=a_op)
+                  a_reduced=a_op.reduce(u_basis) if a_op is not None else None)
 
 
 def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
@@ -71,10 +68,9 @@ def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
     ``betas`` holds reduced coordinates at t = dt .. n_steps*dt; ``states``
     is the lifted trajectory.
     """
-    if rom.a_terms_reduced is None:
+    if rom.a_reduced is None:
         raise ValueError("offline stage was built without an operator")
-    a_red = affine_sum(rom.a_op.coeff, rom.a_terms_reduced, alpha)
-    sys, beta0 = reduced_system(rom.u_basis, rom.selection.indices, a_red, rom.f_map,
-                                term, u0, stab)
+    sys, beta0 = reduced_system(rom.u_basis, rom.selection.indices,
+                                rom.a_reduced.assemble(alpha), rom.f_map, term, u0, stab)
     betas = integrate_reduced(sys, beta0, dt, n_steps)
     return betas, rom.u_basis @ betas

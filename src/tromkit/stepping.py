@@ -45,26 +45,21 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgesv
 
 
-def affine_sum(coeff: Callable[[np.ndarray], np.ndarray], terms, alpha):
-    """sum_i g_i(alpha) * terms[i], for the sparse terms and for their
-    pre-projected counterparts alike."""
-    g = np.atleast_1d(coeff(np.atleast_1d(np.asarray(alpha, dtype=np.float64))))
-    return sum(gi * ti for gi, ti in zip(g, terms))
-
-
 @dataclass(frozen=True)
 class AffineOperator:
-    """Linear operator sum_i g_i(alpha) * A_i with sparse terms."""
+    """Linear operator sum_i g_i(alpha) * A_i, with sparse full-order terms
+    or the dense rank-sized ones that ``reduce`` projects with the same coeff."""
 
-    terms: tuple[sp.spmatrix, ...]
+    terms: tuple[sp.spmatrix | np.ndarray, ...]
     coeff: Callable[[np.ndarray], np.ndarray]
 
-    def assemble(self, alpha) -> sp.csr_matrix:
-        return sp.csr_matrix(affine_sum(self.coeff, self.terms, alpha))
+    def assemble(self, alpha) -> sp.spmatrix | np.ndarray:
+        g = np.atleast_1d(self.coeff(np.atleast_1d(np.asarray(alpha, dtype=np.float64))))
+        return sum(gi * ti for gi, ti in zip(g, self.terms))
 
-    def reduce(self, basis: np.ndarray) -> tuple[np.ndarray, ...]:
+    def reduce(self, basis: np.ndarray) -> AffineOperator:
         """Project every term: basis^T A_i basis."""
-        return tuple(basis.T @ (t @ basis) for t in self.terms)
+        return AffineOperator(tuple(basis.T @ (t @ basis) for t in self.terms), self.coeff)
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 import scipy.linalg
@@ -32,8 +31,7 @@ from . import store
 from .decomp import cp_als, hosvd, tt_svd
 from .deim import SelectionIndices, deim_select, selection_gain
 from .grids import ParameterGrid, interp_weights
-from .stepping import (AffineOperator, affine_sum, integrate_reduced,
-                       reduced_system)
+from .stepping import AffineOperator, integrate_reduced, reduced_system
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +197,8 @@ def _cp_part(tensor: np.ndarray, rank: int, opts: dict) -> tuple[CPPart, dict]:
 
 @dataclass(frozen=True)
 class OfflineArtifact:
-    """Everything the offline stage hands to online queries."""
+    """Everything the offline stage hands to online queries; ``a_reduced``
+    is the linear operator projected onto the universal state basis."""
 
     fmt: str                              # "tt" | "hosvd" | "cp"
     eps: float | None
@@ -212,10 +211,9 @@ class OfflineArtifact:
     uty: np.ndarray                       # U^T Y
     pty: np.ndarray                       # P^T Y, square nonsingular
     cstar_ls: float                       # |(P^T Y)^{-1}|, shared by all queries
-    a_terms_reduced: tuple[np.ndarray, ...] | None
-    a_coeff: Callable[[np.ndarray], np.ndarray] | None = None
+    full_shape: tuple[int, ...]           # shape of each snapshot tensor
+    a_reduced: AffineOperator | None = None
     problem: dict | None = None
-    full_shape: tuple[int, ...] | None = None
     cp_fit: dict | None = None
 
     def weights(self, alpha) -> list[np.ndarray]:
@@ -263,6 +261,8 @@ def build_offline(
     if u_snaps.shape[1:-1] != grid.shape:
         raise ValueError(f"tensor parameter extents {u_snaps.shape[1:-1]} "
                          f"do not match the grid {grid.shape}")
+    if interp_order < 1:
+        raise ValueError(f"interpolation order must be at least 1, got {interp_order}")
 
     cp_fit = None
     if fmt in ("tt", "hosvd"):
@@ -287,13 +287,12 @@ def build_offline(
     selection = deim_select(f_part.basis)
     uty = u_part.basis.T @ f_part.basis
     pty = f_part.basis[selection.indices, :]
-    reduced = a_op.reduce(u_part.basis) if a_op is not None else None
     return OfflineArtifact(
         fmt=fmt, eps=eps, cp_rank=cp_rank, interp_order=interp_order, grid=grid,
         u_part=u_part, f_part=f_part, selection=selection, uty=uty, pty=pty,
-        cstar_ls=selection_gain(f_part.basis, selection), a_terms_reduced=reduced,
-        a_coeff=a_op.coeff if a_op is not None else None,
-        problem=problem, full_shape=tuple(u_snaps.shape), cp_fit=cp_fit)
+        cstar_ls=selection_gain(f_part.basis, selection), full_shape=tuple(u_snaps.shape),
+        a_reduced=a_op.reduce(u_part.basis) if a_op is not None else None,
+        problem=problem, cp_fit=cp_fit)
 
 
 def interpolate_dense(tensor: np.ndarray, weights) -> np.ndarray:
@@ -351,16 +350,15 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM,
     keeps all offline rows and applies the pseudo-inverse of b as R^-1 Q^T
     from one QR of b.  That needs b of full column rank, which holds since
     P^T Y is nonsingular and Y_n has orthonormal columns, so the smallest
-    singular value of b is at least 1 / ``cstar_ls``.  The operator comes
-    from the artifact's pre-projected terms.  All composed matrices are
-    sized by ranks.
+    singular value of b is at least 1 / ``cstar_ls``.  The operator is the
+    artifact's reduced operator assembled at alpha.  All composed matrices
+    are sized by ranks.
     """
     if mode not in ("ls", "deim"):
         raise ValueError(f"unknown hyper-reduction mode {mode!r}")
-    if art.a_terms_reduced is None:
+    if art.a_reduced is None:
         raise ValueError("artifact has no reduced operator; build it with a_op")
-    a_tilde = affine_sum(art.a_coeff, art.a_terms_reduced, local.alpha)
-    a_red = local.u_coords.T @ a_tilde @ local.u_coords
+    a_red = local.u_coords.T @ art.a_reduced.assemble(local.alpha) @ local.u_coords
 
     proj = local.u_coords.T @ art.uty @ local.f_coords     # n_u x n_f
     b = art.pty @ local.f_coords                           # r_first_f x n_f
@@ -434,15 +432,16 @@ def _part_from_blobs(tag: str, meta: dict, blobs: dict) -> OnlinePart:
 
 
 def save_artifact(path, art: OfflineArtifact) -> None:
-    """Write the artifact as a bundle.  Operator coefficients are functions
-    and are rebuilt on load from ``problem``, so an artifact with reduced
-    operator terms but no problem description is refused."""
-    if art.a_terms_reduced and art.problem is None:
-        raise ValueError("artifact has reduced operator terms but no problem "
-                         "description to rebuild their coefficients from")
+    """Write the artifact as a bundle.  The operator coefficient is a
+    function and is rebuilt on load from ``problem``, so an artifact with a
+    reduced operator but no problem description is refused."""
+    if art.a_reduced is not None and art.problem is None:
+        raise ValueError("artifact has a reduced operator but no problem "
+                         "description to rebuild its coefficient from")
     u_meta, u_blobs = _part_blobs("u", art.u_part)
     f_meta, f_blobs = _part_blobs("f", art.f_part)
     blobs = {**u_blobs, **f_blobs, "uty": art.uty, "pty": art.pty}
+    a_terms = art.a_reduced.terms if art.a_reduced is not None else ()
     meta = {
         "schema": _SCHEMA,
         "format": art.fmt,
@@ -455,13 +454,11 @@ def save_artifact(path, art: OfflineArtifact) -> None:
         "selection": art.selection.indices.tolist(),
         "cstar_ls": art.cstar_ls,
         "problem": art.problem,
-        "full_shape": list(art.full_shape) if art.full_shape else None,
+        "full_shape": list(art.full_shape),
         "cp_fit": art.cp_fit,
-        "n_a_terms": len(art.a_terms_reduced) if art.a_terms_reduced else 0,
+        "n_a_terms": len(a_terms),
     }
-    if art.a_terms_reduced:
-        for i, t in enumerate(art.a_terms_reduced):
-            blobs[f"a_red{i}"] = t
+    blobs.update((f"a_red{i}", t) for i, t in enumerate(a_terms))
     store.save_bundle(path, meta, blobs)
 
 
@@ -476,11 +473,11 @@ def load_artifact(path) -> OfflineArtifact:
                          "the artifact with `tromkit offline`")
     u_part = _part_from_blobs("u", meta["u_part"], blobs)
     f_part = _part_from_blobs("f", meta["f_part"], blobs)
-    n_terms = meta["n_a_terms"]
-    a_terms = tuple(blobs[f"a_red{i}"] for i in range(n_terms)) if n_terms else None
-    a_coeff = None
-    if meta["problem"] is not None:
-        a_coeff = affine_operator_for(config_from_dict(meta["problem"])).coeff
+    a_reduced = None
+    if meta["n_a_terms"]:
+        a_reduced = AffineOperator(
+            tuple(blobs[f"a_red{i}"] for i in range(meta["n_a_terms"])),
+            affine_operator_for(config_from_dict(meta["problem"])).coeff)
     return OfflineArtifact(
         fmt=meta["format"], eps=meta["eps"], cp_rank=meta["cp_rank"],
         interp_order=meta["interp_order"],
@@ -488,6 +485,5 @@ def load_artifact(path) -> OfflineArtifact:
         u_part=u_part, f_part=f_part,
         selection=SelectionIndices(np.asarray(meta["selection"], dtype=np.intp)),
         uty=blobs["uty"], pty=blobs["pty"], cstar_ls=meta["cstar_ls"],
-        a_terms_reduced=a_terms, a_coeff=a_coeff, problem=meta["problem"],
-        full_shape=tuple(meta["full_shape"]) if meta["full_shape"] else None,
-        cp_fit=meta["cp_fit"])
+        full_shape=tuple(meta["full_shape"]), a_reduced=a_reduced,
+        problem=meta["problem"], cp_fit=meta["cp_fit"])

@@ -51,6 +51,12 @@ class TestSample:
         assert manifest["config"]["kind"] == "allen_cahn"
         assert manifest["config"]["seed"] == 7
 
+    def test_seed_refused_on_transport(self, tmp_path):
+        with pytest.raises(SystemExit, match="phase field only"):
+            run("sample", "--problem", "burgers", "--m", "20", "--steps", "5",
+                "--grid", "2x2", "--seed", "9", "--out", tmp_path / "b")
+        assert not (tmp_path / "b").exists()
+
 
 class TestOffline:
     def test_report_row(self, workdir):
@@ -97,6 +103,13 @@ class TestQuery:
         root, _ = workdir
         with pytest.raises(SystemExit):
             run("query", "--artifact", root / "art.trbl", "--alpha", "0.9,0.5")
+
+    @pytest.mark.parametrize("alpha", ["0.05", "0.05,0.5,7"])
+    def test_wrong_parameter_count_rejected(self, workdir, alpha):
+        root, _ = workdir
+        with pytest.raises(SystemExit, match=r"expected 2 entries in \[.*\] x \["):
+            run("query", "--artifact", root / "art.trbl", "--alpha", alpha,
+                "--no-reference")
 
     def test_timing_fields_recorded(self, workdir, tmp_path):
         root, _ = workdir
@@ -311,6 +324,14 @@ class TestVerify:
         with pytest.raises(SystemExit, match="at least 1"):
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list=-1,5", "--out", tmp_path / "v.csv")
+
+    @pytest.mark.parametrize("alphas", ["0.05", "0.05,0.5;0.05,0.5,7", "0.9,0.5"])
+    def test_alphas_outside_the_box_rejected(self, workdir, tmp_path, alphas):
+        root, snap = workdir
+        with pytest.raises(SystemExit, match="expected 2 entries"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--alphas", alphas, "--n-list", "4", "--out", tmp_path / "v.csv")
+        assert not (tmp_path / "v.csv").exists()
 
     @pytest.mark.parametrize("mode", ["ls", "deim"])
     @pytest.mark.parametrize("fmt,kw", [("tt", ("--eps", "1e-3")),

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from tromkit import fom, store
-from tromkit.stepping import AdvectiveTerm, PointwiseTerm, affine_sum, integrate_full
+from tromkit.stepping import AdvectiveTerm, PointwiseTerm, integrate_full
 
 
 class TestBurgersOperators:
@@ -306,7 +306,8 @@ class TestAffineOperators:
         op = fom.burgers_affine(cfg)
         basis = np.linalg.qr(np.random.default_rng(0).standard_normal((15, 4)))[0]
         red = op.reduce(basis)
-        assembled = affine_sum(op.coeff, red, [0.2, 0.5])
+        assert red.coeff is op.coeff
+        assembled = red.assemble([0.2, 0.5])
         oracle = basis.T @ (op.assemble([0.2, 0.5]) @ basis)
         assert np.allclose(assembled, oracle, atol=1e-13)
 

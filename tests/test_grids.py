@@ -13,6 +13,15 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             GridAxis(np.array([0.0, 0.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nodes_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            GridAxis(np.array([0.0, bad, 1.0]))
+        d = grid1d([0.0, 0.5, 1.0]).to_dict()
+        d["axes"][0]["nodes"][1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ParameterGrid.from_dict(d)
+
     def test_nodes_must_fit_box(self):
         with pytest.raises(ValueError):
             GridAxis(np.array([0.0, 2.0]), lo=0.0, hi=1.0)
@@ -39,6 +48,13 @@ class TestGridValidation:
                            uniform_axis(0.2, 0.8, 4)))
         pts = g.sample(50, np.random.default_rng(0))
         assert all(g.contains(p) for p in pts)
+
+    def test_contains_needs_one_entry_per_axis(self):
+        g = ParameterGrid((uniform_axis(0.0, 1.0, 3), uniform_axis(0.0, 1.0, 3)))
+        assert g.contains([0.5, 0.5])
+        assert not g.contains([0.5])
+        assert not g.contains([0.5, 0.5, 7.0])
+        assert not g.contains([0.5, 1.5])
 
     def test_dict_round_trip(self):
         g = ParameterGrid((uniform_axis(0.01, 0.5, 3, log_scale=True),

@@ -5,7 +5,7 @@ import pytest
 
 from tromkit import decomp, fom, pod, stepping, trom
 from tromkit.grids import GridAxis, ParameterGrid
-from tromkit.stepping import AffineOperator, affine_sum
+from tromkit.stepping import AffineOperator
 
 from conftest import smooth_tensor
 
@@ -94,6 +94,8 @@ class TestOffline:
             trom.build_offline(t, t, grid, fmt="tt")
         with pytest.raises(ValueError, match="cp_rank"):
             trom.build_offline(t, t, grid, fmt="cp")
+        with pytest.raises(ValueError, match="interpolation order"):
+            trom.build_offline(t, t, grid, fmt="tt", eps=0.1, interp_order=0)
 
 
 class TestCoreMatrices:
@@ -419,7 +421,7 @@ class TestSolve:
         rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 9, 13,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.05, 0.45])
-        a_red = affine_sum(rom.a_op.coeff, rom.a_terms_reduced, alpha)
+        a_red = rom.a_reduced.assemble(alpha)
         _assert_advective_step_matches_oracle(
             cfg, rom.u_basis, rom.selection.indices, a_red, rom.f_map, alpha)
 
@@ -543,6 +545,16 @@ class TestArtifactSerialization:
         path.write_bytes(path.read_bytes() + b"\0" * 8)
         with pytest.raises(ValueError, match="8 trailing bytes"):
             trom.load_artifact(path)
+
+    def test_artifact_without_operator_loads_without_one(self, tmp_path, small_burgers):
+        cfg, grid, snaps = small_burgers
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-3, problem=fom.config_to_dict(cfg))
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        loaded = trom.load_artifact(path)
+        assert art.a_reduced is None and loaded.a_reduced is None
+        assert loaded.full_shape == snaps.u_tensor.shape
 
     def test_operator_without_problem_refused(self, tmp_path, small_burgers):
         # the coefficient function cannot be stored; load rebuilds it from problem
