@@ -59,10 +59,14 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 
 def _parse_alpha(text: str, grid: ParameterGrid) -> np.ndarray:
     """A comma-separated parameter vector, one entry per grid axis inside its box."""
-    alpha = np.array([float(x) for x in text.split(",")])
-    if not grid.contains(alpha):
+    try:
+        alpha = np.array([float(x) for x in text.split(",")])
+    except ValueError:
+        alpha = None
+    if alpha is None or not grid.contains(alpha):
         box = " x ".join(f"[{ax.lo:.6g}, {ax.hi:.6g}]" for ax in grid.axes)
-        raise SystemExit(f"alpha {alpha.tolist()} is not a point of the parameter "
+        shown = repr(text) if alpha is None else alpha.tolist()
+        raise SystemExit(f"alpha {shown} is not a point of the parameter "
                          f"box: expected {grid.ndim} entries in {box}")
     return alpha
 
@@ -460,9 +464,32 @@ _VERIFY_HEADER = ["alpha", "n", "mode", "cstar", "lhs_state", "bound_state",
                   "interp_remainder", "ratio_vs_core", "status"]
 
 
+def _check_pairing(art: trom.OfflineArtifact, snaps: fom.SnapshotSet,
+                   art_path, snap_path) -> None:
+    """Refuse a snapshot bundle that is not the artifact's training set:
+    its problem (when the artifact records one), grid and tensor shape must
+    match the artifact's.  Both sides go through JSON, as the artifact did,
+    and a mismatch of two dicts names only the keys that differ."""
+    pairs = [("grid", art.grid.to_dict(), snaps.grid.to_dict()),
+             ("full_shape", list(art.full_shape), list(snaps.u_tensor.shape))]
+    if art.problem is not None:
+        pairs.insert(0, ("problem", art.problem, fom.config_to_dict(snaps.config)))
+    for name, ours, theirs in pairs:
+        ours, theirs = (json.loads(json.dumps(v)) for v in (ours, theirs))
+        if isinstance(ours, dict):
+            keys = sorted(k for k in ours.keys() | theirs.keys()
+                          if ours.get(k) != theirs.get(k))
+            ours, theirs = ({k: v.get(k) for k in keys} for v in (ours, theirs))
+        if ours != theirs:
+            raise SystemExit(f"snapshot bundle {snap_path} does not belong to artifact "
+                             f"{art_path}: {name} {ours} in the artifact, "
+                             f"{theirs} in the snapshot bundle")
+
+
 def cmd_verify(args) -> int:
     art = trom.load_artifact(args.artifact)
     snaps = fom.load_snapshots(args.snapshots)
+    _check_pairing(art, snaps, args.artifact, args.snapshots)
     if int(np.prod(snaps.u_tensor.shape)) > 2 * 10**7:
         raise SystemExit("instance too large for dense verification")
     rng = np.random.default_rng(args.seed)

@@ -20,6 +20,17 @@ two paths from the shape of the unfolding and the size of the budget:
 ``hosvd`` is sequentially truncated: each unfolding is taken from the core
 already contracted with the factors found before it, which keeps the
 eps-guarantee and shrinks the later unfoldings.
+
+A ``cp_als`` sweep updates the modes in order, each from the newest factors
+of the others, and forms their MTTKRPs (matricized tensor times Khatri-Rao
+product) from two full-size products (Phan, Tichavsky & Cichocki, IEEE TSP
+2013).  The modes split into a left half ``[0, d // 2)`` and a right half.
+Before the left modes update, the tensor, as a (left x right) matrix, is
+multiplied once by the Khatri-Rao product of the right factors; each left
+mode's MTTKRP is then that partial contracted with the other left factors.
+The right modes update the same way from a partial of the freshly updated
+left factors.  In exact arithmetic the iterates are those of one unfolding
+and one dense Khatri-Rao product per mode (Kolda & Bader, SIAM Review 2009).
 """
 from __future__ import annotations
 
@@ -184,6 +195,18 @@ def _khatri_rao(mats: list[np.ndarray]) -> np.ndarray:
     return out
 
 
+def _half_mttkrp(partial: np.ndarray, mats: list[np.ndarray], k: int) -> np.ndarray:
+    """MTTKRP of mode ``k`` of one half of the modes from that half's
+    partial, shaped (that half's dims) + (rank,): contract it with every
+    factor of the half except the ``k``-th."""
+    h = len(mats)
+    ops = [partial, list(range(h + 1))]
+    for j, m in enumerate(mats):
+        if j != k:
+            ops += [m, [j, h]]
+    return np.einsum(*ops, [k, h])
+
+
 def cp_als(
     t: np.ndarray,
     rank: int,
@@ -199,7 +222,7 @@ def cp_als(
     ``converged`` flag, not raised.  The factors start from seeded uniform
     draws on [-1, 1].
     """
-    t = np.asarray(t, dtype=np.float64)
+    t = np.ascontiguousarray(t, dtype=np.float64)
     if rank < 1:
         raise ValueError("rank must be >= 1")
     d = t.ndim
@@ -211,25 +234,30 @@ def cp_als(
 
     rng = np.random.default_rng(seed)
     factors = [rng.uniform(-1.0, 1.0, size=(n, rank)) for n in dims]
-
-    unfoldings = [unfold(t, k) for k in range(d)]
     grams = [f.T @ f for f in factors]
+
+    # Rows of `mat` run over the left modes [0, h), columns over the right
+    # ones, both in C order; _khatri_rao of a reversed list matches that.
+    h = d // 2
+    mat = t.reshape(math.prod(dims[:h]), -1)
+    halves = ((0, h, mat, slice(h, d)), (h, d, mat.T, slice(0, h)))
 
     err_prev = np.inf
     err = np.inf
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        for k in range(d):
-            others = [factors[j] for j in range(d) if j != k]
-            kr = _khatri_rao(others)
-            gram = np.ones((rank, rank))
-            for j in range(d):
-                if j != k:
-                    gram *= grams[j]
-            mttkrp = unfoldings[k] @ kr
-            factors[k] = np.linalg.lstsq(gram, mttkrp.T, rcond=None)[0].T
-            grams[k] = factors[k].T @ factors[k]
+        for lo, hi, unfolded, other in halves:
+            partial = (unfolded @ _khatri_rao(factors[other][::-1])
+                       ).reshape(dims[lo:hi] + (rank,))
+            for k in range(lo, hi):
+                gram = np.ones((rank, rank))
+                for j in range(d):
+                    if j != k:
+                        gram *= grams[j]
+                mttkrp = _half_mttkrp(partial, factors[lo:hi], k - lo)
+                factors[k] = np.linalg.lstsq(gram, mttkrp.T, rcond=None)[0].T
+                grams[k] = factors[k].T @ factors[k]
 
         # Error from the last mode's normal-equation pieces; no dense rebuild.
         gram_all = grams[d - 1] * gram

@@ -13,7 +13,7 @@ class GridAxis:
 
     ``log_scale`` marks axes sampled log-uniformly; node closeness is then
     measured in log coordinates.  ``lo``/``hi`` bound the admissible query
-    range and default to the node hull.
+    range, must be finite and default to the node hull.
     """
 
     nodes: np.ndarray
@@ -34,6 +34,8 @@ class GridAxis:
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "lo", float(self.lo) if self.lo is not None else float(nodes[0]))
         object.__setattr__(self, "hi", float(self.hi) if self.hi is not None else float(nodes[-1]))
+        if not (np.isfinite(self.lo) and np.isfinite(self.hi)):
+            raise ValueError(f"axis box bounds must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo <= nodes[0] and nodes[-1] <= self.hi):
             raise ValueError("nodes must lie inside the axis box")
 

@@ -111,6 +111,14 @@ class TestQuery:
             run("query", "--artifact", root / "art.trbl", "--alpha", alpha,
                 "--no-reference")
 
+    @pytest.mark.parametrize("alpha", ["x,0.5", "0.05,", "0.05;0.5"])
+    def test_non_numeric_entry_rejected(self, workdir, alpha):
+        root, _ = workdir
+        with pytest.raises(SystemExit, match=r"alpha '.*' is not a point .* "
+                                             r"expected 2 entries in \[.*\] x \["):
+            run("query", "--artifact", root / "art.trbl", "--alpha", alpha,
+                "--no-reference")
+
     def test_timing_fields_recorded(self, workdir, tmp_path):
         root, _ = workdir
         m = tmp_path / "m.csv"
@@ -325,7 +333,26 @@ class TestVerify:
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list=-1,5", "--out", tmp_path / "v.csv")
 
-    @pytest.mark.parametrize("alphas", ["0.05", "0.05,0.5;0.05,0.5,7", "0.9,0.5"])
+    @pytest.mark.parametrize("problem,m,grid,side", [
+        ("burgers", "50", "2x3", "grid"), ("allen-cahn", "8", "2x2x2", "problem")])
+    def test_foreign_snapshots_refused_before_any_query(self, workdir, tmp_path, monkeypatch,
+                                                        problem, m, grid, side):
+        root, _ = workdir
+        assert run("sample", "--problem", problem, "--m", m, "--steps", "40",
+                   "--grid", grid, "--out", tmp_path / "other") == 0
+
+        def no_query(*args):
+            raise AssertionError("a mispaired bundle must be refused before any query")
+        monkeypatch.setattr(cli, "_verify_rows", no_query)
+        with pytest.raises(SystemExit, match=f"does not belong to artifact .*: {side} "
+                                             ".* in the artifact, .* in the snapshot bundle"):
+            run("verify", "--artifact", root / "art.trbl",
+                "--snapshots", tmp_path / "other" / "snapshots.trbl",
+                "--random", "2", "--n-list", "4", "--out", tmp_path / "v.csv")
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("alphas", ["0.05", "0.05,0.5;0.05,0.5,7", "0.9,0.5",
+                                        "x,0.5"])
     def test_alphas_outside_the_box_rejected(self, workdir, tmp_path, alphas):
         root, snap = workdir
         with pytest.raises(SystemExit, match="expected 2 entries"):

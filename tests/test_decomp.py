@@ -162,7 +162,46 @@ class TestHOSVD:
         assert gap < 1e-8
 
 
+def dense_cp_als(t, rank, sweeps, seed):
+    """The dense-unfolding CP-ALS sweep: one full unfolding times one dense
+    Khatri-Rao product per mode.  Returns the factors and the fit error."""
+    d, norm_t = t.ndim, np.linalg.norm(t)
+    rng = np.random.default_rng(seed)
+    factors = [rng.uniform(-1.0, 1.0, size=(n, rank)) for n in t.shape]
+    for _ in range(sweeps):
+        for k in range(d):
+            others = [factors[j] for j in range(d) if j != k]
+            kr = others[0]
+            for m in others[1:]:
+                kr = (m[:, None, :] * kr[None, :, :]).reshape(-1, rank)
+            gram = np.prod([f.T @ f for f in others], axis=0)
+            mttkrp = unfold(t, k) @ kr
+            factors[k] = np.linalg.lstsq(gram, mttkrp.T, rcond=None)[0].T
+        last = factors[-1]
+        sq = norm_t**2 - 2.0 * np.sum(mttkrp * last) + np.sum(gram * (last.T @ last))
+        err = np.sqrt(max(sq, 0.0)) / norm_t
+        for k in range(d - 1):
+            nrm = np.linalg.norm(factors[k], axis=0)
+            factors[k] /= nrm
+            factors[-1] *= nrm
+    return factors, err
+
+
 class TestCPALS:
+    # Orders 2 to 5: single-mode halves, an odd split, an even one, and a
+    # three-mode right half shaped like the phase field's (M, 4, 3, 3, N).
+    @pytest.mark.parametrize("shape, rank", [
+        ((9, 7), 3), ((6, 5, 4), 4), ((5, 4, 3, 6), 5), ((8, 4, 3, 3, 7), 6)])
+    @pytest.mark.parametrize("sweeps", [1, 25])
+    def test_matches_dense_unfolding_sweep(self, shape, rank, sweeps):
+        t = random_tensor(shape, seed=len(shape))
+        ref_factors, ref_err = dense_cp_als(t, rank, sweeps, seed=7)
+        cp = decomp.cp_als(t, rank, max_sweeps=sweeps, tol=0.0, seed=7)
+        assert cp.sweeps == sweeps
+        assert cp.rel_error == pytest.approx(ref_err, rel=1e-12)
+        for got, want in zip(cp.factors, ref_factors, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
     def test_exact_rank_two_recovery(self):
         rng = np.random.default_rng(12)
         factors = [rng.standard_normal((n, 2)) for n in (6, 5, 4)]

@@ -22,6 +22,15 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="finite"):
             ParameterGrid.from_dict(d)
 
+    @pytest.mark.parametrize("key,bad", [("lo", -np.inf), ("hi", np.inf), ("hi", np.nan)])
+    def test_box_must_be_finite(self, key, bad):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            GridAxis(np.array([0.0, 1.0]), **{key: bad})
+        d = grid1d([0.0, 0.5, 1.0]).to_dict()
+        d["axes"][0][key] = bad
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            ParameterGrid.from_dict(d)
+
     def test_nodes_must_fit_box(self):
         with pytest.raises(ValueError):
             GridAxis(np.array([0.0, 2.0]), lo=0.0, hi=1.0)
