@@ -8,7 +8,7 @@ from .deim import SelectionIndices, deim_apply, deim_select, selection_gain
 from .fom import (AllenCahnConfig, BurgersConfig, SnapshotSet, allen_cahn_fom,
                   burgers_fom, sample_snapshots)
 from .grids import GridAxis, ParameterGrid, interp_weights, uniform_axis
-from .pod import PodRom, pod_offline, pod_solve
+from .pod import pod_offline, pod_solve
 from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm
 from .tensors import frobenius_norm, unfold
 from .trom import (LocalROM, OfflineArtifact, build_offline, build_reduced_system,
@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvectiveTerm", "AffineOperator", "AllenCahnConfig", "BurgersConfig",
     "CPDecomposition", "GridAxis", "LocalROM", "OfflineArtifact",
-    "ParameterGrid", "PodRom", "PointwiseTerm", "SelectionIndices",
+    "ParameterGrid", "PointwiseTerm", "SelectionIndices",
     "SnapshotSet", "TTDecomposition", "TuckerDecomposition",
     "allen_cahn_fom", "build_offline", "build_reduced_system", "burgers_fom",
     "cp_als", "deim_apply", "deim_select", "frobenius_norm", "hosvd",

@@ -223,6 +223,8 @@ def cp_als(
     draws on [-1, 1].
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
+    if t.ndim < 2:
+        raise ValueError("CP decomposition needs order >= 2")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     d = t.ndim

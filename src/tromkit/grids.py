@@ -29,8 +29,6 @@ class GridAxis:
             raise ValueError("axis nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("axis nodes must be strictly increasing")
-        if self.log_scale and nodes[0] <= 0:
-            raise ValueError("log-scale axis needs positive nodes")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "lo", float(self.lo) if self.lo is not None else float(nodes[0]))
         object.__setattr__(self, "hi", float(self.hi) if self.hi is not None else float(nodes[-1]))
@@ -38,6 +36,8 @@ class GridAxis:
             raise ValueError(f"axis box bounds must be finite, got [{self.lo}, {self.hi}]")
         if not (self.lo <= nodes[0] and nodes[-1] <= self.hi):
             raise ValueError("nodes must lie inside the axis box")
+        if self.log_scale and self.lo <= 0:
+            raise ValueError(f"log-scale axis needs a positive box, got lo={self.lo}")
 
     def coord(self, x):
         """Scale coordinate in which closeness is measured."""

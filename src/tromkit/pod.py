@@ -2,19 +2,20 @@
 
 The projection basis is the leading left singular vectors of the mode-1
 unfolding of the state-snapshot tensor; the interpolation basis likewise for
-the nonlinear-term snapshots.  The reduced system is marched with the same
-semi-implicit BDF2 family as the full-order model.
+the nonlinear-term snapshots.  Each is a ``trom.PodPart``, the fourth part
+kind, whose core matrix does not depend on the parameter; the baseline is an
+``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None, queried through the
+shared TROM online stage.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decomp import truncated_left_svd
-from .deim import SelectionIndices, deim_select
-from .stepping import AffineOperator, integrate_reduced, reduced_system
+from .stepping import AffineOperator
 from .tensors import unfold
+from .trom import (OfflineArtifact, PodPart, _coupled_artifact, build_reduced_system,
+                   local_bases, trom_solve)
 
 
 def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -27,50 +28,25 @@ def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return u, svals
 
 
-@dataclass(frozen=True)
-class PodRom:
-    """Offline data of the baseline ROM: bases, selection, the pre-composed
-    projection factors, and the linear operator projected onto ``u_basis``."""
-
-    u_basis: np.ndarray            # M x n_u, orthonormal
-    f_basis: np.ndarray            # M x n_f, orthonormal
-    selection: SelectionIndices
-    f_map: np.ndarray              # (U^T Y)(P^T Y)^{-1}
-    u_sing_vals: np.ndarray        # full spectrum of the state unfolding
-    f_sing_vals: np.ndarray
-    a_reduced: AffineOperator | None
-
-
 def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
-                a_op: AffineOperator | None = None) -> PodRom:
-    """Build the baseline ROM from the two snapshot tensors."""
+                a_op: AffineOperator | None = None) -> OfflineArtifact:
+    """Baseline artifact with the POD bases truncated to ``n_u`` and ``n_f`` columns."""
     if n_u < 1 or n_f < 1:
         raise ValueError(f"basis sizes ({n_u}, {n_f}) must be at least 1")
-    u_basis, u_svals = pod_basis(u_snaps)
-    f_basis, f_svals = pod_basis(f_snaps)
-    for name, have, want, svals in (("state", u_basis.shape[1], n_u, u_svals),
-                                    ("term", f_basis.shape[1], n_f, f_svals)):
-        if want > have or svals[want - 1] <= svals[0] * 1e-14:
+    parts = []
+    for name, snaps, want in (("state", u_snaps, n_u), ("term", f_snaps, n_f)):
+        basis, svals = pod_basis(snaps)
+        if want > basis.shape[1] or svals[want - 1] <= svals[0] * 1e-14:
             raise ValueError(f"{name} snapshots are rank-deficient below n={want}")
-    u_basis = u_basis[:, :n_u]
-    f_basis = f_basis[:, :n_f]
-    sel = deim_select(f_basis)
-    f_map = (u_basis.T @ f_basis) @ np.linalg.inv(f_basis[sel.indices, :])
-    return PodRom(u_basis=u_basis, f_basis=f_basis, selection=sel, f_map=f_map,
-                  u_sing_vals=u_svals, f_sing_vals=f_svals,
-                  a_reduced=a_op.reduce(u_basis) if a_op is not None else None)
+        parts.append(PodPart(svals[:want], basis[:, :want], np.eye(want)))
+    return _coupled_artifact(*parts, a_op, fmt="pod", eps=None, cp_rank=None,
+                             interp_order=0, grid=None, full_shape=np.shape(u_snaps))
 
 
-def pod_solve(rom: PodRom, alpha, term, u0: np.ndarray, dt: float, n_steps: int,
-              stab: float = 0.0):
-    """Integrate the projected system; returns (betas, states).
-
-    ``betas`` holds reduced coordinates at t = dt .. n_steps*dt; ``states``
-    is the lifted trajectory.
-    """
-    if rom.a_reduced is None:
-        raise ValueError("offline stage was built without an operator")
-    sys, beta0 = reduced_system(rom.u_basis, rom.selection.indices,
-                                rom.a_reduced.assemble(alpha), rom.f_map, term, u0, stab)
-    betas = integrate_reduced(sys, beta0, dt, n_steps)
-    return betas, rom.u_basis @ betas
+def pod_solve(art: OfflineArtifact, alpha, term, u0: np.ndarray, dt: float,
+              n_steps: int, stab: float = 0.0):
+    """Integrate the projected system in ``deim`` mode; returns (betas,
+    states) as ``trom.trom_solve`` does."""
+    local = local_bases(art, alpha, *art.local_dim_bounds())
+    return trom_solve(art, build_reduced_system(art, local, mode="deim"), term, u0,
+                      dt, n_steps, stab)

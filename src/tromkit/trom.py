@@ -12,6 +12,10 @@ Everything the online stage touches is sized by compression ranks and grid
 node counts; the full spatial dimension appears only in the universal bases
 kept for lifting and initial-condition projection.
 
+A fourth part kind, ``PodPart``, has a parameter-independent core matrix; on
+it the online stage is POD-DEIM (``pod``), whose in-memory artifact has
+``fmt="pod"`` and ``grid`` None.
+
 An artifact is saved as one bundle (``store``) with schema
 ``tromkit-artifact-2``.  Each compressed part is written from its dataclass
 fields: an array field becomes the blob ``{tag}_{field}`` and a tuple field
@@ -39,7 +43,7 @@ from .stepping import AffineOperator, integrate_reduced, reduced_system
 # ---------------------------------------------------------------------------
 
 class OnlinePart:
-    """What the three formats share: an orthonormal space basis and an
+    """What the part kinds share: an orthonormal space basis and an
     orthonormal time factor around a small core matrix, which each format
     contracts from its own parametric data in ``scaled_core_matrix``.
 
@@ -155,6 +159,20 @@ class CPPart(OnlinePart):
     scaled_core_matrix = core_matrix
 
 
+@dataclass(frozen=True)
+class PodPart(OnlinePart):
+    """Truncated POD basis; its core matrix diag(sing_vals) ignores the weights."""
+
+    sing_vals: np.ndarray                # n, descending
+    basis: np.ndarray                    # M x n, orthonormal
+    time_factor: np.ndarray              # n x n identity
+
+    kind = "pod"
+
+    def scaled_core_matrix(self, weights) -> np.ndarray:
+        return np.diag(self.sing_vals)
+
+
 _PART_KINDS = {cls.kind: cls for cls in (TTPart, TuckerPart, CPPart)}
 
 
@@ -200,11 +218,11 @@ class OfflineArtifact:
     """Everything the offline stage hands to online queries; ``a_reduced``
     is the linear operator projected onto the universal state basis."""
 
-    fmt: str                              # "tt" | "hosvd" | "cp"
+    fmt: str                              # "tt" | "hosvd" | "cp" | "pod"
     eps: float | None
     cp_rank: int | None
-    interp_order: int
-    grid: ParameterGrid
+    interp_order: int                     # 0 for POD
+    grid: ParameterGrid | None            # None for POD
     u_part: OnlinePart
     f_part: OnlinePart
     selection: SelectionIndices           # greedy rows of the term basis
@@ -217,7 +235,8 @@ class OfflineArtifact:
     cp_fit: dict | None = None
 
     def weights(self, alpha) -> list[np.ndarray]:
-        return interp_weights(self.grid, alpha, self.interp_order)
+        return ([] if self.grid is None
+                else interp_weights(self.grid, alpha, self.interp_order))
 
     def local_dim_bounds(self) -> tuple[int, int]:
         return self.u_part.local_dim_bound, self.f_part.local_dim_bound
@@ -255,9 +274,6 @@ def build_offline(
     f_snaps = np.asarray(f_snaps, dtype=np.float64)
     if u_snaps.shape != f_snaps.shape:
         raise ValueError("state and term snapshot tensors must share a shape")
-    if u_snaps.ndim != grid.ndim + 2:
-        raise ValueError(
-            f"order-{u_snaps.ndim} tensor does not fit a {grid.ndim}-axis grid")
     if u_snaps.shape[1:-1] != grid.shape:
         raise ValueError(f"tensor parameter extents {u_snaps.shape[1:-1]} "
                          f"do not match the grid {grid.shape}")
@@ -283,16 +299,19 @@ def build_offline(
 
     if u_part.basis.shape[1] == 0 or f_part.basis.shape[1] == 0:
         raise ValueError("compression collapsed to rank zero")
+    return _coupled_artifact(u_part, f_part, a_op, fmt=fmt, eps=eps, cp_rank=cp_rank,
+                             interp_order=interp_order, grid=grid, problem=problem,
+                             full_shape=tuple(u_snaps.shape), cp_fit=cp_fit)
 
+
+def _coupled_artifact(u_part, f_part, a_op, **fields) -> OfflineArtifact:
+    """Artifact of two parts: term-basis selection, coupling, reduced operator."""
     selection = deim_select(f_part.basis)
-    uty = u_part.basis.T @ f_part.basis
-    pty = f_part.basis[selection.indices, :]
     return OfflineArtifact(
-        fmt=fmt, eps=eps, cp_rank=cp_rank, interp_order=interp_order, grid=grid,
-        u_part=u_part, f_part=f_part, selection=selection, uty=uty, pty=pty,
-        cstar_ls=selection_gain(f_part.basis, selection), full_shape=tuple(u_snaps.shape),
-        a_reduced=a_op.reduce(u_part.basis) if a_op is not None else None,
-        problem=problem, cp_fit=cp_fit)
+        u_part=u_part, f_part=f_part, selection=selection,
+        uty=u_part.basis.T @ f_part.basis, pty=f_part.basis[selection.indices, :],
+        cstar_ls=selection_gain(f_part.basis, selection),
+        a_reduced=a_op.reduce(u_part.basis) if a_op is not None else None, **fields)
 
 
 def interpolate_dense(tensor: np.ndarray, weights) -> np.ndarray:
@@ -435,6 +454,8 @@ def save_artifact(path, art: OfflineArtifact) -> None:
     """Write the artifact as a bundle.  The operator coefficient is a
     function and is rebuilt on load from ``problem``, so an artifact with a
     reduced operator but no problem description is refused."""
+    if art.grid is None:
+        raise ValueError("POD artifacts are in-memory baselines and are not saved")
     if art.a_reduced is not None and art.problem is None:
         raise ValueError("artifact has a reduced operator but no problem "
                          "description to rebuild its coefficient from")

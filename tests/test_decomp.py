@@ -239,6 +239,10 @@ class TestCPALS:
         with pytest.raises(ValueError):
             decomp.cp_als(np.ones((2, 2)), 0)
 
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="order >= 2"):
+            decomp.cp_als(np.arange(1.0, 5.0), 2)
+
 
 class TestReconstruct:
     def test_unit_rank_tt_is_outer_product(self):

@@ -39,6 +39,16 @@ class TestGridValidation:
         with pytest.raises(ValueError):
             GridAxis(np.array([-1.0, 1.0]), log_scale=True)
 
+    @pytest.mark.parametrize("lo", [0.0, -0.5])
+    def test_log_axis_needs_positive_box(self, lo):
+        # sampling such a box would take log(lo)
+        with pytest.raises(ValueError, match="positive box"):
+            GridAxis(np.array([0.1, 1.0]), log_scale=True, lo=lo)
+        d = ParameterGrid((GridAxis(np.array([0.1, 1.0]), log_scale=True),)).to_dict()
+        d["axes"][0]["lo"] = lo
+        with pytest.raises(ValueError, match="positive box"):
+            ParameterGrid.from_dict(d)
+
     def test_shape_and_points(self):
         g = ParameterGrid((GridAxis(np.array([0.0, 1.0])),
                            GridAxis(np.array([0.0, 0.5, 1.0]))))

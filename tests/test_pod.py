@@ -2,26 +2,43 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from tromkit import deim, fom, pod
+import tromkit
+from tromkit import deim, fom, pod, stepping, trom
 from tromkit.stepping import AffineOperator, PointwiseTerm
 from tromkit.tensors import unfold
+
+
+def completed_local(art, alpha, mode="deim"):
+    """The local ROM ``pod_solve`` integrates at ``alpha``."""
+    local = trom.local_bases(art, alpha, *art.local_dim_bounds())
+    return trom.build_reduced_system(art, local, mode=mode)
+
+
+def query_inputs(cfg, alpha):
+    stab = cfg.stabilization(cfg.dt) if isinstance(cfg, fom.AllenCahnConfig) else 0.0
+    return fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha), stab
+
+
+def test_package_exports_resolve():
+    missing = [name for name in tromkit.__all__ if not hasattr(tromkit, name)]
+    assert missing == []
 
 
 class TestPodBasis:
     def test_identical_snapshots_give_single_direction(self):
         v = np.array([1.0, 2.0, -1.0])
         tensor = np.repeat(v[:, None], 8, axis=1).reshape(3, 2, 4)
-        rom = pod.pod_offline(tensor, tensor, 1, 1)
-        direction = rom.u_basis[:, 0]
+        art = pod.pod_offline(tensor, tensor, 1, 1)
+        direction = art.u_part.basis[:, 0]
         assert np.allclose(np.abs(direction), np.abs(v) / np.linalg.norm(v), atol=1e-12)
 
     def test_tail_energy_identity(self, small_burgers):
         _, _, snaps = small_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 12, 12)
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 12, 12)
         mat = unfold(snaps.u_tensor, 0)
-        proj = rom.u_basis @ (rom.u_basis.T @ mat)
+        proj = art.u_part.basis @ (art.u_part.basis.T @ mat)
         residual = np.sum((mat - proj) ** 2)
-        tail = np.sum(rom.u_sing_vals[12:] ** 2)
+        tail = np.sum(pod.pod_basis(snaps.u_tensor)[1][12:] ** 2)
         assert residual == pytest.approx(tail, rel=1e-8)
 
     def test_gram_path_matches_direct_svd(self):
@@ -46,11 +63,20 @@ class TestPodBasis:
         with pytest.raises(ValueError, match="at least 1"):
             pod.pod_offline(snaps.u_tensor, snaps.f_tensor, n_u, n_f)
 
+    def test_artifact_has_no_grid_and_is_not_saved(self, small_burgers, tmp_path):
+        _, _, snaps = small_burgers
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)
+        assert art.fmt == "pod" and art.grid is None
+        assert art.local_dim_bounds() == (6, 9)
+        with pytest.raises(ValueError, match="in-memory baselines"):
+            trom.save_artifact(tmp_path / "pod.trbl", art)
+        assert not (tmp_path / "pod.trbl").exists()
+
     def test_selection_comes_from_term_basis(self, small_burgers):
         _, _, snaps = small_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)
-        oracle = deim.deim_select(rom.f_basis)
-        assert np.array_equal(rom.selection.indices, oracle.indices)
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)
+        oracle = deim.deim_select(art.f_part.basis)
+        assert np.array_equal(art.selection.indices, oracle.indices)
 
 
 class TestPodSolve:
@@ -66,21 +92,21 @@ class TestPodSolve:
             state = state * 0.9 + 0.01 * rng.standard_normal(m)
         tensor = traj.reshape(m, 1, 10)
         op = AffineOperator(terms=(a_full,), coeff=lambda a: np.ones(1))
-        rom = pod.pod_offline(tensor, tensor, 5, 5, a_op=op)
+        art = pod.pod_offline(tensor, tensor, 5, 5, a_op=op)
         term = PointwiseTerm(fn=lambda u: np.zeros_like(u))
-        betas, _ = pod.pod_solve(rom, [1.0], term, traj[:, 0], 0.01, 40)
+        betas, _ = pod.pod_solve(art, [1.0], term, traj[:, 0], 0.01, 40)
         norms = np.linalg.norm(betas, axis=0)
         assert np.all(np.diff(norms) <= 1e-12)
 
     def test_full_basis_reproduces_fom(self, small_burgers):
         cfg, grid, snaps = small_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.m, cfg.m,
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.m, cfg.m,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.07, 0.55])
         u_ref, _ = fom.burgers_fom(cfg, alpha)
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
-        _, states = pod.pod_solve(rom, alpha, term, u0, cfg.dt, cfg.n_steps)
+        _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
         assert np.linalg.norm(states - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
 
     @pytest.mark.parametrize("alpha", [(0.013, 0.17, 0.507), "node"],
@@ -91,11 +117,11 @@ class TestPodSolve:
         cfg = fom.AllenCahnConfig(m=8, n_steps=16, pre_steps=5, seed=42)
         grid = fom.ac_grid(cfg, (3, 2, 2))
         snaps = fom.sample_snapshots(cfg, grid)
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.n_dofs, cfg.n_dofs,
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.n_dofs, cfg.n_dofs,
                               a_op=fom.ac_affine(cfg))
         alpha = grid.node((1, 0, 1)) if alpha == "node" else np.array(alpha)
         u_ref, _ = fom.allen_cahn_fom(cfg, alpha)
-        _, states = pod.pod_solve(rom, alpha, fom.nonlinearity_for(cfg, alpha),
+        _, states = pod.pod_solve(art, alpha, fom.nonlinearity_for(cfg, alpha),
                                   fom.initial_state_for(cfg, alpha), cfg.dt, cfg.n_steps,
                                   stab=cfg.stabilization(cfg.dt))
         assert np.linalg.norm(states - u_ref) <= 1e-10 * np.linalg.norm(u_ref)
@@ -116,35 +142,78 @@ class TestPodSolve:
         tensor_u = states.reshape(m, 1, 30)
         tensor_f = f_vals.reshape(m, 1, 30)
         op = AffineOperator(terms=(a_full,), coeff=lambda a: np.ones(1))
-        rom = pod.pod_offline(tensor_u, tensor_f, keep, keep, a_op=op)
+        art = pod.pod_offline(tensor_u, tensor_f, keep, keep, a_op=op)
 
         # selected rows lie inside the active block, so entry evaluation with
         # a truncated vector is well-defined
-        sel_term = PointwiseTerm(fn=lambda u: b[rom.selection.indices] * u
+        sel_term = PointwiseTerm(fn=lambda u: b[art.selection.indices] * u
                                  if u.size == keep else b * u)
-        _, lifted = pod.pod_solve(rom, [1.0], sel_term, u0, 0.05, 30)
+        _, lifted = pod.pod_solve(art, [1.0], sel_term, u0, 0.05, 30)
         assert np.linalg.norm(lifted - states) <= 1e-9 * np.linalg.norm(states)
 
     def test_hyper_reduction_matches_oblique_projector(self, small_burgers):
         # the composed map equals projecting deim_apply of the lifted term
         cfg, grid, snaps = small_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 8, 10,
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 8, 10,
                               a_op=fom.burgers_affine(cfg))
+        local = completed_local(art, [0.05, 0.45])
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cfg.m)
-        composed = rom.f_map @ f[rom.selection.indices]
-        oracle = rom.u_basis.T @ deim.deim_apply(rom.f_basis, rom.selection, f)
+        composed = local.f_map @ f[local.used_rows]
+        oracle = art.u_part.basis.T @ deim.deim_apply(art.f_part.basis, art.selection, f)
         assert np.linalg.norm(composed - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_moderate_basis_out_of_sample_inaccurate(self, desk_burgers):
         # the cumulative basis misses out-of-sample fronts at modest dims
         cfg, grid, snaps = desk_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 10, 20,
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 10, 20,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.013, 0.633])
         u_ref, _ = fom.burgers_fom(cfg, alpha)
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
-        _, states = pod.pod_solve(rom, alpha, term, u0, cfg.dt, cfg.n_steps)
+        _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
         err = np.linalg.norm(states - u_ref) / np.linalg.norm(u_ref)
         assert err > 0.02
+
+    @pytest.mark.parametrize("n_u,n_f", [(5, 10), (10, 20)])
+    @pytest.mark.parametrize("problem", ["small_burgers", "tiny_ac"])
+    def test_matches_composed_baseline(self, request, problem, n_u, n_f):
+        # the shared online stage on a POD artifact is POD-DEIM exactly: the
+        # SVD of the diagonal core is the identity, and the first n LU pivots
+        # of the preselected rows are those rows in order
+        cfg, grid, snaps = request.getfixturevalue(problem)
+        a_op = fom.affine_operator_for(cfg)
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, n_u, n_f, a_op=a_op)
+        u_basis = pod.pod_basis(snaps.u_tensor)[0][:, :n_u]
+        f_basis = pod.pod_basis(snaps.f_tensor)[0][:, :n_f]
+        sel = deim.deim_select(f_basis).indices
+        f_map = (u_basis.T @ f_basis) @ np.linalg.inv(f_basis[sel, :])
+        a_red = a_op.reduce(u_basis)
+        for alpha in grid.sample(2, np.random.default_rng(7)):
+            term, u0, stab = query_inputs(cfg, alpha)
+            sys, beta0 = stepping.reduced_system(u_basis, sel, a_red.assemble(alpha),
+                                                 f_map, term, u0, stab)
+            betas_ref = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
+            betas, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps,
+                                          stab=stab)
+            assert np.array_equal(betas, betas_ref)
+            assert np.array_equal(states, u_basis @ betas_ref)
+
+    @pytest.mark.parametrize("problem", ["small_burgers", "tiny_ac"])
+    def test_ls_mode_matches_deim(self, request, problem):
+        # the offline selection has as many rows as the term basis has
+        # columns, so the least-squares fit is the interpolation
+        cfg, grid, snaps = request.getfixturevalue(problem)
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 8, 12,
+                              a_op=fom.affine_operator_for(cfg))
+        alpha = grid.sample(1, np.random.default_rng(3))[0]
+        deim_local = completed_local(art, alpha, "deim")
+        ls_local = completed_local(art, alpha, "ls")
+        assert np.array_equal(ls_local.used_rows, deim_local.used_rows)
+        err = np.linalg.norm(ls_local.f_map - deim_local.f_map)
+        assert err <= 1e-12 * np.linalg.norm(deim_local.f_map)
+        term, u0, stab = query_inputs(cfg, alpha)
+        betas = [trom.trom_solve(art, loc, term, u0, cfg.dt, cfg.n_steps, stab)[0]
+                 for loc in (deim_local, ls_local)]
+        assert np.linalg.norm(betas[1] - betas[0]) <= 1e-12 * np.linalg.norm(betas[0])

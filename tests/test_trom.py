@@ -88,6 +88,8 @@ class TestOffline:
         t = smooth_tensor()
         with pytest.raises(ValueError, match="grid"):
             trom.build_offline(t[:, :3, :, :], t[:, :3, :, :], grid, fmt="tt", eps=0.1)
+        with pytest.raises(ValueError, match="do not match the grid"):
+            trom.build_offline(t[:, :, 0, :], t[:, :, 0, :], grid, fmt="tt", eps=0.1)
         with pytest.raises(ValueError, match="share a shape"):
             trom.build_offline(t, t[:, :, :, :5], grid, fmt="tt", eps=0.1)
         with pytest.raises(ValueError, match="eps"):
@@ -418,12 +420,13 @@ class TestSolve:
 
     def test_pod_advective_step_tensor_matches_per_step_solve(self, small_burgers):
         cfg, grid, snaps = small_burgers
-        rom = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 9, 13,
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 9, 13,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.05, 0.45])
-        a_red = rom.a_reduced.assemble(alpha)
+        local = trom.build_reduced_system(
+            art, trom.local_bases(art, alpha, *art.local_dim_bounds()), mode="deim")
         _assert_advective_step_matches_oracle(
-            cfg, rom.u_basis, rom.selection.indices, a_red, rom.f_map, alpha)
+            cfg, art.u_part.basis, local.used_rows, local.a_red, local.f_map, alpha)
 
     def test_singular_advective_step_names_its_step(self, small_burgers):
         cfg, _, snaps = small_burgers
