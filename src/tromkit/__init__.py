@@ -4,7 +4,7 @@ a benchmark harness."""
 
 from .decomp import (CPDecomposition, TTDecomposition, TuckerDecomposition,
                      cp_als, hosvd, reconstruct, relative_error, tt_svd)
-from .deim import SelectionIndices, deim_apply, deim_select, selection_gain
+from .deim import SelectionIndices, deim_select, selection_gain
 from .fom import (AllenCahnConfig, BurgersConfig, SnapshotSet, allen_cahn_fom,
                   burgers_fom, sample_snapshots)
 from .grids import GridAxis, ParameterGrid, interp_weights, uniform_axis
@@ -22,7 +22,7 @@ __all__ = [
     "ParameterGrid", "PointwiseTerm", "SelectionIndices",
     "SnapshotSet", "TTDecomposition", "TuckerDecomposition",
     "allen_cahn_fom", "build_offline", "build_reduced_system", "burgers_fom",
-    "cp_als", "deim_apply", "deim_select", "frobenius_norm", "hosvd",
+    "cp_als", "deim_select", "frobenius_norm", "hosvd",
     "interp_weights", "load_artifact", "local_bases", "pod_offline", "pod_solve",
     "reconstruct", "relative_error", "sample_snapshots", "save_artifact",
     "selection_gain", "trom_solve", "tt_svd", "unfold", "uniform_axis",

@@ -207,6 +207,11 @@ def _compression_errors(art: trom.OfflineArtifact, snaps: fom.SnapshotSet):
             _part_error(art.f_part, snaps.f_tensor, snaps.grid))
 
 
+# The measured error carries the rounding of the reconstruction (about 1e-14
+# at eps = 0); the eps check of ``offline`` allows this much above eps.
+_ROUNDING_SLACK = 1e-12
+
+
 def cmd_offline(args) -> int:
     snaps = fom.load_snapshots(args.snapshots)
     art, elapsed = _build_artifact(snaps, args.format, args.eps, args.cp_rank,
@@ -214,6 +219,12 @@ def cmd_offline(args) -> int:
     err_u = err_f = None
     if not args.skip_errors:
         err_u, err_f = _compression_errors(art, snaps)
+        over = [f"tensor {name} error {err:.6e} exceeds eps {art.eps:g}"
+                for name, err in (("u", err_u), ("f", err_f))
+                if art.eps is not None and err > art.eps + _ROUNDING_SLACK]
+        if over:
+            print(f"offline: {'; '.join(over)}; no artifact written", file=sys.stderr)
+            return 1
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     trom.save_artifact(out, art)
@@ -532,7 +543,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cp-rank", type=int)
     p.add_argument("--interp-order", type=int, default=2)
     p.add_argument("--skip-errors", action="store_true",
-                   help="skip the achieved-accuracy reconstruction check")
+                   help="skip the achieved-accuracy reconstruction check; without "
+                        "it a TT or HOSVD error above eps exits 1 and writes no "
+                        "artifact")
     p.add_argument("--report", help="CSV report path")
     p.add_argument("--out", required=True, help="artifact path")
     p.set_defaults(func=cmd_offline)

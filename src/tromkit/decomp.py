@@ -7,15 +7,21 @@ fitted by alternating least squares at a user-chosen rank and reports the
 accuracy it achieved instead of guaranteeing one.
 
 Every truncated SVD goes through ``truncated_left_svd``, which picks one of
-two paths from the shape of the unfolding and the size of the budget:
+three paths from the shape of the unfolding and the size of the budget:
 
 * a wide matrix (more columns than rows) with a budget well above the
   rounding error of its Gram matrix takes the eigen-decomposition of the
   row Gram matrix ``mat @ mat.T``, which costs far less than an SVD of the
   wide matrix and builds no right singular vectors;
-* everything else, tall matrices and small budgets (``eps = 0`` included),
-  takes ``np.linalg.svd``.  A tall matrix never takes a column-Gram path,
-  because ``mat @ v / s`` loses orthogonality at small singular values.
+* a tall or square matrix with such a budget takes the eigen-decomposition
+  of the column Gram matrix ``mat.T @ mat`` (the method of snapshots,
+  Sirovich 1987).  Its eigenvalues give the singular values and the kept
+  rank; the kept span ``mat @ v_r`` is orthonormalised by QR, which keeps the
+  basis orthonormal where ``mat @ v / s`` would lose it at small singular
+  values.  One Rayleigh-Ritz step, the eigen-decomposition of the small
+  Gram matrix of the projected rows, then rotates that basis onto the left
+  singular vectors, so the projected rows come back mutually orthogonal;
+* small budgets (``eps = 0`` included) take ``np.linalg.svd``.
 
 ``hosvd`` is sequentially truncated: each unfolding is taken from the core
 already contracted with the factors found before it, which keeps the
@@ -106,9 +112,10 @@ def _kept_rank(s: np.ndarray, budget: float) -> int:
     return max(r, 1)
 
 
-# Gram eigenvalues carry an absolute error of about rows * u * sigma_1^2
-# (u the unit roundoff); the Gram path runs only when the squared budget
-# clears that error by this factor.
+# Gram eigenvalues carry an absolute error of about n * u * sigma_1^2 (u the
+# unit roundoff, n = min(rows, cols) the dimension of the Gram matrix); either
+# Gram path runs only when the squared budget clears that error by this
+# factor, so that it cannot move the kept rank.
 _GRAM_SAFETY = 1e3
 
 
@@ -117,23 +124,34 @@ def truncated_left_svd(mat: np.ndarray, budget: float
     """Leading left singular vectors of ``mat`` with tail energy <= budget^2.
 
     Returns ``(u_r, s, u_r.T @ mat)``: the kept left singular vectors as a
-    C-contiguous array, every singular value (descending), and the projected
-    rows.  A wide matrix (cols > rows) takes the eigen-decomposition of
-    ``mat @ mat.T`` when ``budget^2 > _GRAM_SAFETY * rows * u * |mat|_F^2``,
-    so that the rounding error of the Gram eigenvalues cannot move the
-    kept rank; otherwise, and for every tall matrix, ``np.linalg.svd`` runs.
+    C-contiguous array with orthonormal columns, every singular value
+    (descending), and the projected rows, which are mutually orthogonal.
+    When ``budget^2 > _GRAM_SAFETY * min(rows, cols) * u * |mat|_F^2`` the
+    rounding error of a Gram matrix's eigenvalues cannot move the kept rank,
+    and a Gram path runs: a wide matrix (cols > rows) takes ``mat @ mat.T``,
+    any other the column Gram matrix ``mat.T @ mat`` followed by a QR of the
+    kept span and one Rayleigh-Ritz step.  Smaller budgets take
+    ``np.linalg.svd``.
     """
     rows, cols = mat.shape
-    floor = _GRAM_SAFETY * rows * np.finfo(np.float64).eps * frobenius_norm(mat)**2
-    if cols > rows and budget * budget > floor:
-        evals, evecs = np.linalg.eigh(mat @ mat.T)
-        s = np.sqrt(np.clip(evals[::-1], 0.0, None))
+    floor = (_GRAM_SAFETY * min(rows, cols) * np.finfo(np.float64).eps
+             * frobenius_norm(mat)**2)
+    if budget * budget <= floor:
+        u, s, vt = np.linalg.svd(mat, full_matrices=False)
         r = _kept_rank(s, budget)
-        u_r = np.ascontiguousarray(evecs[:, ::-1][:, :r])
-        return u_r, s, u_r.T @ mat
-    u, s, vt = np.linalg.svd(mat, full_matrices=False)
+        return np.ascontiguousarray(u[:, :r]), s, s[:r, None] * vt[:r]
+    wide = cols > rows
+    evals, evecs = np.linalg.eigh(mat @ mat.T if wide else mat.T @ mat)
+    s = np.sqrt(np.clip(evals[::-1], 0.0, None))
     r = _kept_rank(s, budget)
-    return np.ascontiguousarray(u[:, :r]), s, s[:r, None] * vt[:r]
+    kept = evecs[:, ::-1][:, :r]
+    if wide:
+        u_r = np.ascontiguousarray(kept)
+        return u_r, s, u_r.T @ mat
+    q = np.linalg.qr(mat @ kept)[0]
+    proj = q.T @ mat
+    w = np.linalg.eigh(proj @ proj.T)[1][:, ::-1]
+    return np.ascontiguousarray(q @ w), s, w.T @ proj
 
 
 def tt_svd(t: np.ndarray, eps: float) -> TTDecomposition:

@@ -1,5 +1,5 @@
-"""Empirical-interpolation (DEIM) row selection on a column basis, the
-oblique projector it defines and that projector's stability constant."""
+"""Empirical-interpolation (DEIM) row selection on a column basis and the
+stability constant of the oblique projector it defines."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -22,12 +22,6 @@ class SelectionIndices:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    def matrix(self, n_rows: int) -> np.ndarray:
-        """Dense selection matrix P (n_rows x len); columns are unit vectors."""
-        p = np.zeros((n_rows, self.indices.size))
-        p[self.indices, np.arange(self.indices.size)] = 1.0
-        return p
 
 
 def deim_select(basis: np.ndarray) -> SelectionIndices:
@@ -55,14 +49,6 @@ def deim_select(basis: np.ndarray) -> SelectionIndices:
     for j, p in enumerate(piv[:n]):
         rows[[j, p]] = rows[[p, j]]
     return SelectionIndices(rows[:n])
-
-
-def deim_apply(basis: np.ndarray, sel: SelectionIndices, f: np.ndarray) -> np.ndarray:
-    """Oblique projection Y (P^T Y)^{-1} P^T f onto range(Y)."""
-    y = np.asarray(basis, dtype=np.float64)
-    f = np.asarray(f, dtype=np.float64)
-    sub = y[sel.indices, :]
-    return y @ np.linalg.solve(sub, f[sel.indices])
 
 
 def selection_gain(basis: np.ndarray, sel: SelectionIndices) -> float:

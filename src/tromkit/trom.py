@@ -244,6 +244,9 @@ class OfflineArtifact:
     def compression_factors(self) -> dict[str, float]:
         """Entry count of each full tensor over its online payload; the CP
         variant reports the combined ratio as well."""
+        if self.fmt == "pod":
+            raise ValueError("a POD baseline holds no compressed tensor, "
+                             "so it has no compression factors")
         full = int(np.prod(self.full_shape))
         out = {
             "cf_u": full / self.u_part.online_entries,

@@ -36,3 +36,18 @@ def smooth_tensor(m=12, k1=5, k2=4, n=9):
     t = np.linspace(0.0, 1.0, n)
     xx, aa1, aa2, tt = np.meshgrid(x, a1, a2, t, indexing="ij")
     return np.exp(-((2 * xx - tt) * aa1) ** 2) + 0.1 * np.sin(3 * xx + aa2 + 2 * tt)
+
+
+def deim_apply(basis, sel, f):
+    """Oblique projection Y (P^T Y)^{-1} P^T f onto range(Y), the DEIM
+    approximation of ``f`` at the rows of ``sel``."""
+    y = np.asarray(basis, dtype=np.float64)
+    f = np.asarray(f, dtype=np.float64)
+    return y @ np.linalg.solve(y[sel.indices, :], f[sel.indices])
+
+
+def selection_matrix(sel, n_rows):
+    """Dense selection matrix P (n_rows x len(sel)); columns are unit vectors."""
+    p = np.zeros((n_rows, len(sel)))
+    p[sel.indices, np.arange(len(sel))] = 1.0
+    return p

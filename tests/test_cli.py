@@ -73,6 +73,25 @@ class TestOffline:
         assert art.fmt == "tt"
         assert art.problem["kind"] == "burgers"
 
+    @pytest.mark.parametrize("fmt", ["tt", "hosvd"])
+    def test_error_above_eps_fails_without_artifact(self, workdir, tmp_path, monkeypatch,
+                                                     capsys, fmt):
+        _, snap = workdir
+        monkeypatch.setattr(cli, "_compression_errors", lambda art, snaps: (2e-3, 2e-3))
+        assert run("offline", "--snapshots", snap, "--format", fmt, "--eps", "1e-3",
+                   "--out", tmp_path / "art.trbl") == 1
+        err = capsys.readouterr().err
+        assert "tensor u error 2.000000e-03 exceeds eps 0.001" in err
+        assert "tensor f error 2.000000e-03 exceeds eps 0.001" in err
+        assert not (tmp_path / "art.trbl").exists()
+
+    def test_lossless_build_passes_the_check(self, workdir, tmp_path):
+        # at eps = 0 the measured error is rounding alone
+        _, snap = workdir
+        assert run("offline", "--snapshots", snap, "--format", "tt", "--eps", "0",
+                   "--out", tmp_path / "art.trbl") == 0
+        assert (tmp_path / "art.trbl").exists()
+
     def test_cp_requires_rank(self, workdir):
         root, snap = workdir
         with pytest.raises(ValueError):

@@ -4,6 +4,8 @@ import pytest
 from tromkit import decomp
 from tromkit.tensors import unfold
 
+from conftest import smooth_tensor
+
 
 def rank_one(shape, seed=0):
     rng = np.random.default_rng(seed)
@@ -46,22 +48,83 @@ class TestTruncatedLeftSvd:
         assert np.linalg.norm(u[:, :r] - u_r @ (u_r.T @ u[:, :r]), 2) < 1e-8
         assert np.array_equal(rest, u_r.T @ mat)
 
+    def test_gram_path_matches_svd_on_tall_matrix(self, monkeypatch):
+        # The tall twin of the wide case: column Gram matrix, QR of the kept
+        # span and one Rayleigh-Ritz step.
+        svals = np.concatenate([np.logspace(0, -3, 20), np.logspace(-6, -9, 40)])
+        mat = with_spectrum(200, 60, svals, seed=32)
+        budget = 1e-4 * np.linalg.norm(mat)
+        u, s, _ = np.linalg.svd(mat, full_matrices=False)
+        r = decomp._kept_rank(s, budget)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("tall matrix at eps 1e-4 must take the Gram path")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        u_r, s_gram, rest = decomp.truncated_left_svd(mat, budget)
+        assert u_r.shape[1] == r == 20
+        assert u_r.flags.c_contiguous
+        assert np.max(np.abs(s_gram[:r] - s[:r])) <= 1e-10 * s[0]
+        assert np.linalg.norm(u[:, :r] - u_r @ (u_r.T @ u[:, :r]), 2) < 1e-8
+        assert np.max(np.abs(u_r.T @ u_r - np.eye(r))) <= 1e-13
+        cross = rest @ rest.T
+        assert np.max(np.abs(cross - np.diag(np.diag(cross)))) <= 1e-12 * s[0]**2
+        assert np.allclose(rest, u_r.T @ mat, rtol=0, atol=1e-13 * s[0])
+
     @pytest.mark.parametrize("budget_rel", [0.0, 1e-9])
     def test_small_budget_takes_svd_path(self, monkeypatch, budget_rel):
-        mat = with_spectrum(40, 120, np.logspace(0, -12, 40), seed=31)
-        ref_u, ref_s, _ = np.linalg.svd(mat, full_matrices=False)
-
         def no_eigh(*args, **kwargs):
             raise AssertionError("small budgets must take the SVD path")
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        u_r, s, rest = decomp.truncated_left_svd(mat, budget_rel * np.linalg.norm(mat))
-        assert np.array_equal(s, ref_s)
-        assert np.array_equal(u_r, ref_u[:, :u_r.shape[1]])
-        assert u_r.flags.c_contiguous
-        assert np.allclose(rest, u_r.T @ mat, rtol=0, atol=1e-13)
+        for rows, cols in ((40, 120), (120, 40)):
+            mat = with_spectrum(rows, cols, np.logspace(0, -12, 40), seed=31)
+            ref_u, ref_s, _ = np.linalg.svd(mat, full_matrices=False)
+            u_r, s, rest = decomp.truncated_left_svd(mat, budget_rel * np.linalg.norm(mat))
+            assert np.array_equal(s, ref_s)
+            assert np.array_equal(u_r, ref_u[:, :u_r.shape[1]])
+            assert u_r.flags.c_contiguous
+            assert np.allclose(rest, u_r.T @ mat, rtol=0, atol=1e-13)
+
+
+def dense_tt_svd(t, eps):
+    """Reference TT sweep with ``np.linalg.svd`` at every unfolding and the
+    budget of ``decomp.tt_svd``; returns the ranks and ``last``."""
+    budget = eps * np.linalg.norm(t) / np.sqrt(t.ndim - 1)
+    rest = t.reshape(t.shape[0], -1, order="F")
+    ranks = []
+    for k in range(1, t.ndim):
+        u, s, vt = np.linalg.svd(rest, full_matrices=False)
+        r = decomp._kept_rank(s, budget)
+        ranks.append(r)
+        rest = s[:r, None] * vt[:r]
+        if k < t.ndim - 1:
+            rest = rest.reshape(r * t.shape[k], -1, order="F")
+    return tuple(ranks), rest.T
 
 
 class TestTTSVD:
+    @pytest.mark.parametrize("shape,eps", [
+        *((shape, eps) for shape in [(6, 5, 4, 3), (4, 6, 3, 2), (5, 7, 3)]
+          for eps in (0.3, 0.1, 0.01)),
+        ("smooth", 1e-4)])
+    def test_tall_unfoldings_match_dense_svd_sweep(self, monkeypatch, shape, eps):
+        # After the wide first unfolding every unfolding of these cases is
+        # tall, so the sweep runs the column-Gram path at every later step.
+        # The smooth tensor truncates there: ranks 8, 8, 6 of 12, 9, 9.
+        t = smooth_tensor() if shape == "smooth" else random_tensor(shape, seed=sum(shape))
+        ranks, last_ref = dense_tt_svd(t, eps)
+
+        def no_svd(*args, **kwargs):
+            raise AssertionError("every unfolding at these budgets takes a Gram path")
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        tt = decomp.tt_svd(t, eps)
+        assert tt.ranks == ranks
+        assert decomp.relative_error(tt, t) <= eps
+        assert np.allclose(np.linalg.norm(tt.last, axis=0),
+                           np.linalg.norm(last_ref, axis=0), rtol=1e-10, atol=0)
+        cross = tt.last.T @ tt.last
+        off = cross - np.diag(np.diag(cross))
+        assert np.max(np.abs(off)) < 1e-12 * np.max(np.diag(cross))
+
     def test_rank_one_is_exact_with_unit_ranks(self):
         t = rank_one((5, 4, 3), seed=1)
         tt = decomp.tt_svd(t, 1e-12)

@@ -7,6 +7,8 @@ from tromkit import deim, fom, pod, stepping, trom
 from tromkit.stepping import AffineOperator, PointwiseTerm
 from tromkit.tensors import unfold
 
+from conftest import deim_apply
+
 
 def completed_local(art, alpha, mode="deim"):
     """The local ROM ``pod_solve`` integrates at ``alpha``."""
@@ -71,6 +73,12 @@ class TestPodBasis:
         with pytest.raises(ValueError, match="in-memory baselines"):
             trom.save_artifact(tmp_path / "pod.trbl", art)
         assert not (tmp_path / "pod.trbl").exists()
+
+    def test_compression_factors_refused(self, small_burgers):
+        _, _, snaps = small_burgers
+        art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)
+        with pytest.raises(ValueError, match="POD baseline holds no compressed tensor"):
+            art.compression_factors()
 
     def test_selection_comes_from_term_basis(self, small_burgers):
         _, _, snaps = small_burgers
@@ -160,7 +168,7 @@ class TestPodSolve:
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cfg.m)
         composed = local.f_map @ f[local.used_rows]
-        oracle = art.u_part.basis.T @ deim.deim_apply(art.f_part.basis, art.selection, f)
+        oracle = art.u_part.basis.T @ deim_apply(art.f_part.basis, art.selection, f)
         assert np.linalg.norm(composed - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
     def test_moderate_basis_out_of_sample_inaccurate(self, desk_burgers):
