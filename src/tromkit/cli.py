@@ -18,7 +18,6 @@ import numpy as np
 
 from . import fom, metrics, pod, trom
 from .grids import ParameterGrid
-from .stepping import AdvectiveTerm
 
 CSV_SCHEMA = "tromkit-csv-1"
 
@@ -72,7 +71,11 @@ def _parse_alpha(text: str, grid: ParameterGrid) -> np.ndarray:
 
 
 def _parse_shape(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.lower().split("x"))
+    try:
+        return tuple(int(x) for x in text.lower().split("x"))
+    except ValueError:
+        raise SystemExit(f"--grid {text!r} is not a shape: expected integers "
+                         f"joined by 'x', e.g. 8x16") from None
 
 
 def _alpha_str(alpha) -> str:
@@ -92,10 +95,11 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
         spec["kind"] = {"burgers": "burgers", "allen-cahn": "allen_cahn"}[args.problem]
     if "kind" not in spec:
         raise SystemExit("no problem selected; pass --problem or a config file")
-    if getattr(args, "m", None):
-        spec["m"] = args.m
-    if getattr(args, "steps", None):
-        spec["n_steps"] = args.steps
+    flags = {}
+    for field, flag in (("m", "m"), ("n_steps", "steps")):
+        if getattr(args, flag, None) is not None:
+            spec[field] = getattr(args, flag)
+            flags[field] = f"--{flag}"
     if getattr(args, "seed", None) is not None:
         if spec["kind"] != "allen_cahn":
             raise SystemExit("--seed sets the random initial state of the phase "
@@ -108,14 +112,27 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
         # Full tensors at this scale occupy roughly 2.6 GB in memory.
         spec.setdefault("m", 150)
         spec.setdefault("n_steps", 200)
-    return fom.config_from_dict(spec)
+    try:
+        return fom.config_from_dict(spec)
+    except ValueError as exc:
+        # the configs name the field first; say which flag set it
+        field = next((f for f in flags if str(exc).startswith(f"{f} ")), None)
+        where = f"{flags[field]} {spec[field]}" if field else "problem config"
+        raise SystemExit(f"{where}: {exc}") from None
+
+
+def _default_grid(cfg: fom.ProblemConfig, shape, source: str) -> ParameterGrid:
+    try:
+        return fom.default_grid(cfg, shape)
+    except ValueError as exc:
+        raise SystemExit(f"{source}: {exc}") from None
 
 
 def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str):
     cfg = fom.config_from_dict(art.problem)
     term = fom.nonlinearity_for(cfg, alpha)
     u0 = fom.initial_state_for(cfg, alpha)
-    stab = 0.0 if isinstance(term, AdvectiveTerm) else cfg.stabilization(cfg.dt)
+    stab = cfg.stabilization(cfg.dt)
     t0 = time.perf_counter()
     local = trom.build_reduced_system(art, trom.local_bases(art, alpha, n_u, n_f), mode=mode)
     t_basis = time.perf_counter() - t0
@@ -148,7 +165,7 @@ def cmd_sample(args) -> int:
     shape = _parse_shape(args.grid) if args.grid else file_cfg.get("grid")
     if args.paper_scale and shape is None:
         shape = (16, 32) if isinstance(cfg, fom.BurgersConfig) else (8, 3, 3)
-    grid = fom.default_grid(cfg, shape)
+    grid = _default_grid(cfg, shape, "--grid" if args.grid else "config grid")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -324,7 +341,7 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
     rows = []
     for shape in cfgd.get("refine_grids", [[2, 4], [4, 8], [8, 16]]):
-        grid = fom.default_grid(cfg, shape)
+        grid = _default_grid(cfg, shape, "config refine_grids")
         sub = fom.sample_snapshots(cfg, grid)
         art, _ = _build_artifact(sub, cfgd.get("format", "tt"), cfgd.get("eps", 1e-3),
                                  _study_cp_rank(cfgd), cfgd.get("interp_order", 2))
@@ -392,7 +409,7 @@ def cmd_study(args) -> int:
         snap_path = Path(args.snapshots)
     else:
         cfg = _problem_config(args, cfgd)
-        grid = fom.default_grid(cfg, cfgd.get("grid"))
+        grid = _default_grid(cfg, cfgd.get("grid"), "config grid")
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
         fom.save_snapshots(snap_path, snaps)
@@ -506,9 +523,15 @@ def cmd_verify(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.alphas:
         alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
+    elif args.random < 1:
+        raise SystemExit(f"--random {args.random} leaves no parameter to check; "
+                         f"pass a count of at least 1 or --alphas")
     else:
         alphas = list(snaps.grid.sample(args.random, rng))
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        raise SystemExit(f"--n-list entries must be integers, got {args.n_list}") from None
     if min(n_list) < 1:
         raise SystemExit(f"--n-list entries must be at least 1, got {args.n_list}")
     rows, violations = _verify_rows(art, snaps, alphas, n_list, args.mode)

@@ -2,8 +2,13 @@
 snapshot-tensor generation over a training grid.
 
 Both problems march with the one semi-implicit BDF2 loop of
-:mod:`tromkit.stepping` (BDF1 first step); the transport model hands it a
-banded solve.  A non-finite state raises ``FloatingPointError`` naming the
+:mod:`tromkit.stepping` (BDF1 first step).  The phase-field model assembles
+its ``AffineOperator`` (``ac_affine``), the one the offline stage projects.
+The transport model hands the loop a banded solve, the one kept copy of the
+transport stencil: reading its bands from the assembled operators made a
+run about 10% slower at m=400 and 30% or more at m=40 (2-core machine, one
+BLAS thread), and FOM time is both sampling cost and the ROM/FOM speed-up's
+denominator.  A non-finite state raises ``FloatingPointError`` naming the
 first bad step and the parameter.  States are sampled at
 ``t = dt .. T`` and the nonlinear-term snapshots are the values the stepping
 actually used, so one extra internal step past ``T`` feeds the final one.
@@ -21,6 +26,15 @@ from . import store
 from .grids import GridAxis, ParameterGrid, uniform_axis
 from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
                        integrate_full)
+
+
+def _require_sizes(cfg, least_m: int) -> None:
+    """Refuse a config with fewer than ``least_m`` nodes per axis or no steps,
+    so that every stage, full order and reduced, takes the same sizes."""
+    for name, least in (("m", least_m), ("n_steps", 1)):
+        value = getattr(cfg, name)
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 # ---------------------------------------------------------------------------
@@ -42,6 +56,11 @@ class BurgersConfig:
     nu_range: tuple[float, float] = (0.01, 0.5)
     front_range: tuple[float, float] = (0.2, 0.8)
 
+    kind = "burgers"
+
+    def __post_init__(self):
+        _require_sizes(self, least_m=3)    # the upwind stencil's minimum
+
     @property
     def dt(self) -> float:
         return self.t_final / self.n_steps
@@ -54,36 +73,24 @@ class BurgersConfig:
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.m + 1)
 
-
-def _upwind_gradient(m: int) -> sp.csr_matrix:
-    """Upwind (backward) first derivative with eliminated Dirichlet rows."""
-    if m < 3:
-        raise ValueError("need at least 3 interior nodes")
-    h = 1.0 / (m + 1)
-    ones = np.ones(m)
-    return (sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / h).tocsr()
-
-
-def burgers_operators(m: int, nu: float) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    """Diffusion matrix ``nu * D2 / h^2`` and the upwind (backward) first
-    derivative, both with eliminated homogeneous Dirichlet rows."""
-    grad = _upwind_gradient(m)
-    h = 1.0 / (m + 1)
-    ones = np.ones(m)
-    d2 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], offsets=(-1, 0, 1))
-    return ((nu / h**2) * d2).tocsr(), grad
+    def stabilization(self, dt: float) -> float:
+        return 0.0      # the transported factor is implicit; no shift needed
 
 
 def burgers_affine(cfg: BurgersConfig) -> AffineOperator:
-    base, _ = burgers_operators(cfg.m, 1.0)
-    return AffineOperator(terms=(base,), coeff=lambda alpha: alpha[:1])
+    """Diffusion ``nu * D2 / h^2`` (Dirichlet rows eliminated), nu = alpha[0]."""
+    ones = np.ones(cfg.m)
+    d2 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], offsets=(-1, 0, 1))
+    return AffineOperator(terms=(((1.0 / cfg.h**2) * d2).tocsr(),),
+                          coeff=lambda alpha: alpha[:1])
 
 
 @lru_cache(maxsize=8)
 def burgers_nonlinearity(cfg: BurgersConfig) -> AdvectiveTerm:
-    """The transport term of ``cfg``, built once per config and shared by
-    every caller; its gradient's arrays are read-only."""
-    grad = _upwind_gradient(cfg.m)
+    """The upwind transport term of ``cfg``, built once per config and shared
+    by every caller; its gradient's arrays are read-only."""
+    ones = np.ones(cfg.m)
+    grad = (sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / cfg.h).tocsr()
     for part in (grad.data, grad.indices, grad.indptr):
         part.flags.writeable = False
     return AdvectiveTerm(grad=grad)
@@ -179,6 +186,11 @@ class AllenCahnConfig:
     pre_steps: int = 50
     pre_time: float = 1.0
 
+    kind = "allen_cahn"
+
+    def __post_init__(self):
+        _require_sizes(self, least_m=1)
+
     @property
     def n_dofs(self) -> int:
         return self.m * self.m
@@ -203,12 +215,12 @@ def neumann_laplacian(m: int) -> sp.csr_matrix:
     return ((sp.kron(l1, eye) + sp.kron(eye, l1)) * m**2).tocsr()
 
 
-def allen_cahn_operators(m: int, width: float) -> sp.csr_matrix:
-    return (width**2 * neumann_laplacian(m)).tocsr()
-
-
+@lru_cache(maxsize=8)
 def ac_affine(cfg: AllenCahnConfig) -> AffineOperator:
+    """Diffusion ``width^2 * Laplacian``, built once per config; read-only arrays."""
     base = neumann_laplacian(cfg.m)
+    for part in (base.data, base.indices, base.indptr):
+        part.flags.writeable = False
     return AffineOperator(terms=(base,), coeff=lambda alpha: alpha[:1] ** 2)
 
 
@@ -269,7 +281,7 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     if cfg.pre_steps == 0:
         return field
     dt_pre = cfg.pre_time / cfg.pre_steps
-    a_mat = allen_cahn_operators(cfg.m, 0.01)
+    a_mat = ac_affine(cfg).assemble([0.01, 0.0])
     term = ac_nonlinearity(cfg, 0.0)
     states, _ = integrate_full(a_mat, term, field, dt_pre, cfg.pre_steps,
                                stab=cfg.stabilization(dt_pre))
@@ -282,13 +294,12 @@ def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
                    u0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Stabilized BDF2 trajectory and nonlinear-term snapshots."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    width, asym = float(alpha[0]), float(alpha[1])
     if u0 is None:
         u0 = ac_initial_state(cfg, _ac_class_probability(cfg, float(alpha[2])))
     if u0.size != cfg.n_dofs:
         raise ValueError(f"initial state has {u0.size} entries, expected {cfg.n_dofs}")
-    a_mat = allen_cahn_operators(cfg.m, width)
-    term = ac_nonlinearity(cfg, asym)
+    a_mat = ac_affine(cfg).assemble(alpha)
+    term = ac_nonlinearity(cfg, float(alpha[1]))
     states, f_vals = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps,
                                     stab=cfg.stabilization(cfg.dt))
     _require_finite(states, "phase-field", alpha)
@@ -301,17 +312,11 @@ def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
 
 ProblemConfig = BurgersConfig | AllenCahnConfig
 
-_PROBLEM_KINDS = {"burgers": BurgersConfig, "allen_cahn": AllenCahnConfig}
-
-
-def problem_kind(cfg: ProblemConfig) -> str:
-    return "burgers" if isinstance(cfg, BurgersConfig) else "allen_cahn"
+_PROBLEM_KINDS = {cls.kind: cls for cls in (BurgersConfig, AllenCahnConfig)}
 
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
-    d = asdict(cfg)
-    d["kind"] = problem_kind(cfg)
-    return d
+    return asdict(cfg) | {"kind": cfg.kind}
 
 
 def config_from_dict(d: dict) -> ProblemConfig:
@@ -349,9 +354,13 @@ def run_fom(cfg: ProblemConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
 
 
 def default_grid(cfg: ProblemConfig, shape=None) -> ParameterGrid:
-    if isinstance(cfg, BurgersConfig):
-        return burgers_grid(cfg, tuple(shape) if shape else (8, 16))
-    return ac_grid(cfg, tuple(shape) if shape else (4, 3, 3))
+    make, default = ((burgers_grid, (8, 16)) if isinstance(cfg, BurgersConfig)
+                     else (ac_grid, (4, 3, 3)))
+    shape = tuple(shape) if shape else default
+    if len(shape) != len(default):
+        raise ValueError(f"grid shape {list(shape)} has {len(shape)} entries; the "
+                         f"{cfg.kind} problem has {len(default)} parameters")
+    return make(cfg, shape)
 
 
 @dataclass(frozen=True)

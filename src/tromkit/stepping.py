@@ -8,9 +8,12 @@ rows ``sel_state @ beta`` for the reduced systems, whose extrapolation
 starts from the exact initial-state entries.  A solver differs from another
 only in the per-step solve callback it hands to the loop:
 
-* pointwise full order -- a cached ``splu`` of the constant step matrix;
+* pointwise full order -- a cached ``splu`` of the constant step matrix
+  (the phase-field FOM assembles it from its ``AffineOperator``);
 * advective full order -- ``spsolve`` with the extrapolated transport
-  coefficient (``fom.burgers_fom`` passes a banded solve instead);
+  coefficient.  ``fom.burgers_fom`` passes a banded solve instead, the one
+  kept copy of the transport stencil, since reading its bands from the
+  assembled operators slows every FOM run;
 * reduced pointwise -- the inverse of the constant rank-sized step matrix,
   formed once per shift with ``f_map`` folded into it, so a step is two
   matrix-vector products;
@@ -68,9 +71,6 @@ class PointwiseTerm:
 
     fn: Callable[[np.ndarray], np.ndarray]
 
-    def full(self, u: np.ndarray) -> np.ndarray:
-        return self.fn(u)
-
 
 @dataclass(frozen=True)
 class AdvectiveTerm:
@@ -80,9 +80,6 @@ class AdvectiveTerm:
 
     def mixed(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
         return -w * (self.grad @ v)
-
-    def full(self, u: np.ndarray) -> np.ndarray:
-        return self.mixed(u, u)
 
 
 def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
@@ -139,7 +136,7 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
         factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
 
         def solve(c, w, rhs):
-            f = term.full(u0 if w is None else w)
+            f = term.fn(u0 if w is None else w)
             if w is not None:
                 next(f_cols)[:] = f
             return factor(c).solve(rhs + f)
@@ -153,7 +150,7 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
             coeff = u0 if w is None else w
             u_next = spla.spsolve((c * eye - a_mat + sp.diags(coeff) @ g).tocsc(), rhs)
             if w is not None:
-                next(f_cols)[:] = -w * (g @ u_next)
+                next(f_cols)[:] = term.mixed(w, u_next)
             return u_next
 
     else:
@@ -223,7 +220,7 @@ def reduced_system(lifted: np.ndarray, rows: np.ndarray, a_red: np.ndarray,
         transport = _transport_tensor(f_map, np.column_stack((sel_state, u0_sel)),
                                       grad_lifted[rows, :])
     else:
-        start = lifted.T @ term.full(u0)
+        start = lifted.T @ term.fn(u0)
     sys = ReducedSystem(a_red=a_red, f_map=f_map, sel_state=sel_state,
                         u0_sel=u0_sel, term=term, start=start,
                         transport=transport, stab=stab)

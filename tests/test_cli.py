@@ -57,6 +57,35 @@ class TestSample:
                 "--grid", "2x2", "--seed", "9", "--out", tmp_path / "b")
         assert not (tmp_path / "b").exists()
 
+    @pytest.mark.parametrize("problem,flags,named", [
+        ("burgers", ["--steps", "0"], "--steps 0: n_steps must be at least 1"),
+        ("allen-cahn", ["--m", "0"], "--m 0: m must be at least 1"),
+        ("burgers", ["--m", "2"], "--m 2: m must be at least 3"),
+    ], ids=["steps_zero", "ac_m_zero", "transport_m_two"])
+    def test_sizes_below_the_least_refused(self, tmp_path, problem, flags, named):
+        with pytest.raises(SystemExit, match=named):
+            run("sample", "--problem", problem, *flags, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    def test_config_file_size_refused(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"kind": "burgers", "n_steps": 0}}))
+        with pytest.raises(SystemExit, match="problem config: n_steps must be at least 1"):
+            run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
+
+    @pytest.mark.parametrize("problem,grid,named", [
+        ("burgers", "2x2x2", r"--grid: grid shape \[2, 2, 2\] has 3 entries; "
+                             r"the burgers problem has 2 parameters"),
+        ("allen-cahn", "4x3", r"--grid: grid shape \[4, 3\] has 2 entries; "
+                              r"the allen_cahn problem has 3 parameters"),
+        ("burgers", "3xq", r"--grid '3xq' is not a shape"),
+    ], ids=["three_for_two", "two_for_three", "not_integer"])
+    def test_bad_grid_refused(self, tmp_path, problem, grid, named):
+        with pytest.raises(SystemExit, match=named):
+            run("sample", "--problem", problem, "--m", "8", "--steps", "5",
+                "--grid", grid, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
 
 class TestOffline:
     def test_report_row(self, workdir):
@@ -351,6 +380,21 @@ class TestVerify:
         with pytest.raises(SystemExit, match="at least 1"):
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list=-1,5", "--out", tmp_path / "v.csv")
+
+    def test_n_list_entry_not_integer_rejected(self, workdir, tmp_path):
+        root, snap = workdir
+        with pytest.raises(SystemExit, match="--n-list entries must be integers, got 2,x"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--alphas", "0.05,0.5", "--n-list", "2,x", "--out", tmp_path / "v.csv")
+        assert not (tmp_path / "v.csv").exists()
+
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_no_parameter_left_to_check_rejected(self, workdir, tmp_path, count):
+        root, snap = workdir
+        with pytest.raises(SystemExit, match=f"--random {count} leaves no parameter"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--random", count, "--n-list", "4", "--out", tmp_path / "v.csv")
+        assert not (tmp_path / "v.csv").exists()
 
     @pytest.mark.parametrize("problem,m,grid,side", [
         ("burgers", "50", "2x3", "grid"), ("allen-cahn", "8", "2x2x2", "problem")])

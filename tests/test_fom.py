@@ -6,9 +6,14 @@ from tromkit import fom, store
 from tromkit.stepping import AdvectiveTerm, PointwiseTerm, integrate_full
 
 
+def burgers_diffusion(m, nu):
+    """The transport problem's assembled diffusion matrix at viscosity ``nu``."""
+    return fom.burgers_affine(fom.BurgersConfig(m=m)).assemble([nu, 0.5])
+
+
 class TestBurgersOperators:
     def test_gradient_of_constant_vanishes_on_interior_rows(self):
-        _, grad = fom.burgers_operators(20, 0.1)
+        grad = fom.burgers_nonlinearity(fom.BurgersConfig(m=20)).grad
         out = grad @ np.full(20, 3.0)
         assert np.allclose(out[1:], 0.0, atol=1e-13)
         assert out[0] != 0.0  # boundary row sees the Dirichlet zero
@@ -16,7 +21,7 @@ class TestBurgersOperators:
     def test_diffusion_matches_second_derivative_of_sine(self):
         m = 400
         nu = 0.07
-        a_mat, _ = fom.burgers_operators(m, nu)
+        a_mat = burgers_diffusion(m, nu)
         cfg = fom.BurgersConfig(m=m)
         x = cfg.nodes
         u = np.sin(np.pi * x)
@@ -25,7 +30,7 @@ class TestBurgersOperators:
         assert err < 5 * nu * np.pi**4 * cfg.h**2  # second-order stencil
 
     def test_diffusion_symmetric_negative(self):
-        a_mat, _ = fom.burgers_operators(12, 0.3)
+        a_mat = burgers_diffusion(12, 0.3)
         dense = a_mat.toarray()
         assert np.array_equal(dense, dense.T)
         assert np.all(np.linalg.eigvalsh(dense) < 0)
@@ -59,7 +64,7 @@ class TestBurgersFom:
     def test_matches_generic_sparse_stepper(self):
         cfg = fom.BurgersConfig(m=25, n_steps=15)
         alpha = (0.08, 0.6)
-        a_mat, _ = fom.burgers_operators(cfg.m, alpha[0])
+        a_mat = fom.burgers_affine(cfg).assemble(alpha)
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
         ref_states, ref_f = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps)
@@ -88,7 +93,7 @@ class TestBurgersFom:
     def test_bdf2_contractive_without_forcing(self):
         # G-stability energy for the two-step scheme, forced term disabled
         cfg = fom.BurgersConfig(m=30, n_steps=40)
-        a_mat, _ = fom.burgers_operators(cfg.m, 0.2)
+        a_mat = burgers_diffusion(cfg.m, 0.2)
         term = PointwiseTerm(fn=lambda u: np.zeros_like(u))
         u0 = np.sin(np.pi * cfg.nodes) + 0.3
         states, _ = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps)
@@ -130,6 +135,19 @@ class TestAllenCahn:
         with pytest.raises(FloatingPointError,
                            match=r"phase-field run at step 1 of 5, alpha="):
             fom.allen_cahn_fom(cfg, (0.02, 0.1, 0.5), u0=u0)
+
+    def test_steps_with_the_projected_operator(self):
+        # the FOM steps with the assembled AffineOperator the offline stage
+        # projects, here at a width between the training nodes
+        cfg = fom.AllenCahnConfig(m=8, n_steps=6, pre_steps=3, seed=4)
+        alpha = np.array([0.0137, 0.2, 0.51])
+        assert not np.isclose(fom.ac_grid(cfg).axes[0].nodes, alpha[0]).any()
+        ref = integrate_full(fom.ac_affine(cfg).assemble(alpha),
+                             fom.nonlinearity_for(cfg, alpha),
+                             fom.initial_state_for(cfg, alpha), cfg.dt, cfg.n_steps,
+                             stab=cfg.stabilization(cfg.dt))
+        got = fom.allen_cahn_fom(cfg, alpha)
+        assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     def test_potential_derivative_roots(self):
         for u in (0.0, 0.5, 1.0):
@@ -292,14 +310,22 @@ class TestAffineOperators:
     def test_burgers_affine_assembles_viscosity_scaling(self):
         cfg = fom.BurgersConfig(m=15)
         op = fom.burgers_affine(cfg)
-        direct, _ = fom.burgers_operators(cfg.m, 0.37)
-        assert np.allclose(op.assemble([0.37, 0.5]).toarray(), direct.toarray())
+        d2 = -2.0 * np.eye(15) + np.eye(15, k=1) + np.eye(15, k=-1)
+        direct = 0.37 * d2 / cfg.h**2
+        assert np.allclose(op.assemble([0.37, 0.5]).toarray(), direct)
 
     def test_ac_affine_scales_with_width_squared(self):
         cfg = fom.AllenCahnConfig(m=6)
         op = fom.ac_affine(cfg)
-        direct = fom.allen_cahn_operators(cfg.m, 0.02)
-        assert np.allclose(op.assemble([0.02, 0.1, 0.5]).toarray(), direct.toarray())
+        direct = 0.02**2 * fom.neumann_laplacian(cfg.m).toarray()
+        assert np.allclose(op.assemble([0.02, 0.1, 0.5]).toarray(), direct)
+
+    def test_ac_affine_built_once_per_config_and_read_only(self):
+        op = fom.ac_affine(fom.AllenCahnConfig(m=6))
+        assert fom.ac_affine(fom.AllenCahnConfig(m=6)) is op
+        assert fom.ac_affine(fom.AllenCahnConfig(m=7)) is not op
+        with pytest.raises(ValueError, match="read-only"):
+            op.terms[0].data[0] = 0.0
 
     def test_reduced_terms_match_projection(self):
         cfg = fom.BurgersConfig(m=15)
@@ -318,13 +344,41 @@ class TestConfigSerialization:
                     fom.AllenCahnConfig(m=9, n_steps=5, seed=2)):
             assert fom.config_from_dict(fom.config_to_dict(cfg)) == cfg
 
+    @pytest.mark.parametrize("kind,field,value,least", [
+        ("burgers", "n_steps", 0, 1), ("allen_cahn", "n_steps", 0, 1),
+        ("burgers", "m", 2, 3), ("allen_cahn", "m", 0, 1)])
+    def test_sizes_below_the_least_refused(self, kind, field, value, least):
+        with pytest.raises(ValueError, match=f"^{field} must be at least {least}, "
+                                             f"got {value}$"):
+            fom.config_from_dict({"kind": kind, field: value})
+
+    def test_least_sizes_accepted(self):
+        assert fom.burgers_fom(fom.BurgersConfig(m=3, n_steps=1), (0.1, 0.5))[0].shape == (3, 1)
+        cfg = fom.AllenCahnConfig(m=1, n_steps=1, pre_steps=1)
+        assert fom.allen_cahn_fom(cfg, (0.02, 0.1, 0.51))[0].shape == (1, 1)
+
+
+class TestDefaultGrid:
+    @pytest.mark.parametrize("cfg,shape,count", [
+        (fom.BurgersConfig(m=10), (2, 2, 2), 2), (fom.AllenCahnConfig(m=4), (4, 3), 3)])
+    def test_shape_of_wrong_length_refused(self, cfg, shape, count):
+        with pytest.raises(ValueError, match=f"has {len(shape)} entries; the {cfg.kind} "
+                                             f"problem has {count} parameters"):
+            fom.default_grid(cfg, shape)
+
+    def test_default_shapes(self):
+        assert fom.default_grid(fom.BurgersConfig(m=10)).shape == (8, 16)
+        assert fom.default_grid(fom.AllenCahnConfig(m=4)).shape == (4, 3, 3)
+
 
 class TestAdvectiveTermShape:
     def test_full_equals_mixed_diagonal(self):
+        # the full transport term -u * (G u) is the mixed form at w = v = u
         cfg = fom.BurgersConfig(m=10)
         term = fom.burgers_nonlinearity(cfg)
         u = np.random.default_rng(1).standard_normal(10)
-        assert np.allclose(term.full(u), term.mixed(u, u))
+        gu = np.concatenate(([u[0]], np.diff(u))) / cfg.h
+        assert np.allclose(term.mixed(u, u), -u * gu)
         assert isinstance(term.grad, sp.csr_matrix)
 
     def test_built_once_per_config_and_read_only(self):
@@ -333,6 +387,7 @@ class TestAdvectiveTermShape:
         assert fom.nonlinearity_for(cfg, [0.2, 0.6]) is term
         assert fom.burgers_nonlinearity(fom.BurgersConfig(m=12)) is term
         assert fom.burgers_nonlinearity(fom.BurgersConfig(m=13)) is not term
-        assert (term.grad != fom.burgers_operators(12, 1.0)[1]).nnz == 0
+        upwind = (np.eye(12) - np.eye(12, k=-1)) / cfg.h
+        assert np.array_equal(term.grad.toarray(), upwind)
         with pytest.raises(ValueError, match="read-only"):
             term.grad.data[0] = 0.0

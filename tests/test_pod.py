@@ -17,8 +17,8 @@ def completed_local(art, alpha, mode="deim"):
 
 
 def query_inputs(cfg, alpha):
-    stab = cfg.stabilization(cfg.dt) if isinstance(cfg, fom.AllenCahnConfig) else 0.0
-    return fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha), stab
+    return (fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha),
+            cfg.stabilization(cfg.dt))
 
 
 def test_package_exports_resolve():
@@ -91,7 +91,7 @@ class TestPodSolve:
     def test_norm_decays_without_forcing(self):
         # diffusion only: the reduced trajectory must dissipate
         m = 24
-        a_full = fom.burgers_operators(m, 0.3)[0]
+        a_full = fom.burgers_affine(fom.BurgersConfig(m=m)).assemble([0.3, 0.5])
         rng = np.random.default_rng(1)
         traj = np.empty((m, 10))
         state = np.sin(np.pi * fom.BurgersConfig(m=m).nodes)
