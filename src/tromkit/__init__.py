@@ -2,8 +2,7 @@
 two-stage DEIM hyper-reduction, plus the finite-difference test problems and
 a benchmark harness."""
 
-from .decomp import (CPDecomposition, TTDecomposition, TuckerDecomposition,
-                     cp_als, hosvd, reconstruct, relative_error, tt_svd)
+from .decomp import cp_als, hosvd, relative_error, tt_svd
 from .deim import SelectionIndices, deim_select, selection_gain
 from .fom import (AllenCahnConfig, BurgersConfig, SnapshotSet, allen_cahn_fom,
                   burgers_fom, sample_snapshots)
@@ -18,12 +17,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdvectiveTerm", "AffineOperator", "AllenCahnConfig", "BurgersConfig",
-    "CPDecomposition", "GridAxis", "LocalROM", "OfflineArtifact",
-    "ParameterGrid", "PointwiseTerm", "SelectionIndices",
-    "SnapshotSet", "TTDecomposition", "TuckerDecomposition",
+    "GridAxis", "LocalROM", "OfflineArtifact", "ParameterGrid", "PointwiseTerm",
+    "SelectionIndices", "SnapshotSet",
     "allen_cahn_fom", "build_offline", "build_reduced_system", "burgers_fom",
     "cp_als", "deim_select", "frobenius_norm", "hosvd",
     "interp_weights", "load_artifact", "local_bases", "pod_offline", "pod_solve",
-    "reconstruct", "relative_error", "sample_snapshots", "save_artifact",
+    "relative_error", "sample_snapshots", "save_artifact",
     "selection_gain", "trom_solve", "tt_svd", "unfold", "uniform_axis",
 ]

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import fom, metrics, pod, trom
+from . import decomp, fom, metrics, pod, trom
 from .grids import ParameterGrid
 
 CSV_SCHEMA = "tromkit-csv-1"
@@ -208,20 +208,9 @@ def _build_artifact(snaps: fom.SnapshotSet, fmt: str, eps, cp_rank, interp_order
     return art, time.perf_counter() - t0
 
 
-def _part_error(part, tensor: np.ndarray, grid: ParameterGrid) -> float:
-    """Relative Frobenius error of a compressed part against its snapshot
-    tensor, reconstructed one grid node at a time with identity weights."""
-    eyes = [np.eye(k) for k in grid.shape]
-    sq = 0.0
-    for mi, _ in grid.points():
-        w = [eye[:, j] for eye, j in zip(eyes, mi)]
-        sq += float(np.sum((part.dense_local(w) - tensor[(slice(None),) + mi])**2))
-    return np.sqrt(sq) / np.linalg.norm(tensor)
-
-
 def _compression_errors(art: trom.OfflineArtifact, snaps: fom.SnapshotSet):
-    return (_part_error(art.u_part, snaps.u_tensor, snaps.grid),
-            _part_error(art.f_part, snaps.f_tensor, snaps.grid))
+    return (decomp.relative_error(art.u_part, snaps.u_tensor),
+            decomp.relative_error(art.f_part, snaps.f_tensor))
 
 
 # The measured error carries the rounding of the reconstruction (about 1e-14
@@ -386,7 +375,7 @@ def _study_effrank(snaps, cfgd, out_dir, rows_out):
     for eps, art, _ in _study_builds(snaps, cfgd):
         for tag, part in (("u", art.u_part), ("f", art.f_part)):
             eff = part.ranks[-1]
-            err_lrtd = _part_error(part, tensors[tag], snaps.grid)
+            err_lrtd = decomp.relative_error(part, tensors[tag])
             tail = max(float(np.sum(svals[tag]**2)) - float(np.sum(svals[tag][:eff]**2)), 0.0)
             err_svd = np.sqrt(tail) / np.linalg.norm(tensors[tag])
             rows[tag].append([tag, eps, eff, f"{err_lrtd:.6e}", f"{err_svd:.6e}"])

@@ -30,9 +30,12 @@ from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
 
 def _require_sizes(cfg, least_m: int) -> None:
     """Refuse a config with fewer than ``least_m`` nodes per axis or no steps,
-    so that every stage, full order and reduced, takes the same sizes."""
+    so that every stage, full order and reduced, takes the same sizes; a JSON
+    config can give a float or a boolean, which are refused too."""
     for name, least in (("m", least_m), ("n_steps", 1)):
         value = getattr(cfg, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if value < least:
             raise ValueError(f"{name} must be at least {least}, got {value}")
 
@@ -321,7 +324,11 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
 
 def config_from_dict(d: dict) -> ProblemConfig:
     d = dict(d)
-    cls = _PROBLEM_KINDS[d.pop("kind")]
+    kind = d.pop("kind")
+    cls = _PROBLEM_KINDS.get(kind)
+    if cls is None:
+        raise ValueError(f"unknown problem kind {kind!r}; expected one of "
+                         f"{', '.join(_PROBLEM_KINDS)}")
     for key in ("nu_range", "front_range", "width_range", "asym_range", "bernoulli_range"):
         if key in d:
             d[key] = tuple(d[key])

@@ -2,7 +2,7 @@
 
 The projection basis is the leading left singular vectors of the mode-1
 unfolding of the state-snapshot tensor; the interpolation basis likewise for
-the nonlinear-term snapshots.  Each is a ``trom.PodPart``, the fourth part
+the nonlinear-term snapshots.  Each is a ``decomp.PodPart``, the fourth part
 kind, whose core matrix does not depend on the parameter; the baseline is an
 ``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None, queried through the
 shared TROM online stage.
@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomp import truncated_left_svd
+from .decomp import PodPart, truncated_left_svd
 from .stepping import AffineOperator
 from .tensors import unfold
-from .trom import (OfflineArtifact, PodPart, _coupled_artifact, build_reduced_system,
-                   local_bases, trom_solve)
+from .trom import (OfflineArtifact, _coupled_artifact, build_reduced_system, local_bases,
+                   trom_solve)
 
 
 def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

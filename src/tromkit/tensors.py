@@ -1,4 +1,4 @@
-"""Dense in-memory tensor kernels: unfoldings, norms and the size guard.
+"""Dense in-memory tensor kernels: unfoldings and norms.
 
 Tensors are plain float64 ``numpy.ndarray`` values and all functions here are
 pure.  The canonical element order (unfolding columns, serialized entries) is
@@ -8,9 +8,6 @@ lives in :mod:`tromkit.store`.
 from __future__ import annotations
 
 import numpy as np
-
-# Refuse to materialize tensors above this entry count (~16 GiB of float64).
-MAX_DENSE_ENTRIES = 2**31
 
 
 def frobenius_norm(t: np.ndarray) -> float:
@@ -32,8 +29,3 @@ def refold(mat: np.ndarray, mode: int, shape: tuple[int, ...]) -> np.ndarray:
     rest = shape[:mode] + shape[mode + 1:]
     t = np.reshape(mat, (shape[mode],) + rest, order="F")
     return np.moveaxis(t, 0, mode)
-
-
-def guard_dense_size(shape) -> None:
-    if int(np.prod([int(s) for s in shape], dtype=object)) > MAX_DENSE_ENTRIES:
-        raise ValueError(f"refusing to materialize dense tensor of shape {tuple(shape)}")

@@ -1,19 +1,21 @@
-"""Two-stage tensor reduced-order model.
+"""Two-stage tensor reduced-order model: the offline artifact, the online
+stage, and the artifact codec.
 
-Offline: compress the state and nonlinear-term snapshot tensors (TT, Tucker,
-or CP), keep the mode-1 factors as universal bases, run the greedy selection
-on the term basis, and pre-project what can be pre-projected.  Online, for an
-incoming parameter vector: contract the compressed cores with interpolation
-weights into small core matrices, read the local bases off their SVDs, and
-assemble a rank-sized projected system with a second, local hyper-reduction
-step (interpolatory or least-squares).
+Offline: compress the state and nonlinear-term snapshot tensors into parts
+of one format (``decomp``: TT, Tucker, or CP), keep their space bases as
+universal bases, run the greedy selection on the term basis, and
+pre-project what can be pre-projected.  Online, for an incoming parameter
+vector: contract each part's cores with interpolation weights into a small
+core matrix, read the local bases off their SVDs, and assemble a rank-sized
+projected system with a second, local hyper-reduction step (interpolatory or
+least-squares).
 
 Everything the online stage touches is sized by compression ranks and grid
 node counts; the full spatial dimension appears only in the universal bases
 kept for lifting and initial-condition projection.
 
-A fourth part kind, ``PodPart``, has a parameter-independent core matrix; on
-it the online stage is POD-DEIM (``pod``), whose in-memory artifact has
+On ``decomp.PodPart``, whose core matrix does not depend on the parameter,
+the online stage is POD-DEIM (``pod``); that in-memory artifact has
 ``fmt="pod"`` and ``grid`` None.
 
 An artifact is saved as one bundle (``store``) with schema
@@ -32,181 +34,10 @@ import numpy as np
 import scipy.linalg
 
 from . import store
-from .decomp import cp_als, hosvd, tt_svd
+from .decomp import CPPart, OnlinePart, TTPart, TuckerPart, cp_als, hosvd, tt_svd
 from .deim import SelectionIndices, deim_select, selection_gain
 from .grids import ParameterGrid, interp_weights
 from .stepping import AffineOperator, integrate_reduced, reduced_system
-
-
-# ---------------------------------------------------------------------------
-# Per-tensor compressed parts
-# ---------------------------------------------------------------------------
-
-class OnlinePart:
-    """What the part kinds share: an orthonormal space basis and an
-    orthonormal time factor around a small core matrix, which each format
-    contracts from its own parametric data in ``scaled_core_matrix``.
-
-    Parts declare these two fields last: declared order is blob order, and
-    loading them after the small online arrays kept the peak RSS of repeated
-    sample-build-save-load cycles about 15% below the reverse order."""
-
-    basis: np.ndarray                  # M x r_first, orthonormal
-    time_factor: np.ndarray            # N x r_last, orthonormal columns
-
-    @property
-    def local_dim_bound(self) -> int:
-        return min(self.basis.shape[1], self.time_factor.shape[1])
-
-    def dense_local(self, weights) -> np.ndarray:
-        """Assembled local snapshot matrix (M x N); testing/verification aid."""
-        return self.basis @ self.scaled_core_matrix(weights) @ self.time_factor.T
-
-
-@dataclass(frozen=True)
-class TTPart(OnlinePart):
-    """TT pieces of one snapshot tensor: orthonormal space basis, the
-    parametric cores, and the time factor split into an orthonormal matrix
-    and its column-norm scales."""
-
-    cores: tuple[np.ndarray, ...]      # (r_i, K_i, r_{i+1})
-    time_scale: np.ndarray             # r_last, positive
-    basis: np.ndarray
-    time_factor: np.ndarray
-
-    kind = "tt"
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (self.basis.shape[1],) + tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def online_entries(self) -> int:
-        # Parametric cores plus the scale block, counted as a dense r x r
-        # matrix as in the paper but stored as the vector ``time_scale``.
-        return sum(c.size for c in self.cores) + self.time_scale.size**2
-
-    def core_matrix(self, weights) -> np.ndarray:
-        # Right to left, so that every product is only as wide as the last
-        # rank; each core is read between its first and last nonzero weight
-        # only (interp_weights gives at most two, adjacent).
-        out = None
-        for core, w in zip(self.cores[::-1], weights[::-1]):
-            nz = np.flatnonzero(w)
-            lo, hi = nz[0], nz[-1] + 1
-            mat = np.einsum("rkq,k->rq", core[:, lo:hi], w[lo:hi])
-            out = mat if out is None else mat @ out
-        return out
-
-    def scaled_core_matrix(self, weights) -> np.ndarray:
-        return self.core_matrix(weights) * self.time_scale[None, :]
-
-
-@dataclass(frozen=True)
-class TuckerPart(OnlinePart):
-    core: np.ndarray                     # r1 x K~_1 x ... x K~_D x r_last
-    param_factors: tuple[np.ndarray, ...]  # K_i x K~_i, orthonormal
-    basis: np.ndarray
-    time_factor: np.ndarray
-
-    kind = "hosvd"
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return self.core.shape
-
-    @property
-    def online_entries(self) -> int:
-        return self.core.size + sum(f.size for f in self.param_factors)
-
-    def core_matrix(self, weights) -> np.ndarray:
-        out = self.core
-        for factor, w in zip(self.param_factors, weights):
-            out = np.tensordot(out, factor.T @ w, axes=(1, 0))
-        return out
-
-    scaled_core_matrix = core_matrix
-
-
-@dataclass(frozen=True)
-class CPPart(OnlinePart):
-    r_left: np.ndarray                   # r_u x R
-    r_right: np.ndarray                  # r_v x R
-    sigma_factors: tuple[np.ndarray, ...]  # K_i x R
-    basis: np.ndarray                    # QR of the space factor
-    time_factor: np.ndarray              # QR of the time factor
-
-    kind = "cp"
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (self.r_left.shape[1],)
-
-    @property
-    def online_entries(self) -> int:
-        # Two triangular rank x rank factors, stored whole, plus the parametric
-        # vectors; trapezoidal QR factors (rank above a tensor extent) are
-        # counted as full triangles to keep the accounting rank-determined.
-        (r,) = self.ranks
-        return r * (r + 1) // 2 * 2 + sum(f.size for f in self.sigma_factors)
-
-    def core_matrix(self, weights) -> np.ndarray:
-        s = np.ones(self.r_left.shape[1])
-        for factor, w in zip(self.sigma_factors, weights):
-            s = s * (factor.T @ w)
-        return self.r_left @ (s[:, None] * self.r_right.T)
-
-    scaled_core_matrix = core_matrix
-
-
-@dataclass(frozen=True)
-class PodPart(OnlinePart):
-    """Truncated POD basis; its core matrix diag(sing_vals) ignores the weights."""
-
-    sing_vals: np.ndarray                # n, descending
-    basis: np.ndarray                    # M x n, orthonormal
-    time_factor: np.ndarray              # n x n identity
-
-    kind = "pod"
-
-    def scaled_core_matrix(self, weights) -> np.ndarray:
-        return np.diag(self.sing_vals)
-
-
-_PART_KINDS = {cls.kind: cls for cls in (TTPart, TuckerPart, CPPart)}
-
-
-def _tt_part(tensor: np.ndarray, eps: float) -> TTPart:
-    tt = tt_svd(tensor, eps)
-    scale = np.linalg.norm(tt.last, axis=0)
-    keep = scale > scale.max() * 1e-14
-    if not np.all(keep):
-        # Degenerate trailing components would make the scale block singular.
-        scale = scale[keep]
-        last = tt.last[:, keep]
-        cores = tt.cores[:-1] + (tt.cores[-1][:, :, keep],)
-    else:
-        last = tt.last
-        cores = tt.cores
-    return TTPart(basis=tt.first, cores=cores,
-                  time_factor=last / scale[None, :], time_scale=scale)
-
-
-def _tucker_part(tensor: np.ndarray, eps: float) -> TuckerPart:
-    td = hosvd(tensor, eps)
-    return TuckerPart(basis=td.factors[0], core=td.core,
-                      param_factors=tuple(td.factors[1:-1]),
-                      time_factor=td.factors[-1])
-
-
-def _cp_part(tensor: np.ndarray, rank: int, opts: dict) -> tuple[CPPart, dict]:
-    cp = cp_als(tensor, rank, **opts)
-    q_u, r_u = np.linalg.qr(cp.factors[0])
-    q_v, r_v = np.linalg.qr(cp.factors[-1])
-    part = CPPart(basis=q_u, r_left=r_u, r_right=r_v,
-                  sigma_factors=tuple(cp.factors[1:-1]), time_factor=q_v)
-    info = {"rel_error": cp.rel_error, "sweeps": cp.sweeps, "converged": cp.converged}
-    return part, info
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +118,15 @@ def build_offline(
     if fmt in ("tt", "hosvd"):
         if eps is None:
             raise ValueError(f"{fmt} compression needs eps")
-        make = _tt_part if fmt == "tt" else _tucker_part
+        make = tt_svd if fmt == "tt" else hosvd
         u_part = make(u_snaps, eps)
         f_part = make(f_snaps, eps)
     elif fmt == "cp":
         if cp_rank is None:
             raise ValueError("cp compression needs cp_rank")
-        opts = dict(cp_opts or {})
-        u_part, u_info = _cp_part(u_snaps, cp_rank, opts)
-        f_part, f_info = _cp_part(f_snaps, cp_rank, opts)
-        cp_fit = {"u": u_info, "f": f_info}
+        u_part, u_fit = cp_als(u_snaps, cp_rank, **(cp_opts or {}))
+        f_part, f_fit = cp_als(f_snaps, cp_rank, **(cp_opts or {}))
+        cp_fit = {"u": u_fit, "f": f_fit}
     else:
         raise ValueError(f"unknown format {fmt!r}")
 
@@ -423,6 +253,7 @@ def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
 # ---------------------------------------------------------------------------
 
 _SCHEMA = "tromkit-artifact-2"
+_PART_KINDS = {cls.kind: cls for cls in (TTPart, TuckerPart, CPPart)}
 
 
 def _part_blobs(tag: str, part: OnlinePart) -> tuple[dict, dict]:

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tromkit import cli, fom, trom
+from tromkit import cli, decomp, fom, trom
 
 
 def run(*argv):
@@ -73,6 +73,20 @@ class TestSample:
         with pytest.raises(SystemExit, match="problem config: n_steps must be at least 1"):
             run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
 
+    @pytest.mark.parametrize("problem,named", [
+        ({"kind": "foo"}, "problem config: unknown problem kind 'foo'; "
+                          "expected one of burgers, allen_cahn"),
+        ({"kind": "allen_cahn", "m": 8.5}, "problem config: m must be an integer, got 8.5"),
+        ({"kind": "burgers", "n_steps": True},
+         "problem config: n_steps must be an integer, got True"),
+    ], ids=["unknown_kind", "float_m", "bool_steps"])
+    def test_config_file_problem_refused(self, tmp_path, problem, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": problem, "grid": [2, 2, 2]}))
+        with pytest.raises(SystemExit, match=named):
+            run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
     @pytest.mark.parametrize("problem,grid,named", [
         ("burgers", "2x2x2", r"--grid: grid shape \[2, 2, 2\] has 3 entries; "
                              r"the burgers problem has 2 parameters"),
@@ -106,7 +120,7 @@ class TestOffline:
     def test_error_above_eps_fails_without_artifact(self, workdir, tmp_path, monkeypatch,
                                                      capsys, fmt):
         _, snap = workdir
-        monkeypatch.setattr(cli, "_compression_errors", lambda art, snaps: (2e-3, 2e-3))
+        monkeypatch.setattr(decomp, "relative_error", lambda part, tensor: 2e-3)
         assert run("offline", "--snapshots", snap, "--format", fmt, "--eps", "1e-3",
                    "--out", tmp_path / "art.trbl") == 1
         err = capsys.readouterr().err

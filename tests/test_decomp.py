@@ -87,7 +87,7 @@ class TestTruncatedLeftSvd:
 
 def dense_tt_svd(t, eps):
     """Reference TT sweep with ``np.linalg.svd`` at every unfolding and the
-    budget of ``decomp.tt_svd``; returns the ranks and ``last``."""
+    budget of ``decomp.tt_svd``; returns the ranks and the last factor."""
     budget = eps * np.linalg.norm(t) / np.sqrt(t.ndim - 1)
     rest = t.reshape(t.shape[0], -1, order="F")
     ranks = []
@@ -119,9 +119,10 @@ class TestTTSVD:
         tt = decomp.tt_svd(t, eps)
         assert tt.ranks == ranks
         assert decomp.relative_error(tt, t) <= eps
-        assert np.allclose(np.linalg.norm(tt.last, axis=0),
-                           np.linalg.norm(last_ref, axis=0), rtol=1e-10, atol=0)
-        cross = tt.last.T @ tt.last
+        assert np.allclose(tt.time_scale, np.linalg.norm(last_ref, axis=0),
+                           rtol=1e-10, atol=0)
+        last = tt.time_factor * tt.time_scale
+        cross = last.T @ last
         off = cross - np.diag(np.diag(cross))
         assert np.max(np.abs(off)) < 1e-12 * np.max(np.diag(cross))
 
@@ -161,9 +162,10 @@ class TestTTSVD:
     def test_first_factor_orthonormal_and_last_orthogonal(self):
         t = random_tensor((6, 4, 5), seed=4)
         tt = decomp.tt_svd(t, 0.1)
-        gram = tt.first.T @ tt.first
+        gram = tt.basis.T @ tt.basis
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-12
-        cross = tt.last.T @ tt.last
+        last = tt.time_factor * tt.time_scale
+        cross = last.T @ last
         off = cross - np.diag(np.diag(cross))
         assert np.max(np.abs(off)) < 1e-12 * np.max(np.diag(cross))
 
@@ -173,7 +175,7 @@ class TestTTSVD:
         r = tt.ranks[0]
         u_ref = np.linalg.svd(unfold(t, 0), full_matrices=False)[0][:, :r]
         # sine of the largest principal angle between the spans
-        gap = np.linalg.norm(u_ref - tt.first @ (tt.first.T @ u_ref), 2)
+        gap = np.linalg.norm(u_ref - tt.basis @ (tt.basis.T @ u_ref), 2)
         assert gap < 1e-8
 
     def test_eps_out_of_range(self):
@@ -212,17 +214,22 @@ class TestHOSVD:
 
     def test_factors_orthonormal(self):
         td = decomp.hosvd(random_tensor((5, 4, 6), seed=10), 0.1)
-        for f in td.factors:
+        for f in (td.basis, *td.param_factors, td.time_factor):
             assert np.max(np.abs(f.T @ f - np.eye(f.shape[1]))) < 1e-12
 
     def test_mode1_factor_matches_tt_first_factor_span(self):
         t = random_tensor((6, 4, 5), seed=11)
         td = decomp.hosvd(t, 0.1)
         tt = decomp.tt_svd(t, 0.1)
-        r = min(td.factors[0].shape[1], tt.first.shape[1])
-        a, b = td.factors[0][:, :r], tt.first[:, :r]
+        r = min(td.basis.shape[1], tt.basis.shape[1])
+        a, b = td.basis[:, :r], tt.basis[:, :r]
         gap = np.linalg.norm(b - a @ (a.T @ b), 2)
         assert gap < 1e-8
+
+    def test_vector_rejected(self):
+        # a part needs a space mode and a time mode
+        with pytest.raises(ValueError, match="order >= 2"):
+            decomp.hosvd(np.arange(1.0, 5.0), 0.1)
 
 
 def dense_cp_als(t, rank, sweeps, seed):
@@ -259,44 +266,52 @@ class TestCPALS:
     def test_matches_dense_unfolding_sweep(self, shape, rank, sweeps):
         t = random_tensor(shape, seed=len(shape))
         ref_factors, ref_err = dense_cp_als(t, rank, sweeps, seed=7)
-        cp = decomp.cp_als(t, rank, max_sweeps=sweeps, tol=0.0, seed=7)
-        assert cp.sweeps == sweeps
-        assert cp.rel_error == pytest.approx(ref_err, rel=1e-12)
-        for got, want in zip(cp.factors, ref_factors, strict=True):
+        cp, fit = decomp.cp_als(t, rank, max_sweeps=sweeps, tol=0.0, seed=7)
+        assert fit["sweeps"] == sweeps
+        assert fit["rel_error"] == pytest.approx(ref_err, rel=1e-12)
+        got_factors = (cp.basis @ cp.r_left, *cp.sigma_factors,
+                       cp.time_factor @ cp.r_right)
+        for got, want in zip(got_factors, ref_factors, strict=True):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
     def test_exact_rank_two_recovery(self):
         rng = np.random.default_rng(12)
         factors = [rng.standard_normal((n, 2)) for n in (6, 5, 4)]
         t = np.einsum("ir,jr,kr->ijk", *factors)
-        cp = decomp.cp_als(t, 2, seed=1, max_sweeps=800, tol=1e-15)
-        assert cp.rel_error <= 1e-6
+        cp, fit = decomp.cp_als(t, 2, seed=1, max_sweeps=800, tol=1e-15)
+        assert fit["rel_error"] <= 1e-6
         assert decomp.relative_error(cp, t) <= 1e-6
 
     def test_rank_one_on_rank_one(self):
         t = rank_one((5, 4, 3), seed=13)
-        cp = decomp.cp_als(t, 1, seed=2, max_sweeps=400, tol=1e-15)
+        cp, _ = decomp.cp_als(t, 1, seed=2, max_sweeps=400, tol=1e-15)
         assert decomp.relative_error(cp, t) <= 1e-10
 
     def test_error_non_increasing_across_sweeps(self):
         t = random_tensor((6, 5, 4), seed=14)
         history = []
         for sweeps in (1, 2, 4, 8, 16, 32):
-            cp = decomp.cp_als(t, 5, seed=3, max_sweeps=sweeps, tol=0.0)
-            history.append(cp.rel_error)
+            _, fit = decomp.cp_als(t, 5, seed=3, max_sweeps=sweeps, tol=0.0)
+            history.append(fit["rel_error"])
         for prev, curr in zip(history, history[1:]):
             assert curr <= prev + 1e-10
 
     def test_reported_error_matches_reconstruction(self):
         t = random_tensor((5, 4, 3, 3), seed=15)
-        cp = decomp.cp_als(t, 4, seed=4, max_sweeps=50)
-        assert cp.rel_error == pytest.approx(decomp.relative_error(cp, t), abs=1e-10)
+        cp, fit = decomp.cp_als(t, 4, seed=4, max_sweeps=50)
+        assert fit["rel_error"] == pytest.approx(decomp.relative_error(cp, t), abs=1e-10)
 
     def test_non_convergence_is_reported_not_raised(self):
         t = random_tensor((6, 6, 6), seed=16)
-        cp = decomp.cp_als(t, 3, seed=5, max_sweeps=2, tol=1e-16)
-        assert not cp.converged
-        assert cp.sweeps == 2
+        _, fit = decomp.cp_als(t, 3, seed=5, max_sweeps=2, tol=1e-16)
+        assert not fit["converged"]
+        assert fit["sweeps"] == 2
+
+    @pytest.mark.parametrize("max_sweeps", [0, -1])
+    def test_no_sweep_rejected(self, max_sweeps):
+        # without a sweep the factors would be the random start
+        with pytest.raises(ValueError, match="max_sweeps must be at least 1"):
+            decomp.cp_als(random_tensor((4, 3, 5), seed=17), 2, max_sweeps=max_sweeps)
 
     def test_bad_rank(self):
         with pytest.raises(ValueError):
@@ -307,38 +322,40 @@ class TestCPALS:
             decomp.cp_als(np.arange(1.0, 5.0), 2)
 
 
+def dense_tt(part):
+    """Order-3 tensor of a TT part, contracted over its fields by einsum."""
+    return np.einsum("ia,akb,b,jb->ikj", part.basis, part.cores[0], part.time_scale,
+                     part.time_factor)
+
+
 class TestReconstruct:
+    """Parts rebuilt node by node: ``relative_error`` against known tensors."""
+
     def test_unit_rank_tt_is_outer_product(self):
         u = np.array([[1.0], [2.0]])
         core = np.array([[[3.0], [4.0], [5.0]]]).reshape(1, 3, 1)
         v = np.array([[6.0], [7.0]])
-        tt = decomp.TTDecomposition(first=u, cores=(core,), last=v)
+        tt = decomp.TTPart(cores=(core,), time_scale=np.ones(1), basis=u, time_factor=v)
         expected = np.einsum("i,j,k->ijk", u[:, 0], core[0, :, 0], v[:, 0])
-        assert np.allclose(decomp.reconstruct(tt), expected, rtol=0, atol=1e-15)
+        assert decomp.relative_error(tt, expected) <= 1e-15
 
     def test_tucker_identity_factors_return_core(self):
         core = random_tensor((3, 4, 2), seed=18)
-        td = decomp.TuckerDecomposition(core=core, factors=(np.eye(3), np.eye(4), np.eye(2)))
-        assert np.array_equal(decomp.reconstruct(td), core)
+        td = decomp.TuckerPart(core=core, param_factors=(np.eye(4),), basis=np.eye(3),
+                               time_factor=np.eye(2))
+        assert decomp.relative_error(td, core) == 0.0
 
     def test_tt_matches_term_sum_oracle(self):
         t = random_tensor((4, 3, 5), seed=19)
         tt = decomp.tt_svd(t, 0.0)
         r1, r2 = tt.ranks
+        last = tt.time_factor * tt.time_scale
         oracle = np.zeros_like(t)
         for a in range(r1):
             for b in range(r2):
-                oracle += np.einsum("i,j,k->ijk", tt.first[:, a],
-                                    tt.cores[0][a, :, b], tt.last[:, b])
-        recon = decomp.reconstruct(tt)
-        assert np.linalg.norm(recon - oracle) <= 1e-13 * np.linalg.norm(oracle)
-
-    def test_size_guard(self):
-        tt = decomp.TTDecomposition(
-            first=np.ones((10**6, 1)), cores=(np.ones((1, 10**6, 1)),),
-            last=np.ones((10**5, 1)))
-        with pytest.raises(ValueError):
-            decomp.reconstruct(tt)
+                oracle += np.einsum("i,j,k->ijk", tt.basis[:, a], tt.cores[0][a, :, b],
+                                    last[:, b])
+        assert decomp.relative_error(tt, oracle) <= 1e-13
 
 
 class TestRelativeError:
@@ -349,11 +366,37 @@ class TestRelativeError:
     def test_zero_tensor_rejected(self):
         t = np.zeros((3, 3, 3))
         tt = decomp.tt_svd(np.ones((3, 3, 3)), 0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="zero tensor"):
             decomp.relative_error(tt, t)
 
     def test_matches_dense_difference_oracle(self):
         t = random_tensor((5, 4, 3), seed=21)
         tt = decomp.tt_svd(t, 0.2)
-        oracle = np.linalg.norm(t - decomp.reconstruct(tt)) / np.linalg.norm(t)
-        assert decomp.relative_error(tt, t) == pytest.approx(oracle, rel=1e-14)
+        oracle = np.linalg.norm(t - dense_tt(tt)) / np.linalg.norm(t)
+        assert decomp.relative_error(tt, t) == pytest.approx(oracle, rel=1e-12)
+
+    @pytest.mark.parametrize("fmt", ["tt", "hosvd", "cp"])
+    def test_order_two_builds_are_exact(self, fmt):
+        # a matrix has no parametric mode: one node, weights []
+        t = random_tensor((9, 7), seed=22)
+        if fmt == "cp":
+            part, fit = decomp.cp_als(t, 7, seed=0, max_sweeps=5)
+            assert fit["rel_error"] < 1e-12
+        else:
+            part = (decomp.tt_svd if fmt == "tt" else decomp.hosvd)(t, 0.0)
+        # the CP rounding grows with the conditioning of its random start
+        assert decomp.relative_error(part, t) < 1e-12
+
+    def test_order_two_tt_contracts_to_scale_diagonal(self):
+        tt = decomp.tt_svd(random_tensor((9, 7), seed=23), 0.1)
+        assert tt.cores == ()
+        assert np.array_equal(tt.scaled_core_matrix([]), np.diag(tt.time_scale))
+
+    def test_order_two_tt_drops_degenerate_components(self):
+        # at eps 0 the rounding-level singular values past rank 3 are kept by
+        # the sweep and then dropped with the basis columns they pair with
+        t = with_spectrum(9, 7, np.array([3.0, 2.0, 1.0]), seed=24)
+        tt = decomp.tt_svd(t, 0.0)
+        assert tt.ranks == (3,)
+        assert tt.basis.shape == (9, 3) and tt.time_factor.shape == (7, 3)
+        assert decomp.relative_error(tt, t) < 1e-13

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from tromkit import decomp, fom, pod, stepping, trom
+from tromkit import fom, pod, stepping, trom
 from tromkit.grids import GridAxis, ParameterGrid
 from tromkit.stepping import AffineOperator
 
@@ -126,18 +126,22 @@ class TestCoreMatrices:
                                         ("hosvd", {"eps": 1e-10}),
                                         ("cp", {"cp_rank": 25})])
     def test_matches_dense_contraction_oracle(self, fmt, kw):
-        art, u, f, grid = build_smooth(fmt=fmt, **kw)
+        art, *_ = build_smooth(fmt=fmt, **kw)
         alpha = np.array([0.83, 0.21])
         w = art.weights(alpha)
+        # the part's full tensor, contracted over its fields by einsum
+        part = art.u_part
         if fmt == "tt":
-            dense = decomp.reconstruct(decomp.tt_svd(u, kw["eps"]))
+            dense = np.einsum("ia,akb,blc,c,jc->iklj", part.basis, *part.cores,
+                              part.time_scale, part.time_factor)
         elif fmt == "hosvd":
-            dense = decomp.reconstruct(decomp.hosvd(u, kw["eps"]))
+            dense = np.einsum("abcd,ia,kb,lc,jd->iklj", part.core, part.basis,
+                              *part.param_factors, part.time_factor)
         else:
-            dense = decomp.reconstruct(decomp.cp_als(u, kw["cp_rank"], seed=0,
-                                                     max_sweeps=500, tol=1e-14))
+            dense = np.einsum("ir,kr,lr,jr->iklj", part.basis @ part.r_left,
+                              *part.sigma_factors, part.time_factor @ part.r_right)
         oracle = trom.interpolate_dense(dense, w)
-        implicit = art.u_part.dense_local(w)
+        implicit = part.dense_local(w)
         assert np.linalg.norm(implicit - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
     @pytest.mark.parametrize("case,nonzeros", [("node", [1, 1]), ("off_node", [2, 2]),
