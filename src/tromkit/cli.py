@@ -186,16 +186,22 @@ def cmd_sample(args) -> int:
 
 def _offline_report_row(art: trom.OfflineArtifact, err_u, err_f, elapsed) -> list:
     cf = art.compression_factors()
+    # CP sweeps and convergence (1 or 0) of u and f, joined like the ranks
+    cp_cols = ["" if art.cp_fit is None else
+               "-".join(str(int(art.cp_fit[t][key])) for t in ("u", "f"))
+               for key in ("sweeps", "converged")]
     return [art.fmt, art.eps, art.cp_rank, "-".join(map(str, art.u_part.ranks)),
             "-".join(map(str, art.f_part.ranks)),
             f"{cf['cf_u']:.1f}", f"{cf['cf_f']:.1f}",
             f"{cf['cf_combined']:.1f}" if "cf_combined" in cf else "",
             "" if err_u is None else f"{err_u:.6e}",
-            "" if err_f is None else f"{err_f:.6e}", f"{elapsed:.3f}"]
+            "" if err_f is None else f"{err_f:.6e}",
+            *cp_cols, f"{elapsed:.3f}"]
 
 
 _OFFLINE_HEADER = ["format", "eps", "cp_rank", "ranks_u", "ranks_f",
-                   "cf_u", "cf_f", "cf_combined", "err_u", "err_f", "t_offline"]
+                   "cf_u", "cf_f", "cf_combined", "err_u", "err_f",
+                   "cp_sweeps", "cp_converged", "t_offline"]
 
 
 def _build_artifact(snaps: fom.SnapshotSet, fmt: str, eps, cp_rank, interp_order,
@@ -253,6 +259,13 @@ def cmd_query(args) -> int:
     n_u = bounds[0] if args.n_phi is None else args.n_phi
     n_f = bounds[1] if args.n_psi is None else args.n_psi
     cfg, local, betas, states, t_basis, t_int = _solve_query(art, alpha, n_u, n_f, args.mode)
+    bad = ~np.all(np.isfinite(betas), axis=0)
+    if bad.any():
+        step = int(np.argmax(bad)) + 1
+        print(f"query: non-finite reduced trajectory from step {step} of {cfg.n_steps} "
+              f"(t={step * cfg.dt:.6g}) at alpha {_alpha_str(alpha)}, mode {args.mode}; "
+              f"nothing written", file=sys.stderr)
+        return 1
 
     err_l2l2 = err_h1 = ""
     t_fom = ""

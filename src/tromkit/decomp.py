@@ -49,6 +49,12 @@ mode's MTTKRP is then that partial contracted with the other left factors.
 The right modes update the same way from a partial of the freshly updated
 left factors.  In exact arithmetic the iterates are those of one unfolding
 and one dense Khatri-Rao product per mode (Kolda & Bader, SIAM Review 2009).
+Each mode's rank x rank normal equations, whose matrix is the Hadamard
+product of the other modes' Gram matrices, are solved by one Cholesky
+``dposv``.  The reciprocal condition number of the Cholesky factor is then
+estimated with ``dpocon``; below ``sqrt(u)``, or when the factorisation
+fails, the update falls back to ``np.linalg.lstsq`` with ``rcond=None``,
+which gives the minimum-norm solution for a rank-deficient Gram matrix.
 """
 from __future__ import annotations
 
@@ -56,6 +62,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpocon, dposv
 
 from .tensors import frobenius_norm, refold, unfold
 
@@ -336,6 +343,24 @@ def _half_mttkrp(partial: np.ndarray, mats: list[np.ndarray], k: int) -> np.ndar
     return np.einsum(*ops, [k, h])
 
 
+# A Cholesky solve of the normal equations is kept only when the estimated
+# reciprocal condition number of the factor is at least sqrt(u); a singular
+# Gram matrix can factor with info 0 and still give a solution that is off by
+# orders of magnitude, where ``lstsq`` returns the minimum-norm one.
+_CHOL_RCOND = math.sqrt(np.finfo(np.float64).eps)
+
+
+def _solve_normal(gram: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """``x`` with ``gram @ x = rhs`` for a symmetric positive semi-definite
+    ``gram``, by Cholesky unless its factor fails the ``_CHOL_RCOND`` check."""
+    chol, x, info = dposv(gram, rhs)
+    if info == 0:
+        rcond, info = dpocon(chol, np.linalg.norm(gram, 1))
+        if info == 0 and rcond >= _CHOL_RCOND:
+            return x
+    return np.linalg.lstsq(gram, rhs, rcond=None)[0]
+
+
 def cp_als(
     t: np.ndarray,
     rank: int,
@@ -349,9 +374,14 @@ def cp_als(
     Stops when the relative-error improvement between sweeps drops below
     ``tol`` or after ``max_sweeps``.  Non-convergence is reported through the
     ``converged`` flag, not raised.  The factors start from seeded uniform
-    draws on [-1, 1].  Returns the part, whose space and time factors are
-    QR-factorised into ``basis``/``r_left`` and ``time_factor``/``r_right``,
-    and the fit: ``rel_error``, ``sweeps`` and ``converged``.
+    draws on [-1, 1].  Each mode update solves its rank x rank normal
+    equations by Cholesky (``dposv``); when the factor's condition estimate
+    (``dpocon``) is below ``_CHOL_RCOND``, or the matrix is not numerically
+    positive definite, it falls back to ``np.linalg.lstsq`` with
+    ``rcond=None``, which handles rank-deficient Gram matrices.  Returns the
+    part, whose space and time factors are QR-factorised into
+    ``basis``/``r_left`` and ``time_factor``/``r_right``, and the fit:
+    ``rel_error``, ``sweeps`` and ``converged``.
     """
     t = np.ascontiguousarray(t, dtype=np.float64)
     if t.ndim < 2:
@@ -391,7 +421,7 @@ def cp_als(
                     if j != k:
                         gram *= grams[j]
                 mttkrp = _half_mttkrp(partial, factors[lo:hi], k - lo)
-                factors[k] = np.linalg.lstsq(gram, mttkrp.T, rcond=None)[0].T
+                factors[k] = _solve_normal(gram, mttkrp.T).T
                 grams[k] = factors[k].T @ factors[k]
 
         # Error from the last mode's normal-equation pieces; no dense rebuild.

@@ -23,7 +23,7 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from . import store
-from .grids import GridAxis, ParameterGrid, uniform_axis
+from .grids import ParameterGrid, uniform_axis
 from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
                        integrate_full)
 

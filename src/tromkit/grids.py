@@ -2,7 +2,7 @@
 Lagrange weight vectors used to interpolate between grid nodes."""
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

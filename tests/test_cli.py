@@ -109,6 +109,19 @@ class TestOffline:
         assert row["format"] == "tt"
         assert float(row["cf_u"]) >= 1.0
         assert float(row["err_u"]) <= 1e-3
+        assert row["cp_sweeps"] == row["cp_converged"] == ""
+
+    def test_cp_report_row_carries_the_fit(self, workdir, tmp_path):
+        _, snap = workdir
+        art_path, report = tmp_path / "cp.trbl", tmp_path / "cp.csv"
+        assert run("offline", "--snapshots", snap, "--format", "cp", "--cp-rank", "3",
+                   "--out", art_path, "--report", report) == 0
+        fit = trom.load_artifact(art_path).cp_fit
+        header, rows = read_csv(report)
+        row = dict(zip(header, rows[0]))
+        assert row["cp_sweeps"] == f"{fit['u']['sweeps']}-{fit['f']['sweeps']}"
+        assert row["cp_converged"] == (f"{int(fit['u']['converged'])}-"
+                                       f"{int(fit['f']['converged'])}")
 
     def test_artifact_loadable(self, workdir):
         root, _ = workdir
@@ -191,6 +204,33 @@ class TestQuery:
         assert float(row["t_basis"]) >= 0.0
         assert float(row["t_integrate"]) >= 0.0
         assert row["mode"] == "ls"
+
+    def test_non_finite_trajectory_fails_without_output(self, workdir, tmp_path,
+                                                        monkeypatch, capsys):
+        root, _ = workdir
+        solve = cli._solve_query
+
+        def blow_up(*args):
+            cfg, local, betas, states, t_basis, t_int = solve(*args)
+            betas = betas.copy()
+            betas[0, 6] = np.nan
+            return cfg, local, betas, states, t_basis, t_int
+        monkeypatch.setattr(cli, "_solve_query", blow_up)
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
+        out, m = tmp_path / "q.npz", tmp_path / "m.csv"
+        assert run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                   "--mode", "deim", "--out", out, "--metrics", m) == 1
+        err = capsys.readouterr().err
+        assert "from step 7 of 40 (t=" in err
+        assert "alpha 0.05;0.5, mode deim" in err
+        assert not out.exists() and not m.exists()
+
+    def test_finite_trajectory_exits_zero(self, workdir, tmp_path):
+        root, _ = workdir
+        out = tmp_path / "q.npz"
+        assert run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                   "--mode", "ls", "--no-reference", "--out", out) == 0
+        assert np.all(np.isfinite(np.load(out)["betas"]))
 
     @pytest.mark.parametrize("flags", [("--n-phi", "0"), ("--n-psi=-2",)])
     def test_nonpositive_dims_rejected(self, workdir, flags):

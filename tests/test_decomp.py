@@ -274,6 +274,37 @@ class TestCPALS:
         for got, want in zip(got_factors, ref_factors, strict=True):
             assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
 
+    # At rank 5 on (2, 2, 9) the mode-2 Gram matrix G0 * G1 has rank at most
+    # 4: a Cholesky solve can pass with info 0 there and still be far off, so
+    # the update must take the lstsq fallback, like the dense oracle.
+    @pytest.mark.parametrize("sweeps", [1, 25])
+    def test_rank_deficient_gram_matches_dense_sweep(self, sweeps):
+        t = random_tensor((2, 2, 9), seed=3)
+        ref_factors, _ = dense_cp_als(t, 5, sweeps, seed=7)
+        cp, fit = decomp.cp_als(t, 5, max_sweeps=sweeps, tol=0.0, seed=7)
+        assert fit["sweeps"] == sweeps
+        got_factors = (cp.basis @ cp.r_left, *cp.sigma_factors,
+                       cp.time_factor @ cp.r_right)
+        for got, want in zip(got_factors, ref_factors, strict=True):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("sweeps", [1, 25])
+    def test_rank_deficient_fit_error_at_cancellation_level(self, sweeps):
+        # the exact fit is 0 and the error formula cancels to about 1e-8
+        t = random_tensor((2, 2, 9), seed=3)
+        _, ref_err = dense_cp_als(t, 5, sweeps, seed=7)
+        _, fit = decomp.cp_als(t, 5, max_sweeps=sweeps, tol=0.0, seed=7)
+        assert fit["rel_error"] == pytest.approx(ref_err, abs=1e-6)
+
+    def test_well_conditioned_build_needs_no_lstsq(self, monkeypatch):
+        def no_lstsq(*args, **kwargs):
+            raise AssertionError("well-conditioned Gram matrices take the Cholesky solve")
+        monkeypatch.setattr(decomp.np.linalg, "lstsq", no_lstsq)
+        t = random_tensor((6, 5, 4), seed=18)
+        _, fit = decomp.cp_als(t, 4, max_sweeps=25, tol=0.0, seed=7)
+        assert fit["sweeps"] == 25
+        assert 0.0 < fit["rel_error"] < 1.0
+
     def test_exact_rank_two_recovery(self):
         rng = np.random.default_rng(12)
         factors = [rng.standard_normal((n, 2)) for n in (6, 5, 4)]
