@@ -2,16 +2,32 @@
 snapshot-tensor generation over a training grid.
 
 Both problems march with the one semi-implicit BDF2 loop of
-:mod:`tromkit.stepping` (BDF1 first step).  The phase-field model assembles
-its ``AffineOperator`` (``ac_affine``), the one the offline stage projects.
-The transport model hands the loop a banded solve, the one kept copy of the
-transport stencil: reading its bands from the assembled operators made a
-run about 10% slower at m=400 and 30% or more at m=40 (2-core machine, one
-BLAS thread), and FOM time is both sampling cost and the ROM/FOM speed-up's
-denominator.  A non-finite state raises ``FloatingPointError`` naming the
-first bad step and the parameter.  States are sampled at
-``t = dt .. T`` and the nonlinear-term snapshots are the values the stepping
-actually used, so one extra internal step past ``T`` feeds the final one.
+:mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time:
+``sample_snapshots`` makes one march per node of the first grid axis, over
+every node of the remaining axes, and writes each step straight into that
+slab of the snapshot tensors.  ``burgers_fom`` and ``allen_cahn_fom`` march
+the block of one run.
+
+* The phase-field runs of one width share the operator, its
+  ``AffineOperator`` (``ac_affine``), the one the offline stage projects: one
+  ``splu`` per shift per width and one multi-right-hand-side solve per step,
+  with the potential evaluated on the whole block through a per-run
+  asymmetry column.  It can round apart from one run's solve in the last
+  digits, since SuperLU then takes its multi-column kernels.
+* The transport model hands the loop a banded solve, the one kept copy of
+  the transport stencil: reading its bands from the assembled operators
+  made a run about 10% slower at m=400 and 30% or more at m=40 (2-core
+  machine, one BLAS thread), and FOM time is both sampling cost and the
+  ROM/FOM speed-up's denominator.  Each run's step matrix depends on its
+  own state, so a block stacks the runs into one tridiagonal system whose
+  coupling entries are exactly zero; one LAPACK ``gtsv`` per step then gives
+  every run the numbers of its own solve.
+
+A non-finite state raises ``FloatingPointError`` naming the first bad step
+and the parameter; a failed slab is marched again one node at a time to
+name the node.  States are sampled at ``t = dt .. T`` and the
+nonlinear-term snapshots are the values the stepping actually used, so one
+extra internal step past ``T`` feeds the final one.
 """
 from __future__ import annotations
 
@@ -25,7 +41,7 @@ import scipy.sparse as sp
 from . import store
 from .grids import ParameterGrid, uniform_axis
 from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
-                       integrate_full)
+                       _march_full, integrate_full)
 
 
 def _require_sizes(cfg, least_m: int) -> None:
@@ -99,7 +115,9 @@ def burgers_nonlinearity(cfg: BurgersConfig) -> AdvectiveTerm:
     return AdvectiveTerm(grad=grad)
 
 
-def burgers_initial_state(cfg: BurgersConfig, front: float) -> np.ndarray:
+def burgers_initial_state(cfg: BurgersConfig, front) -> np.ndarray:
+    """The step down at ``front``: a number, or a column (shape (..., 1)) of
+    one front per run."""
     return (cfg.nodes < front).astype(np.float64)
 
 
@@ -128,34 +146,50 @@ def burgers_fom(cfg: BurgersConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     transport with extrapolated coefficient), solved banded.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    nu, front = float(alpha[0]), float(alpha[1])
+    states = np.empty((cfg.m, cfg.n_steps))
+    f_vals = np.empty_like(states)
+    _burgers_march(cfg, alpha, states, f_vals)
+    _require_finite(states, "transport", alpha)
+    return states, f_vals
+
+
+def _burgers_march(cfg: BurgersConfig, alphas: np.ndarray, out: np.ndarray,
+                   f_out: np.ndarray) -> None:
+    """March the transport runs at ``alphas`` (shape (..., 2)) as one block,
+    writing run r's states and term values into ``out[r]`` and ``f_out[r]``
+    (each m x n_steps).
+
+    The runs' step matrices are stacked into one tridiagonal system whose
+    coupling entries are exactly zero, so one banded solve (LAPACK ``gtsv``)
+    per step gives every run the numbers of its own solve.  A non-finite run
+    spreads to the others through ``0 * NaN``.
+    """
     m, h = cfg.m, cfg.h
-    u0 = burgers_initial_state(cfg, front)
-
-    diff = nu / h**2
-    f_vals = np.empty((m, cfg.n_steps))
-    f_cols = iter(f_vals.T)     # column j-1 takes the term value of step j
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -diff
-
-    def grad_of(u):
-        gu = np.empty_like(u)
-        gu[0] = u[0] / h
-        gu[1:] = (u[1:] - u[:-1]) / h
-        return gu
+    u0 = burgers_initial_state(cfg, alphas[..., 1:2])
+    # per-entry band parts, so that a single run does array-array arithmetic
+    # only, as fast as with scalars
+    diff = np.broadcast_to(alphas[..., :1] / h**2, u0.shape)
+    diag = lru_cache(maxsize=None)(lambda c: c + 2.0 * diff)
+    lower = -diff[..., 1:]
+    f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
+    ab = np.zeros((3,) + u0.shape)
+    ab[0, ..., 1:] = lower
+    bands = ab.reshape(3, -1)
 
     def solve(c, w, rhs):
         coeff = u0 if w is None else w
-        ab[1, :] = c + 2.0 * diff + coeff / h
-        ab[2, :-1] = -diff - coeff[1:] / h
-        u_next = scipy.linalg.solve_banded((1, 1), ab, rhs, check_finite=False)
+        np.add(diag(c), coeff / h, out=ab[1])
+        np.subtract(lower, coeff[..., 1:] / h, out=ab[2, ..., :-1])
+        x = scipy.linalg.solve_banded((1, 1), bands, rhs.reshape(-1), check_finite=False)
         if w is not None:
-            next(f_cols)[:] = -w * grad_of(u_next)
-        return u_next
+            gu = np.empty_like(x)                   # the upwind gradient of each run
+            np.subtract(x[1:], x[:-1], out=gu[1:])
+            gu[::m] = x[::m]                        # a run's first node sees the Dirichlet zero
+            gu /= h
+            np.multiply(-w, gu.reshape(w.shape), out=next(f_cols))
+        return x.reshape(rhs.shape)
 
-    states = _bdf2(solve, u0, cfg.dt, cfg.n_steps, tail=True)
-    _require_finite(states, "transport", alpha)
-    return states, f_vals
+    _bdf2(solve, u0, cfg.dt, cfg.n_steps, tail=True, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,7 +266,9 @@ def potential_derivative(u: np.ndarray, asym: float) -> np.ndarray:
     return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u) + (asym / 10.0) * (4.0 * u**3 - 0.5)
 
 
-def ac_nonlinearity(cfg: AllenCahnConfig, asym: float) -> PointwiseTerm:
+def ac_nonlinearity(cfg: AllenCahnConfig, asym) -> PointwiseTerm:
+    """The potential term at asymmetry ``asym``: a number, or a column
+    (shape (..., 1)) that gives each run of a block its own."""
     return PointwiseTerm(fn=lambda u: -potential_derivative(u, asym))
 
 
@@ -298,15 +334,33 @@ def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
     """Stabilized BDF2 trajectory and nonlinear-term snapshots."""
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     if u0 is None:
-        u0 = ac_initial_state(cfg, _ac_class_probability(cfg, float(alpha[2])))
+        u0 = _ac_initial_block(cfg, alpha)
     if u0.size != cfg.n_dofs:
         raise ValueError(f"initial state has {u0.size} entries, expected {cfg.n_dofs}")
-    a_mat = ac_affine(cfg).assemble(alpha)
-    term = ac_nonlinearity(cfg, float(alpha[1]))
-    states, f_vals = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps,
-                                    stab=cfg.stabilization(cfg.dt))
+    states = np.empty((cfg.n_dofs, cfg.n_steps))
+    f_vals = np.empty_like(states)
+    _ac_march(cfg, alpha, u0, states, f_vals)
     _require_finite(states, "phase-field", alpha)
     return states, f_vals
+
+
+def _ac_initial_block(cfg: AllenCahnConfig, alphas: np.ndarray) -> np.ndarray:
+    """The initial states of the runs at ``alphas``, shape (..., M)."""
+    probs = alphas[..., 2].ravel()
+    states = [ac_initial_state(cfg, _ac_class_probability(cfg, float(p))) for p in probs]
+    return np.stack(states).reshape(alphas.shape[:-1] + (cfg.n_dofs,))
+
+
+def _ac_march(cfg: AllenCahnConfig, alphas: np.ndarray, u0: np.ndarray,
+              out: np.ndarray, f_out: np.ndarray) -> None:
+    """March the phase-field runs at ``alphas`` (shape (..., 3)), which share
+    the width and so the operator, as one block from ``u0`` (shape (..., M)),
+    writing run r's states and term values into ``out[r]`` and ``f_out[r]``:
+    one ``splu`` per shift, one multi-right-hand-side solve per step."""
+    a_mat = ac_affine(cfg).assemble(alphas.reshape(-1, alphas.shape[-1])[0])
+    term = ac_nonlinearity(cfg, alphas[..., 1:2])
+    _march_full(a_mat, term, np.asarray(u0, dtype=np.float64), cfg.dt, cfg.n_steps,
+                cfg.stabilization(cfg.dt), out, f_out)
 
 
 # ---------------------------------------------------------------------------
@@ -383,20 +437,49 @@ class SnapshotSet:
 
 
 def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
-    """Run the full-order model at every grid node and pack the tensors."""
+    """Run the full-order model at every grid node and pack the tensors.
+
+    The runs at one node of the first axis march together as one block and
+    write their steps straight into that slab of both tensors.  When a slab
+    fails, its nodes are marched again one at a time, so that the error
+    names the first node that fails on its own: in the transport block a
+    non-finite run spreads to the others.
+    """
     m = cfg.m if isinstance(cfg, BurgersConfig) else cfg.n_dofs
     shape = (m,) + grid.shape + (cfg.n_steps,)
     u_tensor = np.empty(shape)
     f_tensor = np.empty(shape)
-    for mi, alpha in grid.points():
+    rest = [ax.nodes for ax in grid.axes[1:]]
+    for i, first in enumerate(grid.axes[0].nodes):
+        # the slab's parameters, K_2 x .. x K_D x D; then its views into the
+        # tensors with the run axes first, then space and time
+        alphas = np.stack(np.meshgrid([first], *rest, indexing="ij"), axis=-1)[0]
+        out, f_out = (np.moveaxis(t[:, i], 0, -2) for t in (u_tensor, f_tensor))
         try:
-            u_traj, f_traj = run_fom(cfg, alpha)
+            if isinstance(cfg, BurgersConfig):
+                _burgers_march(cfg, alphas, out, f_out)
+            else:
+                _ac_march(cfg, alphas, _ac_initial_block(cfg, alphas), out, f_out)
+            cause = None if np.isfinite(out).all() else FloatingPointError(
+                f"non-finite state in the slab at alpha[0]={first}")
+        except Exception as exc:
+            cause = exc
+        if cause is not None:
+            _raise_first_failure(cfg, alphas.reshape(-1, grid.ndim), cause)
+    return SnapshotSet(u_tensor=u_tensor, f_tensor=f_tensor, grid=grid, config=cfg)
+
+
+def _raise_first_failure(cfg: ProblemConfig, alphas: np.ndarray,
+                         cause: Exception) -> None:
+    """Run the nodes of a failed slab one at a time and raise for the first
+    that fails on its own."""
+    for alpha in alphas:
+        try:
+            run_fom(cfg, alpha)
         except Exception as exc:
             raise RuntimeError(f"full-order run failed at alpha={alpha.tolist()}") from exc
-        sl = (slice(None),) + mi + (slice(None),)
-        u_tensor[sl] = u_traj
-        f_tensor[sl] = f_traj
-    return SnapshotSet(u_tensor=u_tensor, f_tensor=f_tensor, grid=grid, config=cfg)
+    raise RuntimeError(f"full-order runs failed together at alphas={alphas.tolist()}, "
+                       "but each ran on its own") from cause
 
 
 def save_snapshots(path, snaps: SnapshotSet) -> None:

@@ -5,15 +5,23 @@ term is ``(2 x_j - x_{j-1} / 2) / dt`` and whose nonlinearity is treated at
 the extrapolation ``2 y_j - y_{j-1}`` of an observation y of the state.  The
 observation is the state itself for the full-order models and the selected
 rows ``sel_state @ beta`` for the reduced systems, whose extrapolation
-starts from the exact initial-state entries.  A solver differs from another
-only in the per-step solve callback it hands to the loop:
+starts from the exact initial-state entries.
 
-* pointwise full order -- a cached ``splu`` of the constant step matrix
-  (the phase-field FOM assembles it from its ``AffineOperator``);
+The state may have any shape, and the loop writes each step into a
+caller-given ``out`` view.  The full-order models march a block of runs, the
+nodes that share a node of the first grid axis, straight into that slab of
+the snapshot tensors; a single run is the block of one.  A solver differs
+from another only in the per-step solve callback it hands to the loop:
+
+* pointwise full order -- a cached ``splu`` of the constant step matrix per
+  shift (the phase-field FOM assembles it from its ``AffineOperator``); the
+  runs of one width share it, so a step is one multi-right-hand-side solve;
 * advective full order -- ``spsolve`` with the extrapolated transport
   coefficient.  ``fom.burgers_fom`` passes a banded solve instead, the one
   kept copy of the transport stencil, since reading its bands from the
-  assembled operators slows every FOM run;
+  assembled operators slows every FOM run.  Each run's step matrix depends
+  on its own state, so a block stacks them into one tridiagonal system with
+  exactly zero coupling entries and takes one banded solve per step;
 * reduced pointwise -- the inverse of the constant rank-sized step matrix,
   formed once per shift with ``f_map`` folded into it, so a step is two
   matrix-vector products;
@@ -83,8 +91,14 @@ class AdvectiveTerm:
 
 
 def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
-          observe=None, y0: np.ndarray | None = None, tail: bool = False) -> np.ndarray:
-    """March x_1 .. x_{n_steps}; returns them as the columns of an array.
+          observe=None, y0: np.ndarray | None = None, tail: bool = False,
+          out: np.ndarray | None = None) -> np.ndarray:
+    """March x_1 .. x_{n_steps} into ``out[..., j-1]`` and return ``out``.
+
+    The state may have any shape, for example a block of runs that step
+    together; ``out`` has its shape plus a trailing time axis and may be a
+    view into a larger array (one grid slab of a snapshot tensor).  It is
+    allocated when not given.
 
     ``solve(c, w, rhs)`` returns the solution of the step with diagonal shift
     ``c`` (``1/dt + stab`` for the BDF1 start, ``1.5/dt + stab`` after) and
@@ -96,12 +110,13 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
     ``tail`` launches one more step past the last stored state, so that the
     full-order solvers can record its term value; its solution is dropped.
     """
-    states = np.empty((x0.size, n_steps))
+    if out is None:
+        out = np.empty(x0.shape + (n_steps,))
     identity = observe is None
     c = 1.0 / dt + stab
     x_prev, x_curr = x0, solve(c, None, c * x0)
     y_prev, y_curr = (x_prev, x_curr) if identity else (y0, observe(x_curr))
-    states[:, 0] = x_curr
+    out[..., 0] = x_curr
     c = 1.5 / dt + stab
     for j in range(1, n_steps + tail):
         w = 2.0 * y_curr - y_prev
@@ -112,9 +127,9 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
         if j == n_steps:
             break
         x_prev, x_curr = x_curr, x_next
-        states[:, j] = x_curr
+        out[..., j] = x_curr
         y_prev, y_curr = y_curr, (x_curr if identity else observe(x_curr))
-    return states
+    return out
 
 
 def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
@@ -126,11 +141,25 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
     extra internal step past the last stored state supplies the final
     f-snapshot, mirroring how the snapshots are defined.
     """
-    a_mat = sp.csr_matrix(a_mat)
     u0 = np.asarray(u0, dtype=np.float64)
-    eye = sp.identity(u0.size, format="csr")
-    f_vals = np.empty((u0.size, n_steps))
-    f_cols = iter(f_vals.T)     # column j-1 takes the term value of step j
+    states = np.empty(u0.shape + (n_steps,))
+    f_vals = np.empty_like(states)
+    _march_full(a_mat, term, u0, dt, n_steps, stab, states, f_vals)
+    return states, f_vals
+
+
+def _march_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: int,
+                stab: float, out: np.ndarray, f_out: np.ndarray) -> None:
+    """``integrate_full`` into the given ``out`` and ``f_out`` views.
+
+    For the pointwise form ``u0`` may be a block of runs that share
+    ``a_mat``, shape (..., M): each step is one multi-right-hand-side solve
+    with the shift's ``splu``, and ``term.fn`` sees the whole block.
+    """
+    a_mat = sp.csr_matrix(a_mat)
+    size = u0.shape[-1]
+    eye = sp.identity(size, format="csr")
+    f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
 
     if isinstance(term, PointwiseTerm):
         factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
@@ -139,7 +168,9 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
             f = term.fn(u0 if w is None else w)
             if w is not None:
                 next(f_cols)[:] = f
-            return factor(c).solve(rhs + f)
+            g = rhs + f
+            # runs as the columns of one Fortran-ordered right-hand side
+            return factor(c).solve(g.reshape(-1, size).T).T.reshape(g.shape)
 
     elif isinstance(term, AdvectiveTerm):
         if stab != 0.0:
@@ -155,7 +186,7 @@ def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
 
     else:
         raise TypeError(f"unsupported nonlinearity {type(term)!r}")
-    return _bdf2(solve, u0, dt, n_steps, stab=stab, tail=True), f_vals
+    _bdf2(solve, u0, dt, n_steps, stab=stab, tail=True, out=out)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -243,14 +245,52 @@ class TestSampling:
         snaps = fom.sample_snapshots(cfg, grid)
         assert snaps.u_tensor.shape == (20, 1, 1, 10)
 
+    @staticmethod
+    def assert_slabs_match_runs(cfg, grid, snaps, exact):
+        for mi, alpha in grid.points():
+            sl = (slice(None),) + mi
+            for slab, ref in zip((snaps.u_tensor[sl], snaps.f_tensor[sl]), fom.run_fom(cfg, alpha)):
+                if exact:
+                    assert np.array_equal(slab, ref), mi
+                else:
+                    assert np.max(np.abs(slab - ref)) <= 1e-13 * np.max(np.abs(ref)), mi
+
     def test_slab_equals_standalone_run_bitwise(self, small_burgers):
+        # the runs of a first-axis node march as one block, whose stacked
+        # tridiagonal system has exactly zero coupling entries, so the banded
+        # solve gives every run the numbers of its own solve
         cfg, grid, snaps = small_burgers
-        mi = (2, 1)
-        u_ref, f_ref = fom.burgers_fom(cfg, grid.node(mi))
-        sl = (slice(None),) + mi
-        slab_u, slab_f = snaps.u_tensor[sl], snaps.f_tensor[sl]
-        assert np.array_equal(slab_u, u_ref)
-        assert np.array_equal(slab_f, f_ref)
+        edge = fom.burgers_grid(cfg, (1, 4))
+        for grid, snaps in ((grid, snaps), (edge, fom.sample_snapshots(cfg, edge))):
+            self.assert_slabs_match_runs(cfg, grid, snaps, exact=True)
+
+    def test_phase_field_slab_matches_standalone_run(self, tiny_ac):
+        # the runs of a width share one multi-right-hand-side solve, which may
+        # round apart from a one-column solve; a slab of one run is the same
+        # solve as a standalone run
+        cfg, grid, snaps = tiny_ac
+        self.assert_slabs_match_runs(cfg, grid, snaps, exact=False)
+        for shape in ((1, 2, 2), (2, 1, 1)):
+            grid = fom.ac_grid(cfg, shape)
+            self.assert_slabs_match_runs(cfg, grid, fom.sample_snapshots(cfg, grid),
+                                         exact=shape[1:] == (1, 1))
+
+    @pytest.mark.parametrize("cfg,shape", [
+        (fom.BurgersConfig(m=200, n_steps=50), (2, 8)),
+        (fom.AllenCahnConfig(m=12, n_steps=40), (2, 3, 3))], ids=["transport", "phase"])
+    def test_slabs_are_written_in_place(self, cfg, shape):
+        # a block that stepped into its own runs x M x N array and was then
+        # copied into the tensors would add a whole slab to the peak
+        grid = fom.default_grid(cfg, shape)
+        fom.sample_snapshots(cfg, grid)     # fills the initial-state cache
+        tracemalloc.start()
+        try:
+            snaps = fom.sample_snapshots(cfg, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        extra = peak - snaps.u_tensor.nbytes - snaps.f_tensor.nbytes
+        assert extra < snaps.u_tensor[:, 0].nbytes / 2
 
     def test_desk_shape(self):
         cfg = fom.BurgersConfig(m=100, n_steps=100)
@@ -287,23 +327,41 @@ class TestSampling:
         assert np.array_equal(loaded.f_tensor, snaps.f_tensor)
         assert loaded.config == cfg
 
-    def test_failure_identifies_grid_point(self):
-        cfg = fom.AllenCahnConfig(m=6, n_steps=4)
-        grid = fom.ac_grid(cfg, (1, 1, 1))
+    def test_failure_identifies_grid_point(self, monkeypatch):
+        # a NaN initial state at the second node of each slab; in the stacked
+        # transport solve it spreads to every run of the slab, so the slab's
+        # nodes are run again one at a time to name the one at fault
+        cfg = fom.BurgersConfig(m=20, n_steps=6)
+        grid = fom.burgers_grid(cfg, (2, 3))
+        bad_front = grid.axes[1].nodes[1]
+        real_burgers = fom.burgers_initial_state
 
-        real_run = fom.run_fom
+        def poisoned_burgers(cfg_, front):
+            return np.where(np.asarray(front) == bad_front, np.nan, real_burgers(cfg_, front))
 
-        def boom(cfg_, alpha):
-            raise FloatingPointError("synthetic")
+        ac_cfg = fom.AllenCahnConfig(m=6, n_steps=4)
+        ac_grid = fom.ac_grid(ac_cfg, (2, 2, 2))
+        bad_p = fom._ac_class_probability(ac_cfg, ac_grid.axes[2].nodes[1])
+        real_ac = fom.ac_initial_state
 
-        fom_run = fom.run_fom
-        try:
-            fom.run_fom = boom
-            with pytest.raises(RuntimeError, match="alpha="):
-                fom.sample_snapshots(cfg, grid)
-        finally:
-            fom.run_fom = fom_run
-        assert fom.run_fom is real_run
+        def poisoned_ac(cfg_, p_high):
+            state = real_ac(cfg_, p_high)
+            return np.full_like(state, np.nan) if p_high == bad_p else state
+
+        for cfg, grid, name, poisoned in (
+                (cfg, grid, "burgers_initial_state", poisoned_burgers),
+                (ac_cfg, ac_grid, "ac_initial_state", poisoned_ac)):
+            named = grid.node((0,) * (grid.ndim - 1) + (1,))
+            neighbour = grid.node((0,) * grid.ndim)
+            with monkeypatch.context() as patch:
+                patch.setattr(fom, name, poisoned)
+                with pytest.raises(RuntimeError) as info:
+                    fom.sample_snapshots(cfg, grid)
+            message = str(info.value)
+            assert message == f"full-order run failed at alpha={named.tolist()}"
+            assert str(neighbour.tolist()) not in message
+            assert isinstance(info.value.__cause__, FloatingPointError)
+            assert "at step 1 of" in str(info.value.__cause__)
 
 
 class TestAffineOperators:
