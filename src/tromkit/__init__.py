@@ -4,8 +4,7 @@ a benchmark harness."""
 
 from .decomp import cp_als, hosvd, relative_error, tt_svd
 from .deim import SelectionIndices, deim_select, selection_gain
-from .fom import (AllenCahnConfig, BurgersConfig, SnapshotSet, allen_cahn_fom,
-                  burgers_fom, sample_snapshots)
+from .fom import AllenCahnConfig, BurgersConfig, SnapshotSet, run_fom, sample_snapshots
 from .grids import GridAxis, ParameterGrid, interp_weights, uniform_axis
 from .pod import pod_offline, pod_solve
 from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm
@@ -19,9 +18,9 @@ __all__ = [
     "AdvectiveTerm", "AffineOperator", "AllenCahnConfig", "BurgersConfig",
     "GridAxis", "LocalROM", "OfflineArtifact", "ParameterGrid", "PointwiseTerm",
     "SelectionIndices", "SnapshotSet",
-    "allen_cahn_fom", "build_offline", "build_reduced_system", "burgers_fom",
+    "build_offline", "build_reduced_system",
     "cp_als", "deim_select", "frobenius_norm", "hosvd",
     "interp_weights", "load_artifact", "local_bases", "pod_offline", "pod_solve",
-    "relative_error", "sample_snapshots", "save_artifact",
+    "relative_error", "run_fom", "sample_snapshots", "save_artifact",
     "selection_gain", "trom_solve", "tt_svd", "unfold", "uniform_axis",
 ]

@@ -96,15 +96,10 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
     if "kind" not in spec:
         raise SystemExit("no problem selected; pass --problem or a config file")
     flags = {}
-    for field, flag in (("m", "m"), ("n_steps", "steps")):
+    for field, flag in (("m", "m"), ("n_steps", "steps"), ("seed", "seed")):
         if getattr(args, flag, None) is not None:
             spec[field] = getattr(args, flag)
             flags[field] = f"--{flag}"
-    if getattr(args, "seed", None) is not None:
-        if spec["kind"] != "allen_cahn":
-            raise SystemExit("--seed sets the random initial state of the phase "
-                             "field only; the transport problem takes none")
-        spec["seed"] = args.seed
     if spec["kind"] == "burgers" and getattr(args, "paper_scale", False):
         spec.setdefault("m", 400)
         spec.setdefault("n_steps", 200)

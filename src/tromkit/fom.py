@@ -5,8 +5,7 @@ Both problems march with the one semi-implicit BDF2 loop of
 :mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time:
 ``sample_snapshots`` makes one march per node of the first grid axis, over
 every node of the remaining axes, and writes each step straight into that
-slab of the snapshot tensors.  ``burgers_fom`` and ``allen_cahn_fom`` march
-the block of one run.
+slab of the snapshot tensors.  ``run_fom`` marches the block of one run.
 
 * The phase-field runs of one width share the operator, its
   ``AffineOperator`` (``ac_affine``), the one the offline stage projects: one
@@ -31,7 +30,7 @@ extra internal step past ``T`` feeds the final one.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
 
 import numpy as np
@@ -76,9 +75,14 @@ class BurgersConfig:
     front_range: tuple[float, float] = (0.2, 0.8)
 
     kind = "burgers"
+    run_name = "transport"
 
     def __post_init__(self):
         _require_sizes(self, least_m=3)    # the upwind stencil's minimum
+
+    @property
+    def n_dofs(self) -> int:
+        return self.m
 
     @property
     def dt(self) -> float:
@@ -137,20 +141,6 @@ def _require_finite(states: np.ndarray, run: str, alpha: np.ndarray) -> None:
         raise FloatingPointError(
             f"non-finite state in {run} run at step {step} "
             f"of {states.shape[1]}, alpha={alpha.tolist()}")
-
-
-def burgers_fom(cfg: BurgersConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
-    """Trajectory and nonlinear-term snapshots at one parameter point.
-
-    Per-step systems are tridiagonal (implicit diffusion plus implicit
-    transport with extrapolated coefficient), solved banded.
-    """
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    states = np.empty((cfg.m, cfg.n_steps))
-    f_vals = np.empty_like(states)
-    _burgers_march(cfg, alpha, states, f_vals)
-    _require_finite(states, "transport", alpha)
-    return states, f_vals
 
 
 def _burgers_march(cfg: BurgersConfig, alphas: np.ndarray, out: np.ndarray,
@@ -224,6 +214,7 @@ class AllenCahnConfig:
     pre_time: float = 1.0
 
     kind = "allen_cahn"
+    run_name = "phase-field"
 
     def __post_init__(self):
         _require_sizes(self, least_m=1)
@@ -329,38 +320,19 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     return out
 
 
-def allen_cahn_fom(cfg: AllenCahnConfig, alpha,
-                   u0: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilized BDF2 trajectory and nonlinear-term snapshots."""
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    if u0 is None:
-        u0 = _ac_initial_block(cfg, alpha)
-    if u0.size != cfg.n_dofs:
-        raise ValueError(f"initial state has {u0.size} entries, expected {cfg.n_dofs}")
-    states = np.empty((cfg.n_dofs, cfg.n_steps))
-    f_vals = np.empty_like(states)
-    _ac_march(cfg, alpha, u0, states, f_vals)
-    _require_finite(states, "phase-field", alpha)
-    return states, f_vals
-
-
-def _ac_initial_block(cfg: AllenCahnConfig, alphas: np.ndarray) -> np.ndarray:
-    """The initial states of the runs at ``alphas``, shape (..., M)."""
-    probs = alphas[..., 2].ravel()
-    states = [ac_initial_state(cfg, _ac_class_probability(cfg, float(p))) for p in probs]
-    return np.stack(states).reshape(alphas.shape[:-1] + (cfg.n_dofs,))
-
-
-def _ac_march(cfg: AllenCahnConfig, alphas: np.ndarray, u0: np.ndarray,
-              out: np.ndarray, f_out: np.ndarray) -> None:
+def _ac_march(cfg: AllenCahnConfig, alphas: np.ndarray, out: np.ndarray,
+              f_out: np.ndarray) -> None:
     """March the phase-field runs at ``alphas`` (shape (..., 3)), which share
-    the width and so the operator, as one block from ``u0`` (shape (..., M)),
+    the width and so the operator, as one block from their initial states,
     writing run r's states and term values into ``out[r]`` and ``f_out[r]``:
     one ``splu`` per shift, one multi-right-hand-side solve per step."""
+    probs = alphas[..., 2].ravel()
+    u0 = np.stack([ac_initial_state(cfg, _ac_class_probability(cfg, float(p)))
+                   for p in probs]).reshape(alphas.shape[:-1] + (cfg.n_dofs,))
     a_mat = ac_affine(cfg).assemble(alphas.reshape(-1, alphas.shape[-1])[0])
     term = ac_nonlinearity(cfg, alphas[..., 1:2])
-    _march_full(a_mat, term, np.asarray(u0, dtype=np.float64), cfg.dt, cfg.n_steps,
-                cfg.stabilization(cfg.dt), out, f_out)
+    _march_full(a_mat, term, u0, cfg.dt, cfg.n_steps, cfg.stabilization(cfg.dt),
+                out, f_out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +342,9 @@ def _ac_march(cfg: AllenCahnConfig, alphas: np.ndarray, u0: np.ndarray,
 ProblemConfig = BurgersConfig | AllenCahnConfig
 
 _PROBLEM_KINDS = {cls.kind: cls for cls in (BurgersConfig, AllenCahnConfig)}
+
+# the block march of each problem kind, the one way its full-order model runs
+_MARCHES = {BurgersConfig.kind: _burgers_march, AllenCahnConfig.kind: _ac_march}
 
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
@@ -383,6 +358,11 @@ def config_from_dict(d: dict) -> ProblemConfig:
     if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}; expected one of "
                          f"{', '.join(_PROBLEM_KINDS)}")
+    names = [f.name for f in fields(cls)]
+    unknown = [key for key in d if key not in names]
+    if unknown:
+        raise ValueError(f"{', '.join(unknown)} {'is' if len(unknown) == 1 else 'are'} "
+                         f"not among the fields of the {kind} problem: {', '.join(names)}")
     for key in ("nu_range", "front_range", "width_range", "asym_range", "bernoulli_range"):
         if key in d:
             d[key] = tuple(d[key])
@@ -409,9 +389,14 @@ def initial_state_for(cfg: ProblemConfig, alpha) -> np.ndarray:
 
 
 def run_fom(cfg: ProblemConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
-    if isinstance(cfg, BurgersConfig):
-        return burgers_fom(cfg, alpha)
-    return allen_cahn_fom(cfg, alpha)
+    """Trajectory and nonlinear-term snapshots (each n_dofs x n_steps) at one
+    parameter point: the block march of one run."""
+    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
+    states = np.empty((cfg.n_dofs, cfg.n_steps))
+    f_vals = np.empty_like(states)
+    _MARCHES[cfg.kind](cfg, alpha, states, f_vals)
+    _require_finite(states, cfg.run_name, alpha)
+    return states, f_vals
 
 
 def default_grid(cfg: ProblemConfig, shape=None) -> ParameterGrid:
@@ -445,10 +430,10 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
     names the first node that fails on its own: in the transport block a
     non-finite run spreads to the others.
     """
-    m = cfg.m if isinstance(cfg, BurgersConfig) else cfg.n_dofs
-    shape = (m,) + grid.shape + (cfg.n_steps,)
+    shape = (cfg.n_dofs,) + grid.shape + (cfg.n_steps,)
     u_tensor = np.empty(shape)
     f_tensor = np.empty(shape)
+    march = _MARCHES[cfg.kind]
     rest = [ax.nodes for ax in grid.axes[1:]]
     for i, first in enumerate(grid.axes[0].nodes):
         # the slab's parameters, K_2 x .. x K_D x D; then its views into the
@@ -456,10 +441,7 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
         alphas = np.stack(np.meshgrid([first], *rest, indexing="ij"), axis=-1)[0]
         out, f_out = (np.moveaxis(t[:, i], 0, -2) for t in (u_tensor, f_tensor))
         try:
-            if isinstance(cfg, BurgersConfig):
-                _burgers_march(cfg, alphas, out, f_out)
-            else:
-                _ac_march(cfg, alphas, _ac_initial_block(cfg, alphas), out, f_out)
+            march(cfg, alphas, out, f_out)
             cause = None if np.isfinite(out).all() else FloatingPointError(
                 f"non-finite state in the slab at alpha[0]={first}")
         except Exception as exc:

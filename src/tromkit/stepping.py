@@ -17,11 +17,12 @@ from another only in the per-step solve callback it hands to the loop:
   shift (the phase-field FOM assembles it from its ``AffineOperator``); the
   runs of one width share it, so a step is one multi-right-hand-side solve;
 * advective full order -- ``spsolve`` with the extrapolated transport
-  coefficient.  ``fom.burgers_fom`` passes a banded solve instead, the one
-  kept copy of the transport stencil, since reading its bands from the
-  assembled operators slows every FOM run.  Each run's step matrix depends
-  on its own state, so a block stacks them into one tridiagonal system with
-  exactly zero coupling entries and takes one banded solve per step;
+  coefficient.  The transport block march (``fom._burgers_march``) passes
+  a banded solve instead, the one kept copy of the transport stencil,
+  since reading its bands from the assembled operators slows every FOM
+  run.  Each run's step matrix depends on its own state, so a block stacks
+  them into one tridiagonal system with exactly zero coupling entries and
+  takes one banded solve per step;
 * reduced pointwise -- the inverse of the constant rank-sized step matrix,
   formed once per shift with ``f_map`` folded into it, so a step is two
   matrix-vector products;

@@ -52,7 +52,9 @@ class TestSample:
         assert manifest["config"]["seed"] == 7
 
     def test_seed_refused_on_transport(self, tmp_path):
-        with pytest.raises(SystemExit, match="phase field only"):
+        # the transport config has no seed field, and the refusal names the flag
+        with pytest.raises(SystemExit, match="^--seed 9: seed is not among the fields "
+                                             "of the burgers problem: "):
             run("sample", "--problem", "burgers", "--m", "20", "--steps", "5",
                 "--grid", "2x2", "--seed", "9", "--out", tmp_path / "b")
         assert not (tmp_path / "b").exists()
@@ -79,7 +81,11 @@ class TestSample:
         ({"kind": "allen_cahn", "m": 8.5}, "problem config: m must be an integer, got 8.5"),
         ({"kind": "burgers", "n_steps": True},
          "problem config: n_steps must be an integer, got True"),
-    ], ids=["unknown_kind", "float_m", "bool_steps"])
+        ({"kind": "burgers", "seed": 3},
+         "problem config: seed is not among the fields of the burgers problem: "),
+        ({"kind": "burgers", "nu": 0.1, "m": 20},
+         "problem config: nu is not among the fields of the burgers problem: "),
+    ], ids=["unknown_kind", "float_m", "bool_steps", "seed_on_transport", "typo"])
     def test_config_file_problem_refused(self, tmp_path, problem, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": problem, "grid": [2, 2, 2]}))

@@ -41,13 +41,13 @@ class TestBurgersOperators:
 class TestBurgersFom:
     def test_large_viscosity_dissipates(self):
         cfg = fom.BurgersConfig(m=80, n_steps=60)
-        states, _ = fom.burgers_fom(cfg, (0.5, 0.5))
+        states, _ = fom.run_fom(cfg, (0.5, 0.5))
         peaks = np.max(np.abs(states), axis=0)
         assert np.all(np.diff(peaks[2:]) <= 1e-12)
 
     def test_zero_initial_state_stays_zero(self):
         cfg = fom.BurgersConfig(m=30, n_steps=20)
-        states, f_vals = fom.burgers_fom(cfg, (0.1, cfg.h / 2))  # front before first node
+        states, f_vals = fom.run_fom(cfg, (0.1, cfg.h / 2))  # front before first node
         assert np.array_equal(states, np.zeros_like(states))
         assert np.array_equal(f_vals, np.zeros_like(f_vals))
 
@@ -56,7 +56,7 @@ class TestBurgersFom:
         diffs = []
         for m, n in ((49, 50), (99, 100), (199, 200)):
             cfg = fom.BurgersConfig(m=m, n_steps=n)
-            diffs.append(fom.burgers_fom(cfg, alpha)[0][:, -1])
+            diffs.append(fom.run_fom(cfg, alpha)[0][:, -1])
         # node sets nest: coarse node i sits at fine index 2i+1
         d12 = np.linalg.norm(diffs[0] - diffs[1][1::2]) / np.linalg.norm(diffs[1][1::2])
         d23 = np.linalg.norm(diffs[1] - diffs[2][1::2]) / np.linalg.norm(diffs[2][1::2])
@@ -70,7 +70,7 @@ class TestBurgersFom:
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
         ref_states, ref_f = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps)
-        states, f_vals = fom.burgers_fom(cfg, alpha)
+        states, f_vals = fom.run_fom(cfg, alpha)
         assert np.linalg.norm(states - ref_states) < 1e-11 * np.linalg.norm(ref_states)
         assert np.linalg.norm(f_vals - ref_f) < 1e-10 * np.linalg.norm(ref_f)
 
@@ -90,7 +90,7 @@ class TestBurgersFom:
         monkeypatch.setattr(fom.scipy.linalg, "solve_banded", poisoned)
         with pytest.raises(FloatingPointError,
                            match=r"transport run at step 4 of 10, alpha=\[0\.1, 0\.5\]"):
-            fom.burgers_fom(cfg, (0.1, 0.5))
+            fom.run_fom(cfg, (0.1, 0.5))
 
     def test_bdf2_contractive_without_forcing(self):
         # G-stability energy for the two-step scheme, forced term disabled
@@ -119,9 +119,12 @@ class TestAllenCahn:
         # beta_s must dominate half the potential curvature (|F''| <= 2 on
         # the wells) for the explicit treatment to be stable at this step
         cfg = fom.AllenCahnConfig(m=12, n_steps=10, beta_s=2.0)
+        alpha = (0.02, 0.0, 0.5)
+        a_mat = fom.ac_affine(cfg).assemble(alpha)
         for value in (0.0, 1.0):
-            states, _ = fom.allen_cahn_fom(cfg, (0.02, 0.0, 0.5),
-                                           u0=np.full(cfg.n_dofs, value))
+            states, _ = integrate_full(a_mat, fom.nonlinearity_for(cfg, alpha),
+                                       np.full(cfg.n_dofs, value), cfg.dt, cfg.n_steps,
+                                       stab=cfg.stabilization(cfg.dt))
             col = np.hstack([np.full((cfg.n_dofs, 1), value), states])
             assert np.max(np.abs(np.diff(col, axis=1))) < 1e-12
 
@@ -130,13 +133,19 @@ class TestAllenCahn:
         assert snaps.u_tensor.min() > -0.2
         assert snaps.u_tensor.max() < 1.2
 
-    def test_non_finite_step_is_named(self):
+    def test_non_finite_step_is_named(self, monkeypatch):
         cfg = fom.AllenCahnConfig(m=6, n_steps=5)
-        u0 = np.full(cfg.n_dofs, 0.5)
-        u0[7] = np.nan
+        real = fom.ac_initial_state
+
+        def poisoned(cfg_, p_high):
+            state = real(cfg_, p_high).copy()
+            state[7] = np.nan
+            return state
+
+        monkeypatch.setattr(fom, "ac_initial_state", poisoned)
         with pytest.raises(FloatingPointError,
                            match=r"phase-field run at step 1 of 5, alpha="):
-            fom.allen_cahn_fom(cfg, (0.02, 0.1, 0.5), u0=u0)
+            fom.run_fom(cfg, (0.02, 0.1, 0.5))
 
     def test_steps_with_the_projected_operator(self):
         # the FOM steps with the assembled AffineOperator the offline stage
@@ -148,7 +157,7 @@ class TestAllenCahn:
                              fom.nonlinearity_for(cfg, alpha),
                              fom.initial_state_for(cfg, alpha), cfg.dt, cfg.n_steps,
                              stab=cfg.stabilization(cfg.dt))
-        got = fom.allen_cahn_fom(cfg, alpha)
+        got = fom.run_fom(cfg, alpha)
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     def test_potential_derivative_roots(self):
@@ -157,7 +166,7 @@ class TestAllenCahn:
 
     def test_golden_regression(self):
         cfg = fom.AllenCahnConfig(m=16, n_steps=20, seed=42)
-        states, f_vals = fom.allen_cahn_fom(cfg, (0.02, 0.15, 0.51))
+        states, f_vals = fom.run_fom(cfg, (0.02, 0.15, 0.51))
         final = states[:, -1]
         assert final.mean() == pytest.approx(0.455105763045975, abs=1e-10)
         assert np.linalg.norm(final) == pytest.approx(9.91246620486959, abs=1e-8)
@@ -217,11 +226,13 @@ class TestInitialStateClasses:
             alpha = [0.015, 0.1, p]
             fom.ac_initial_state.cache_clear()
             got = fom.initial_state_for(cfg, alpha)
-            got_fom = fom.allen_cahn_fom(cfg, alpha)
+            got_fom = fom.run_fom(cfg, alpha)
             fom.ac_initial_state.cache_clear()
             direct = fom.ac_initial_state(cfg, p)
             assert np.array_equal(got, direct), name
-            ref = fom.allen_cahn_fom(cfg, alpha, u0=np.array(direct))
+            ref = integrate_full(fom.ac_affine(cfg).assemble(alpha),
+                                 fom.nonlinearity_for(cfg, alpha), np.array(direct),
+                                 cfg.dt, cfg.n_steps, stab=cfg.stabilization(cfg.dt))
             assert all(np.array_equal(a, b) for a, b in zip(got_fom, ref)), name
 
     def test_two_probabilities_of_one_class_relax_once(self):
@@ -363,6 +374,35 @@ class TestSampling:
             assert isinstance(info.value.__cause__, FloatingPointError)
             assert "at step 1 of" in str(info.value.__cause__)
 
+    @pytest.mark.parametrize("fault", ["raises", "non_finite"])
+    def test_slab_failure_that_no_node_repeats_is_named(self, monkeypatch, fault):
+        # the banded solve fails only for stacked blocks, so every node of the
+        # first slab runs on its own and the slab's own error is the cause
+        cfg = fom.BurgersConfig(m=20, n_steps=6)
+        grid = fom.burgers_grid(cfg, (2, 3))
+        banded = fom.scipy.linalg.solve_banded
+        slab_error = np.linalg.LinAlgError("stacked solve failed")
+
+        def poisoned(l_and_u, ab, b, **kwargs):
+            if b.size == cfg.m:
+                return banded(l_and_u, ab, b, **kwargs)
+            if fault == "raises":
+                raise slab_error
+            return np.full_like(b, np.nan)
+
+        monkeypatch.setattr(fom.scipy.linalg, "solve_banded", poisoned)
+        with pytest.raises(RuntimeError) as info:
+            fom.sample_snapshots(cfg, grid)
+        first_slab = [grid.node((0, j)).tolist() for j in range(3)]
+        assert str(info.value) == (f"full-order runs failed together at alphas={first_slab}, "
+                                   "but each ran on its own")
+        if fault == "raises":
+            assert info.value.__cause__ is slab_error
+        else:
+            assert isinstance(info.value.__cause__, FloatingPointError)
+            assert str(info.value.__cause__) == ("non-finite state in the slab at "
+                                                 f"alpha[0]={grid.axes[0].nodes[0]}")
+
 
 class TestAffineOperators:
     def test_burgers_affine_assembles_viscosity_scaling(self):
@@ -410,10 +450,19 @@ class TestConfigSerialization:
                                              f"got {value}$"):
             fom.config_from_dict({"kind": kind, field: value})
 
+    @pytest.mark.parametrize("d,named", [
+        ({"kind": "burgers", "seed": 3}, "seed is"),
+        ({"kind": "allen_cahn", "nu": 0.1, "m": 4, "sead": 2}, "nu, sead are")],
+        ids=["seed_on_transport", "typos"])
+    def test_unknown_fields_refused(self, d, named):
+        with pytest.raises(ValueError, match=f"^{named} not among the fields of the "
+                                             f"{d['kind']} problem: m, n_steps, "):
+            fom.config_from_dict(d)
+
     def test_least_sizes_accepted(self):
-        assert fom.burgers_fom(fom.BurgersConfig(m=3, n_steps=1), (0.1, 0.5))[0].shape == (3, 1)
+        assert fom.run_fom(fom.BurgersConfig(m=3, n_steps=1), (0.1, 0.5))[0].shape == (3, 1)
         cfg = fom.AllenCahnConfig(m=1, n_steps=1, pre_steps=1)
-        assert fom.allen_cahn_fom(cfg, (0.02, 0.1, 0.51))[0].shape == (1, 1)
+        assert fom.run_fom(cfg, (0.02, 0.1, 0.51))[0].shape == (1, 1)
 
 
 class TestDefaultGrid:

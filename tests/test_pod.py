@@ -111,7 +111,7 @@ class TestPodSolve:
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.m, cfg.m,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.07, 0.55])
-        u_ref, _ = fom.burgers_fom(cfg, alpha)
+        u_ref, _ = fom.run_fom(cfg, alpha)
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
         _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
@@ -128,7 +128,7 @@ class TestPodSolve:
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.n_dofs, cfg.n_dofs,
                               a_op=fom.ac_affine(cfg))
         alpha = grid.node((1, 0, 1)) if alpha == "node" else np.array(alpha)
-        u_ref, _ = fom.allen_cahn_fom(cfg, alpha)
+        u_ref, _ = fom.run_fom(cfg, alpha)
         _, states = pod.pod_solve(art, alpha, fom.nonlinearity_for(cfg, alpha),
                                   fom.initial_state_for(cfg, alpha), cfg.dt, cfg.n_steps,
                                   stab=cfg.stabilization(cfg.dt))
@@ -177,7 +177,7 @@ class TestPodSolve:
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 10, 20,
                               a_op=fom.burgers_affine(cfg))
         alpha = np.array([0.013, 0.633])
-        u_ref, _ = fom.burgers_fom(cfg, alpha)
+        u_ref, _ = fom.run_fom(cfg, alpha)
         term = fom.burgers_nonlinearity(cfg)
         u0 = fom.burgers_initial_state(cfg, alpha[1])
         _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
