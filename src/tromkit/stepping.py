@@ -1,36 +1,41 @@
-"""One semi-implicit BDF2 loop behind every solver, full-order and reduced.
+"""One semi-implicit BDF2 scheme behind every solver, full-order and reduced.
 
 ``_bdf2`` holds the recurrence: a BDF1 start, then BDF2 steps whose history
 term is ``(2 x_j - x_{j-1} / 2) / dt`` and whose nonlinearity is treated at
-the extrapolation ``2 y_j - y_{j-1}`` of an observation y of the state.  The
-observation is the state itself for the full-order models and the selected
-rows ``sel_state @ beta`` for the reduced systems, whose extrapolation
-starts from the exact initial-state entries.
+the extrapolation ``2 y_j - y_{j-1}`` of an observation y of the state.  It
+is the full-order march, and the tests use it as the oracle of the reduced
+march.
 
 The state may have any shape, and the loop writes each step into a
 caller-given ``out`` view.  The full-order models march a block of runs, the
 nodes that share a node of the first grid axis, straight into that slab of
-the snapshot tensors; a single run is the block of one.  A solver differs
-from another only in the per-step solve callback it hands to the loop:
+the snapshot tensors; a single run is the block of one.  A full-order solver
+differs from another only in the per-step solve callback it hands to the
+loop:
 
-* pointwise full order -- a cached ``splu`` of the constant step matrix per
-  shift (the phase-field FOM assembles it from its ``AffineOperator``); the
-  runs of one width share it, so a step is one multi-right-hand-side solve;
-* advective full order -- ``spsolve`` with the extrapolated transport
-  coefficient.  The transport block march (``fom._burgers_march``) passes
-  a banded solve instead, the one kept copy of the transport stencil,
-  since reading its bands from the assembled operators slows every FOM
-  run.  Each run's step matrix depends on its own state, so a block stacks
-  them into one tridiagonal system with exactly zero coupling entries and
-  takes one banded solve per step;
-* reduced pointwise -- the inverse of the constant rank-sized step matrix,
-  formed once per shift with ``f_map`` folded into it, so a step is two
-  matrix-vector products;
+* pointwise -- a cached ``splu`` of the constant step matrix per shift (the
+  phase-field FOM assembles it from its ``AffineOperator``); the runs of one
+  width share it, so a step is one multi-right-hand-side solve;
+* advective -- the transport block march (``fom._burgers_march``) passes a
+  banded solve, the one kept copy of the transport stencil.  Each run's step
+  matrix depends on its own state, so a block stacks them into one
+  tridiagonal system with exactly zero coupling entries and takes one
+  banded solve per step.
+
+``integrate_reduced`` marches the rank-sized coefficients by the same scheme
+into one history array, without a callback.  From the second BDF2 step on,
+one product with the last two history columns gives a step's right-hand
+side and extrapolation; the first BDF2 step extrapolates from the exact
+initial-state entries instead:
+
+* reduced pointwise -- the inverse of the constant step matrix, stacked with
+  the selected basis rows, so one product gives the linear part and the
+  extrapolated observation and a second adds ``f_map`` times the term;
 * reduced advective -- one LAPACK ``dgesv`` of the rank-sized step matrix,
   which changes with the extrapolated state.  The hyper-reduced transport
   term is linear in that state, so it is contracted once per query into an
   (n+1) x n^2 tensor and a step forms its matrix with one product against
-  the observed ``[beta; 0]`` (the last entry carries the initial state).
+  the extrapolated coefficients (the last row carries the initial state).
 
 Two nonlinearity shapes cover the test problems:
 
@@ -46,7 +51,6 @@ step ``j`` as the j-th f-snapshot; every integrator produces states at times
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable
@@ -87,9 +91,6 @@ class AdvectiveTerm:
 
     grad: sp.csr_matrix
 
-    def mixed(self, w: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return -w * (self.grad @ v)
-
 
 def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
           observe=None, y0: np.ndarray | None = None, tail: bool = False,
@@ -106,8 +107,10 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
     right-hand side ``rhs`` (history plus ``stab`` times the extrapolated
     state), adding its own nonlinearity: at the exact initial state when
     ``w`` is None (the start), otherwise at the extrapolated observation
-    ``w``.  ``observe`` maps a state to what the nonlinearity reads
-    (identity by default), ``y0`` being the exact observed initial state.
+    ``w``.  ``observe`` maps a state to what the nonlinearity reads,
+    ``y0`` being the exact observed initial state.  The full-order models
+    read the state itself (the default); the tests march a reduced system
+    through its selected rows as the oracle of ``integrate_reduced``.
     ``tail`` launches one more step past the last stored state, so that the
     full-order solvers can record its term value; its solution is dropped.
     """
@@ -135,12 +138,12 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
 
 def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
                    n_steps: int, stab: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
-    """Run the full-order scheme; returns (states, f_values), each M x n_steps.
+    """Run the pointwise full-order scheme; returns (states, f_values).
 
-    ``states[:, j-1]`` is the solution at t = j dt and ``f_values[:, j-1]``
-    the nonlinear-term value used by the BDF2 step launched from it.  One
-    extra internal step past the last stored state supplies the final
-    f-snapshot, mirroring how the snapshots are defined.
+    Each is M x n_steps: ``states[:, j-1]`` is the solution at t = j dt and
+    ``f_values[:, j-1]`` the nonlinear-term value used by the BDF2 step
+    launched from it.  One extra internal step past the last stored state
+    supplies the final f-snapshot, mirroring how the snapshots are defined.
     """
     u0 = np.asarray(u0, dtype=np.float64)
     states = np.empty(u0.shape + (n_steps,))
@@ -153,40 +156,27 @@ def _march_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: in
                 stab: float, out: np.ndarray, f_out: np.ndarray) -> None:
     """``integrate_full`` into the given ``out`` and ``f_out`` views.
 
-    For the pointwise form ``u0`` may be a block of runs that share
-    ``a_mat``, shape (..., M): each step is one multi-right-hand-side solve
-    with the shift's ``splu``, and ``term.fn`` sees the whole block.
+    ``u0`` may be a block of runs that share ``a_mat``, shape (..., M): each
+    step is one multi-right-hand-side solve with the shift's ``splu``, and
+    ``term.fn`` sees the whole block.
     """
+    if not isinstance(term, PointwiseTerm):
+        raise TypeError(f"unsupported nonlinearity {type(term)!r}; transport runs "
+                        "march through fom.run_fom")
     a_mat = sp.csr_matrix(a_mat)
     size = u0.shape[-1]
     eye = sp.identity(size, format="csr")
+    factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
     f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
 
-    if isinstance(term, PointwiseTerm):
-        factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
+    def solve(c, w, rhs):
+        f = term.fn(u0 if w is None else w)
+        if w is not None:
+            next(f_cols)[:] = f
+        g = rhs + f
+        # runs as the columns of one Fortran-ordered right-hand side
+        return factor(c).solve(g.reshape(-1, size).T).T.reshape(g.shape)
 
-        def solve(c, w, rhs):
-            f = term.fn(u0 if w is None else w)
-            if w is not None:
-                next(f_cols)[:] = f
-            g = rhs + f
-            # runs as the columns of one Fortran-ordered right-hand side
-            return factor(c).solve(g.reshape(-1, size).T).T.reshape(g.shape)
-
-    elif isinstance(term, AdvectiveTerm):
-        if stab != 0.0:
-            raise ValueError("stabilization shift applies to the pointwise form only")
-        g = term.grad
-
-        def solve(c, w, rhs):
-            coeff = u0 if w is None else w
-            u_next = spla.spsolve((c * eye - a_mat + sp.diags(coeff) @ g).tocsc(), rhs)
-            if w is not None:
-                next(f_cols)[:] = term.mixed(w, u_next)
-            return u_next
-
-    else:
-        raise TypeError(f"unsupported nonlinearity {type(term)!r}")
     _bdf2(solve, u0, dt, n_steps, stab=stab, tail=True, out=out)
 
 
@@ -263,58 +253,65 @@ def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
                       n_steps: int) -> np.ndarray:
     """Project the full-order scheme onto the reduced space; returns the
     coefficient trajectory, n x n_steps, at times dt .. n_steps*dt."""
-    n = beta0.size
+    n, stab = beta0.size, sys.stab
     eye = np.eye(n)
+    c1, c2 = 1.0 / dt + stab, 1.5 / dt + stab
+    c_c, c_p = 2.0 / dt + 2.0 * stab, -(0.5 / dt + stab)   # rhs c_c beta_j + c_p beta_{j-1}
+    hist = np.empty((n, n_steps + 1), order="F")    # column j is beta_j
+    hist[:, 0] = beta0
 
     if isinstance(sys.term, PointwiseTerm):
-        fn = sys.term.fn
-
-        @lru_cache(maxsize=None)
-        def inverse(c):
-            # The step matrix is constant for each shift c.  For the phase
-            # field a_red projects a negative semi-definite Laplacian, so the
-            # eigenvalues of c I - a_red are at least c and the explicit
-            # inverse is well conditioned.
-            inv = np.linalg.inv(c * eye - sys.a_red)
-            return inv, inv @ sys.f_map
-
-        def solve(c, w, rhs):
-            inv, inv_f_map = inverse(c)
-            if w is None:
-                return inv @ (rhs + sys.start)
-            return inv @ rhs + inv_f_map @ fn(w)
-
-        observe, y0 = sys.sel_state.__matmul__, sys.u0_sel
+        fn, sel = sys.term.fn, sys.sel_state
+        hist[:, 1] = np.linalg.solve(c1 * eye - sys.a_red, c1 * beta0 + sys.start)
+        if n_steps > 1:
+            # The step matrix is constant.  For the phase field a_red projects
+            # a negative semi-definite Laplacian, so the eigenvalues of
+            # c2 I - a_red are at least c2 and the explicit inverse is well
+            # conditioned.
+            inv = np.linalg.inv(c2 * eye - sys.a_red)
+            inv_f_map = inv @ sys.f_map
+            w = 2.0 * (sel @ hist[:, 1]) - sys.u0_sel
+            hist[:, 2] = inv @ (c_c * hist[:, 1] + c_p * beta0) + inv_f_map @ fn(w)
+            # times the pair [beta_{j-1}; beta_j]: the linear part and the
+            # extrapolated observation
+            stacked = np.block([[c_p * inv, c_c * inv], [-sel, 2.0 * sel]])
+            seq = hist.reshape(-1, order="F")       # a view: beta_0, beta_1, ...
+            for j in range(2, n_steps):
+                both = stacked @ seq[(j - 1) * n:(j + 1) * n]
+                np.add(both[:n], inv_f_map @ fn(both[n:]), out=hist[:, j + 1])
 
     elif isinstance(sys.term, AdvectiveTerm):
-        if sys.stab != 0.0:
+        if stab != 0.0:
             raise ValueError("stabilization shift applies to the pointwise form only")
-        shifted = lru_cache(maxsize=None)(lambda c: (c * eye - sys.a_red).ravel(order="F"))
         step_mat = np.empty((n, n), order="F")      # dgesv factors it in place
         flat = step_mat.reshape(n * n, order="F")   # a view, written by the products
-        steps = itertools.count(1)
 
-        def solve(c, w, rhs):
-            step = next(steps)
-            if w is None:
-                np.add(shifted(c), sys.start.ravel(order="F"), out=flat)
-            else:
-                np.add(np.dot(w, sys.transport, out=flat), shifted(c), out=flat)
+        def solve(step, rhs):
             _, _, x, info = dgesv(step_mat, rhs, overwrite_a=True)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"singular reduced step matrix at step {step} of {n_steps}, n={n} "
                     f"(dgesv info={info})")
-            return x
+            hist[:, step] = x
 
-        # The observation [beta; 0] starts from e_{n+1}, so the first
-        # extrapolation is 2 sel_state beta_1 - u0_sel, as in the pointwise form.
-        zero = np.zeros(1)
-        y0 = np.append(np.zeros(n), 1.0)
-
-        def observe(beta):
-            return np.concatenate((beta, zero))
+        step_mat[:] = c1 * eye - sys.a_red + sys.start
+        solve(1, c1 * beta0)
+        shift = (c2 * eye - sys.a_red).ravel(order="F")
+        if n_steps > 1:
+            # The last transport row carries the initial state, so the first
+            # extrapolation is 2 sel_state beta_1 - u0_sel, as in the pointwise form.
+            flat[:] = np.append(2.0 * hist[:, 1], -1.0) @ sys.transport + shift
+            solve(2, c_c * hist[:, 1] + c_p * beta0)
+        head = sys.transport[:n]
+        coef = np.array([[-1.0, 2.0], [c_p, c_c]])
+        both = np.empty((2, n))                       # the extrapolation and the rhs
+        ext, rhs = both
+        pairs = hist.T                                # a view: row j is beta_j
+        for j in range(2, n_steps):
+            np.dot(coef, pairs[j - 1:j + 1], out=both)
+            np.add(np.dot(ext, head, out=flat), shift, out=flat)
+            solve(j + 1, rhs)
 
     else:
         raise TypeError(f"unsupported nonlinearity {type(sys.term)!r}")
-    return _bdf2(solve, beta0, dt, n_steps, stab=sys.stab, observe=observe, y0=y0)
+    return hist[:, 1:]

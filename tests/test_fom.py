@@ -3,9 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from tromkit import fom, store
-from tromkit.stepping import AdvectiveTerm, PointwiseTerm, integrate_full
+from tromkit import fom, stepping, store
+from tromkit.stepping import PointwiseTerm, integrate_full
 
 
 def burgers_diffusion(m, nu):
@@ -64,15 +65,35 @@ class TestBurgersFom:
         assert d23 < d12
 
     def test_matches_generic_sparse_stepper(self):
+        # the oracle: the BDF2 loop with a fresh sparse solve of the assembled
+        # step matrix c I - A + diag(w) G at every step
         cfg = fom.BurgersConfig(m=25, n_steps=15)
         alpha = (0.08, 0.6)
-        a_mat = fom.burgers_affine(cfg).assemble(alpha)
-        term = fom.burgers_nonlinearity(cfg)
+        a_mat = sp.csr_matrix(fom.burgers_affine(cfg).assemble(alpha))
+        grad = fom.burgers_nonlinearity(cfg).grad
         u0 = fom.burgers_initial_state(cfg, alpha[1])
-        ref_states, ref_f = integrate_full(a_mat, term, u0, cfg.dt, cfg.n_steps)
+        eye = sp.identity(cfg.m, format="csr")
+        ref_f = np.empty((cfg.m, cfg.n_steps))
+        f_cols = iter(ref_f.T)
+
+        def solve(c, w, rhs):
+            coeff = u0 if w is None else w
+            u_next = spla.spsolve((c * eye - a_mat + sp.diags(coeff) @ grad).tocsc(), rhs)
+            if w is not None:
+                next(f_cols)[:] = -w * (grad @ u_next)
+            return u_next
+
+        ref_states = stepping._bdf2(solve, u0, cfg.dt, cfg.n_steps, tail=True)
         states, f_vals = fom.run_fom(cfg, alpha)
         assert np.linalg.norm(states - ref_states) < 1e-11 * np.linalg.norm(ref_states)
         assert np.linalg.norm(f_vals - ref_f) < 1e-10 * np.linalg.norm(ref_f)
+
+    def test_generic_stepper_takes_pointwise_terms_only(self):
+        # transport runs march through run_fom's banded block solve
+        cfg = fom.BurgersConfig(m=10, n_steps=3)
+        with pytest.raises(TypeError, match="unsupported nonlinearity"):
+            integrate_full(burgers_diffusion(cfg.m, 0.1), fom.burgers_nonlinearity(cfg),
+                           np.zeros(cfg.m), cfg.dt, cfg.n_steps)
 
     def test_non_finite_step_is_named(self, monkeypatch):
         cfg = fom.BurgersConfig(m=20, n_steps=10)
@@ -479,13 +500,13 @@ class TestDefaultGrid:
 
 
 class TestAdvectiveTermShape:
-    def test_full_equals_mixed_diagonal(self):
-        # the full transport term -u * (G u) is the mixed form at w = v = u
+    def test_term_is_minus_state_times_upwind_difference(self):
+        # f(u) = -u * (G u) with G the upwind difference, Dirichlet zero inflow
         cfg = fom.BurgersConfig(m=10)
         term = fom.burgers_nonlinearity(cfg)
         u = np.random.default_rng(1).standard_normal(10)
         gu = np.concatenate(([u[0]], np.diff(u))) / cfg.h
-        assert np.allclose(term.mixed(u, u), -u * gu)
+        assert np.allclose(-u * (term.grad @ u), -u * gu)
         assert isinstance(term.grad, sp.csr_matrix)
 
     def test_built_once_per_config_and_read_only(self):

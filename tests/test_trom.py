@@ -27,9 +27,11 @@ def build_smooth(fmt="tt", eps=1e-10, cp_rank=None, seed=0, a_op=None):
             u, f, grid)
 
 
-def _assert_advective_step_matches_oracle(cfg, lifted, rows, a_red, f_map, alpha):
+def _assert_advective_step_matches_oracle(cfg, lifted, rows, a_red, f_map, alpha,
+                                          n_steps=None):
     """The contracted transport step against a fresh dense solve per step
     with the selected-row transport matrix formed independently."""
+    n_steps = cfg.n_steps if n_steps is None else n_steps
     term = fom.nonlinearity_for(cfg, alpha)
     sys, beta0 = stepping.reduced_system(lifted, rows, a_red, f_map, term,
                                          fom.initial_state_for(cfg, alpha))
@@ -40,9 +42,34 @@ def _assert_advective_step_matches_oracle(cfg, lifted, rows, a_red, f_map, alpha
         n = sys.start if w is None else f_map @ (w[:, None] * sel_grad)
         return np.linalg.solve(c * eye - a_red + n, rhs)
 
-    oracle = stepping._bdf2(solve, beta0, cfg.dt, cfg.n_steps,
+    oracle = stepping._bdf2(solve, beta0, cfg.dt, n_steps,
                             observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
-    got = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
+    got = stepping.integrate_reduced(sys, beta0, cfg.dt, n_steps)
+    assert got.shape == oracle.shape
+    assert np.all(np.isfinite(oracle))
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def _assert_pointwise_step_matches_oracle(cfg, art, alpha, mode, n_steps=None):
+    """The stacked-inverse step on a phase-field query against a fresh dense
+    solve of the shifted step matrix at every step."""
+    n_steps = cfg.n_steps if n_steps is None else n_steps
+    local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 8, 12), mode=mode)
+    stab = cfg.stabilization(cfg.dt)
+    assert stab != 0.0
+    sys, beta0 = stepping.reduced_system(
+        art.u_part.basis @ local.u_coords, local.used_rows, local.a_red, local.f_map,
+        fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha), stab)
+    eye = np.eye(beta0.size)
+
+    def solve(c, w, rhs):
+        f = sys.start if w is None else sys.f_map @ sys.term.fn(w)
+        return np.linalg.solve(c * eye - sys.a_red, rhs + f)
+
+    oracle = stepping._bdf2(solve, beta0, cfg.dt, n_steps, stab=stab,
+                            observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+    got = stepping.integrate_reduced(sys, beta0, cfg.dt, n_steps)
+    assert got.shape == oracle.shape
     assert np.all(np.isfinite(oracle))
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
@@ -401,26 +428,18 @@ class TestSolve:
         cfg, grid, snaps = tiny_ac
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
                                  eps=1e-6, a_op=fom.ac_affine(cfg))
-        alpha = np.array([0.017, 0.12, 0.507])
-        local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 8, 12),
-                                          mode=mode)
-        stab = cfg.stabilization(cfg.dt)
-        assert stab != 0.0
-        sys, beta0 = stepping.reduced_system(
-            art.u_part.basis @ local.u_coords, local.used_rows, local.a_red, local.f_map,
-            fom.nonlinearity_for(cfg, alpha), fom.initial_state_for(cfg, alpha), stab)
-        eye = np.eye(beta0.size)
+        _assert_pointwise_step_matches_oracle(cfg, art, np.array([0.017, 0.12, 0.507]), mode)
 
-        def solve(c, w, rhs):
-            # a fresh dense solve of the shifted step matrix at every step
-            f = sys.start if w is None else sys.f_map @ sys.term.fn(w)
-            return np.linalg.solve(c * eye - sys.a_red, rhs + f)
-
-        oracle = stepping._bdf2(solve, beta0, cfg.dt, cfg.n_steps, stab=stab,
-                                observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
-        got = stepping.integrate_reduced(sys, beta0, cfg.dt, cfg.n_steps)
-        assert np.all(np.isfinite(oracle))
-        assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("mode", ["ls", "deim"])
+    def test_short_pointwise_march_matches_per_step_solve(self, tiny_ac, mode, n_steps):
+        # the BDF1 start alone, then with the first BDF2 step: both come
+        # before the march's two-column recurrence
+        cfg, grid, snaps = tiny_ac
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-6, a_op=fom.ac_affine(cfg))
+        _assert_pointwise_step_matches_oracle(cfg, art, np.array([0.017, 0.12, 0.507]),
+                                              mode, n_steps)
 
     @pytest.mark.parametrize("mode", ["ls", "deim"])
     def test_advective_step_tensor_matches_per_step_solve(self, small_burgers, mode):
@@ -433,6 +452,20 @@ class TestSolve:
         _assert_advective_step_matches_oracle(
             cfg, art.u_part.basis @ local.u_coords, local.used_rows, local.a_red,
             local.f_map, alpha)
+
+    @pytest.mark.parametrize("n_steps", [1, 2])
+    @pytest.mark.parametrize("mode", ["ls", "deim"])
+    def test_short_advective_march_matches_per_step_solve(self, small_burgers, mode,
+                                                          n_steps):
+        cfg, grid, snaps = small_burgers
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
+                                 eps=1e-6, a_op=fom.burgers_affine(cfg))
+        alpha = np.array([0.05, 0.45])
+        local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 10, 14),
+                                          mode=mode)
+        _assert_advective_step_matches_oracle(
+            cfg, art.u_part.basis @ local.u_coords, local.used_rows, local.a_red,
+            local.f_map, alpha, n_steps)
 
     def test_pod_advective_step_tensor_matches_per_step_solve(self, small_burgers):
         cfg, grid, snaps = small_burgers
@@ -456,6 +489,36 @@ class TestSolve:
         assert not sys.start.any()
         with pytest.raises(np.linalg.LinAlgError, match=r"at step 2 of 9, n=6"):
             stepping.integrate_reduced(sys, beta0, cfg.dt, 9)
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_singular_advective_step_named_at_start_and_in_march(self, step):
+        # n = 1 and dt = 1/4: the shifts are 4 (BDF1) and 6 (BDF2), the
+        # history coefficients 8 and -2, and a_red = 6 cancels the BDF2 shift.
+        # A start term of 2 makes the BDF1 matrix 4 - 6 + 2 vanish.  With 6
+        # instead, beta_1 = beta_0 = 11/2, the first BDF2 matrix is
+        # 2 beta_1 + 1 = 12 and gives beta_2 = 11/4, so the extrapolation
+        # 2 beta_2 - beta_1 and with it the step-3 matrix vanish.
+        sys = stepping.ReducedSystem(
+            a_red=np.array([[6.0]]), f_map=np.eye(1), sel_state=np.eye(1),
+            u0_sel=np.ones(1), term=fom.burgers_nonlinearity(fom.BurgersConfig(m=10)),
+            start=np.array([[2.0 if step == 1 else 6.0]]),
+            transport=np.array([[1.0], [-1.0]]))
+        with pytest.raises(np.linalg.LinAlgError, match=rf"at step {step} of 5, n=1"):
+            stepping.integrate_reduced(sys, np.array([5.5]), 0.25, 5)
+
+    def test_blown_up_pointwise_march_returns_non_finite(self):
+        # A blow-up is data, not an error: the benchmark counts non-finite
+        # deim-mode trajectories as a known defect, so the march must hand
+        # them back without raising.
+        cubic = stepping.PointwiseTerm(fn=lambda u: u**3)
+        sys = stepping.ReducedSystem(
+            a_red=np.zeros((1, 1)), f_map=np.eye(1), sel_state=np.eye(1),
+            u0_sel=np.full(1, 10.0), term=cubic, start=np.full(1, 1e3), stab=1.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            betas = stepping.integrate_reduced(sys, np.full(1, 10.0), 0.1, 20)
+        assert betas.shape == (1, 20)
+        assert np.isfinite(betas[:, 0]).all()
+        assert not np.isfinite(betas[:, -1]).any()
 
     def test_artifact_without_operator_rejected(self):
         art, *_ = build_smooth()
