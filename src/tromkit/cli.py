@@ -16,10 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import decomp, fom, metrics, pod, trom
+from . import decomp, fom, pod, trom
 from .grids import ParameterGrid
 
 CSV_SCHEMA = "tromkit-csv-1"
+
+# the registered problems by the name ``--problem`` takes
+_PROBLEMS = {cls.cli_name: cls for cls in fom.PROBLEMS.values()}
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +95,7 @@ def _load_config(args) -> dict:
 def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
     spec = dict(file_cfg.get("problem", {}))
     if getattr(args, "problem", None):
-        spec["kind"] = {"burgers": "burgers", "allen-cahn": "allen_cahn"}[args.problem]
+        spec["kind"] = _PROBLEMS[args.problem].kind
     if "kind" not in spec:
         raise SystemExit("no problem selected; pass --problem or a config file")
     flags = {}
@@ -100,15 +103,12 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
         if getattr(args, flag, None) is not None:
             spec[field] = getattr(args, flag)
             flags[field] = f"--{flag}"
-    if spec["kind"] == "burgers" and getattr(args, "paper_scale", False):
-        spec.setdefault("m", 400)
-        spec.setdefault("n_steps", 200)
-    if spec["kind"] == "allen_cahn" and getattr(args, "paper_scale", False):
-        # Full tensors at this scale occupy roughly 2.6 GB in memory.
-        spec.setdefault("m", 150)
-        spec.setdefault("n_steps", 200)
     try:
-        return fom.config_from_dict(spec)
+        cfg = fom.config_from_dict(spec)
+        if getattr(args, "paper_scale", False):
+            # the problem's paper-scale sizes where no flag or file sets them
+            cfg = fom.config_from_dict({"m": cfg.paper_m, "n_steps": cfg.paper_steps} | spec)
+        return cfg
     except ValueError as exc:
         # the configs name the field first; say which flag set it
         field = next((f for f in flags if str(exc).startswith(f"{f} ")), None)
@@ -118,15 +118,15 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
 
 def _default_grid(cfg: fom.ProblemConfig, shape, source: str) -> ParameterGrid:
     try:
-        return fom.default_grid(cfg, shape)
+        return cfg.grid(shape)
     except ValueError as exc:
         raise SystemExit(f"{source}: {exc}") from None
 
 
 def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str):
     cfg = fom.config_from_dict(art.problem)
-    term = fom.nonlinearity_for(cfg, alpha)
-    u0 = fom.initial_state_for(cfg, alpha)
+    term = cfg.nonlinearity(alpha)
+    u0 = cfg.initial_state(alpha)
     stab = cfg.stabilization(cfg.dt)
     t0 = time.perf_counter()
     local = trom.build_reduced_system(art, trom.local_bases(art, alpha, n_u, n_f), mode=mode)
@@ -135,19 +135,6 @@ def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str
     betas, states = trom.trom_solve(art, local, term, u0, cfg.dt, cfg.n_steps, stab=stab)
     t_int = time.perf_counter() - t0
     return cfg, local, betas, states, t_basis, t_int
-
-
-def _error_metrics(cfg: fom.ProblemConfig, t_window: float) -> dict:
-    """Error functions ``(states, reference) -> float`` by name: the
-    space-time l2 error and, for transport, the late-window gradient-energy
-    quotient.  The last one is the problem's headline metric, which the
-    refine study tabulates."""
-    out = {"l2l2": metrics.rel_l2l2}
-    if isinstance(cfg, fom.BurgersConfig):
-        times = cfg.dt * np.arange(1, cfg.n_steps + 1)
-        out["h1"] = lambda states, ref: metrics.rel_l2h1_quotient(
-            states, ref, cfg.h, times, t_window)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +146,7 @@ def cmd_sample(args) -> int:
     cfg = _problem_config(args, file_cfg)
     shape = _parse_shape(args.grid) if args.grid else file_cfg.get("grid")
     if args.paper_scale and shape is None:
-        shape = (16, 32) if isinstance(cfg, fom.BurgersConfig) else (8, 3, 3)
+        shape = cfg.paper_shape
     grid = _default_grid(cfg, shape, "--grid" if args.grid else "config grid")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -204,7 +191,7 @@ def _build_artifact(snaps: fom.SnapshotSet, fmt: str, eps, cp_rank, interp_order
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=interp_order, a_op=fom.affine_operator_for(snaps.config),
+        interp_order=interp_order, a_op=snaps.config.affine(),
         problem=fom.config_to_dict(snaps.config), cp_opts=cp_opts)
     return art, time.perf_counter() - t0
 
@@ -268,7 +255,7 @@ def cmd_query(args) -> int:
         t0 = time.perf_counter()
         u_ref, _ = fom.run_fom(cfg, alpha)
         t_fom = f"{time.perf_counter() - t0:.3f}"
-        errs = {k: fn(states, u_ref) for k, fn in _error_metrics(cfg, args.t_window).items()}
+        errs = {k: fn(states, u_ref) for k, fn in cfg.error_metrics(args.t_window).items()}
         err_l2l2 = f"{errs['l2l2']:.6e}"
         err_h1 = f"{errs['h1']:.6e}" if "h1" in errs else ""
 
@@ -334,7 +321,7 @@ def _study_refine(snaps, cfgd, out_dir, rows_out):
     rng = np.random.default_rng(cfgd.get("seed", 2024))
     count = cfgd.get("query_count", 100)
     alphas = snaps.grid.sample(count, rng)
-    metric, error = list(_error_metrics(cfg, cfgd.get("t_window", 0.5)).items())[-1]
+    metric, error = list(cfg.error_metrics(cfgd.get("t_window", 0.5)).items())[-1]
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
     rows = []
     for shape in cfgd.get("refine_grids", [[2, 4], [4, 8], [8, 16]]):
@@ -545,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="generate snapshot tensors")
-    p.add_argument("--problem", choices=["burgers", "allen-cahn"])
+    p.add_argument("--problem", choices=list(_PROBLEMS))
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--grid", help="grid shape, e.g. 8x16")
     p.add_argument("--m", type=int, help="spatial resolution")
@@ -585,7 +572,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("study", help="reproduction studies (CSV tables)")
     p.add_argument("--config", help="JSON study config")
-    p.add_argument("--problem", choices=["burgers", "allen-cahn"])
+    p.add_argument("--problem", choices=list(_PROBLEMS))
     p.add_argument("--snapshots", help="reuse an existing snapshot bundle")
     p.add_argument("--kind", action="append", choices=list(_STUDIES),
                    help="study to run (repeatable; default all)")

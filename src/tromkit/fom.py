@@ -1,27 +1,18 @@
-"""Full-order finite-difference models for the two test problems and
+"""Full-order finite-difference models of the test problems and
 snapshot-tensor generation over a training grid.
+
+Each problem is one frozen config class in the registry ``PROBLEMS``, keyed
+by ``kind``.  The class defines every fact of its problem: its operator,
+nonlinear term, initial state, grids, full-order march, error metrics and
+CLI name.  The base ``ProblemConfig`` validates the fields, and the module
+functions (``affine_operator_for``, ``run_fom``, ...) delegate to the class,
+so a new problem is one class and one registry entry.
 
 Both problems march with the one semi-implicit BDF2 loop of
 :mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time:
 ``sample_snapshots`` makes one march per node of the first grid axis, over
 every node of the remaining axes, and writes each step straight into that
 slab of the snapshot tensors.  ``run_fom`` marches the block of one run.
-
-* The phase-field runs of one width share the operator, its
-  ``AffineOperator`` (``ac_affine``), the one the offline stage projects: one
-  ``splu`` per shift per width and one multi-right-hand-side solve per step,
-  with the potential evaluated on the whole block through a per-run
-  asymmetry column.  It can round apart from one run's solve in the last
-  digits, since SuperLU then takes its multi-column kernels.
-* The transport model hands the loop a banded solve, the one kept copy of
-  the transport stencil: reading its bands from the assembled operators
-  made a run about 10% slower at m=400 and 30% or more at m=40 (2-core
-  machine, one BLAS thread), and FOM time is both sampling cost and the
-  ROM/FOM speed-up's denominator.  Each run's step matrix depends on its
-  own state, so a block stacks the runs into one tridiagonal system whose
-  coupling entries are exactly zero; one LAPACK ``gtsv`` per step then gives
-  every run the numbers of its own solve.
-
 A non-finite state raises ``FloatingPointError`` naming the first bad step
 and the parameter; a failed slab is marched again one node at a time to
 name the node.  States are sampled at ``t = dt .. T`` and the
@@ -30,29 +21,83 @@ extra internal step past ``T`` feeds the final one.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import asdict, dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
 
-from . import store
+from . import metrics, store
 from .grids import ParameterGrid, uniform_axis
 from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
                        _march_full, integrate_full)
 
 
-def _require_sizes(cfg, least_m: int) -> None:
-    """Refuse a config with fewer than ``least_m`` nodes per axis or no steps,
-    so that every stage, full order and reduced, takes the same sizes; a JSON
-    config can give a float or a boolean, which are refused too."""
-    for name, least in (("m", least_m), ("n_steps", 1)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+def _finite_number(value) -> bool:
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+# what a config field of each type admits, and how its refusal says so; a JSON
+# config can give a float, a boolean or a string anywhere
+_ADMITS = {
+    "int": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
+            "an integer"),
+    "float": (lambda v: _finite_number(v) and v > 0, "a finite number above 0"),
+    "float | None": (lambda v: v is None or _finite_number(v), "None or a finite number"),
+    "tuple[float, float]": (lambda v: (isinstance(v, tuple) and len(v) == 2
+                                       and all(map(_finite_number, v)) and v[0] < v[1]),
+                            "two finite numbers lo < hi"),
+}
+
+
+class ProblemConfig:
+    """The base of the problem configs, frozen dataclasses that also set
+    ``kind``, ``cli_name``, ``run_name`` (the name their errors give),
+    ``default_shape`` and the paper-scale ``paper_m``, ``paper_steps`` and
+    ``paper_shape``.  Construction refuses, with a ``ValueError`` that starts
+    with the field name, a value the field's type does not admit or an integer
+    below its least (``least_m`` for ``m``, 1 for ``n_steps``, else 0), so
+    that every stage takes the same sizes.  It converts nothing, so an
+    accepted config serializes as it was given.
+    """
+
+    least_m = 1
+
+    def __post_init__(self):
+        least = {"m": self.least_m, "n_steps": 1}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            admits, what = _ADMITS[f.type]
+            if not admits(value):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if f.type == "int" and value < least.get(f.name, 0):
+                raise ValueError(f"{f.name} must be at least {least.get(f.name, 0)}, "
+                                 f"got {value}")
+
+    @property
+    def dt(self) -> float:
+        return self.t_final / self.n_steps
+
+    def stabilization(self, dt: float) -> float:
+        return 0.0
+
+    def grid(self, shape=None) -> ParameterGrid:
+        """The training grid, ``shape`` (or ``default_shape``) nodes per axis."""
+        shape = tuple(shape) if shape else self.default_shape
+        if len(shape) != len(self.default_shape):
+            raise ValueError(f"grid shape {list(shape)} has {len(shape)} entries; the "
+                             f"{self.kind} problem has {len(self.default_shape)} parameters")
+        return ParameterGrid(self._axes(shape))
+
+    def error_metrics(self, t_window: float) -> dict:
+        """Error functions ``(states, reference) -> float`` by name, the
+        problem's headline metric last (the refine study tabulates it): here
+        the space-time l2 error."""
+        return {"l2l2": metrics.rel_l2l2}
 
 
 # ---------------------------------------------------------------------------
@@ -60,12 +105,13 @@ def _require_sizes(cfg, least_m: int) -> None:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class BurgersConfig:
+class BurgersConfig(ProblemConfig):
     """1D viscous transport test problem with a parametric step front.
 
     The state holds the ``m`` interior nodes x_i = i*h, h = 1/(m+1); the
     Dirichlet boundary rows are eliminated.  Parameters: viscosity on a
-    log-uniform axis and initial front position on a uniform axis.
+    log-uniform axis and initial front position on a uniform axis.  The
+    transported factor is implicit, so no stabilization shift is needed.
     """
 
     m: int = 100
@@ -75,18 +121,15 @@ class BurgersConfig:
     front_range: tuple[float, float] = (0.2, 0.8)
 
     kind = "burgers"
+    cli_name = "burgers"
     run_name = "transport"
-
-    def __post_init__(self):
-        _require_sizes(self, least_m=3)    # the upwind stencil's minimum
+    least_m = 3         # the upwind stencil's minimum
+    default_shape = (8, 16)
+    paper_m, paper_steps, paper_shape = 400, 200, (16, 32)
 
     @property
     def n_dofs(self) -> int:
         return self.m
-
-    @property
-    def dt(self) -> float:
-        return self.t_final / self.n_steps
 
     @property
     def h(self) -> float:
@@ -96,40 +139,83 @@ class BurgersConfig:
     def nodes(self) -> np.ndarray:
         return self.h * np.arange(1, self.m + 1)
 
-    def stabilization(self, dt: float) -> float:
-        return 0.0      # the transported factor is implicit; no shift needed
+    def affine(self) -> AffineOperator:
+        """Diffusion ``nu * D2 / h^2`` (Dirichlet rows eliminated), nu = alpha[0]."""
+        ones = np.ones(self.m)
+        d2 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], offsets=(-1, 0, 1))
+        return AffineOperator(terms=(((1.0 / self.h**2) * d2).tocsr(),),
+                              coeff=lambda alpha: alpha[:1])
 
+    def nonlinearity(self, alpha=None) -> AdvectiveTerm:
+        """The upwind transport term, which no parameter enters."""
+        return self._upwind()
 
-def burgers_affine(cfg: BurgersConfig) -> AffineOperator:
-    """Diffusion ``nu * D2 / h^2`` (Dirichlet rows eliminated), nu = alpha[0]."""
-    ones = np.ones(cfg.m)
-    d2 = sp.diags([ones[:-1], -2.0 * ones, ones[:-1]], offsets=(-1, 0, 1))
-    return AffineOperator(terms=(((1.0 / cfg.h**2) * d2).tocsr(),),
-                          coeff=lambda alpha: alpha[:1])
+    @lru_cache(maxsize=8)
+    def _upwind(self) -> AdvectiveTerm:
+        """Built once per config and shared by every caller; its gradient's
+        arrays are read-only."""
+        ones = np.ones(self.m)
+        grad = (sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / self.h).tocsr()
+        for part in (grad.data, grad.indices, grad.indptr):
+            part.flags.writeable = False
+        return AdvectiveTerm(grad=grad)
 
+    def initial_state(self, alpha) -> np.ndarray:
+        """The step down at the front ``alpha[1]`` of one parameter vector, or
+        one step per run of a block of them (shape (..., 2))."""
+        return (self.nodes < np.asarray(alpha)[..., 1:2]).astype(np.float64)
 
-@lru_cache(maxsize=8)
-def burgers_nonlinearity(cfg: BurgersConfig) -> AdvectiveTerm:
-    """The upwind transport term of ``cfg``, built once per config and shared
-    by every caller; its gradient's arrays are read-only."""
-    ones = np.ones(cfg.m)
-    grad = (sp.diags([-ones[:-1], ones], offsets=(-1, 0)) / cfg.h).tocsr()
-    for part in (grad.data, grad.indices, grad.indptr):
-        part.flags.writeable = False
-    return AdvectiveTerm(grad=grad)
+    def _axes(self, shape):
+        return (uniform_axis(*self.nu_range, shape[0], log_scale=True),
+                uniform_axis(*self.front_range, shape[1]))
 
+    def error_metrics(self, t_window: float) -> dict:
+        """Adds transport's headline metric, the late-window h1 quotient."""
+        times = self.dt * np.arange(1, self.n_steps + 1)
+        return super().error_metrics(t_window) | {"h1": partial(
+            metrics.rel_l2h1_quotient, h=self.h, times=times, t_lo=t_window)}
 
-def burgers_initial_state(cfg: BurgersConfig, front) -> np.ndarray:
-    """The step down at ``front``: a number, or a column (shape (..., 1)) of
-    one front per run."""
-    return (cfg.nodes < front).astype(np.float64)
+    def march(self, alphas: np.ndarray, out: np.ndarray, f_out: np.ndarray) -> None:
+        """March the runs at ``alphas`` (shape (..., 2)) as one block, writing
+        run r's states and term values into ``out[r]`` and ``f_out[r]`` (each
+        m x n_steps).
 
+        The loop gets a banded solve, the one kept copy of the transport
+        stencil: reading its bands from the assembled operators made a run
+        about 10% slower at m=400 and 30% or more at m=40 (2-core machine, one
+        BLAS thread), and FOM time is both sampling cost and the ROM/FOM
+        speed-up's denominator.  Each run's step matrix depends on its own
+        state, so the block stacks them into one tridiagonal system whose
+        coupling entries are exactly zero, and one LAPACK ``gtsv`` per step
+        gives every run the numbers of its own solve.  A non-finite run
+        spreads to the others through ``0 * NaN``.
+        """
+        m, h = self.m, self.h
+        u0 = self.initial_state(alphas)
+        # per-entry band parts, so that a single run does array-array arithmetic
+        # only, as fast as with scalars
+        diff = np.broadcast_to(alphas[..., :1] / h**2, u0.shape)
+        diag = lru_cache(maxsize=None)(lambda c: c + 2.0 * diff)
+        lower = -diff[..., 1:]
+        f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
+        ab = np.zeros((3,) + u0.shape)
+        ab[0, ..., 1:] = lower
+        bands = ab.reshape(3, -1)
 
-def burgers_grid(cfg: BurgersConfig, shape: tuple[int, int] = (8, 16)) -> ParameterGrid:
-    return ParameterGrid((
-        uniform_axis(*cfg.nu_range, shape[0], log_scale=True),
-        uniform_axis(*cfg.front_range, shape[1]),
-    ))
+        def solve(c, w, rhs):
+            coeff = u0 if w is None else w
+            np.add(diag(c), coeff / h, out=ab[1])
+            np.subtract(lower, coeff[..., 1:] / h, out=ab[2, ..., :-1])
+            x = scipy.linalg.solve_banded((1, 1), bands, rhs.reshape(-1), check_finite=False)
+            if w is not None:
+                gu = np.empty_like(x)               # the upwind gradient of each run
+                np.subtract(x[1:], x[:-1], out=gu[1:])
+                gu[::m] = x[::m]                    # a run's first node sees the Dirichlet zero
+                gu /= h
+                np.multiply(-w, gu.reshape(w.shape), out=next(f_cols))
+            return x.reshape(rhs.shape)
+
+        _bdf2(solve, u0, self.dt, self.n_steps, tail=True, out=out)
 
 
 def _require_finite(states: np.ndarray, run: str, alpha: np.ndarray) -> None:
@@ -143,51 +229,12 @@ def _require_finite(states: np.ndarray, run: str, alpha: np.ndarray) -> None:
             f"of {states.shape[1]}, alpha={alpha.tolist()}")
 
 
-def _burgers_march(cfg: BurgersConfig, alphas: np.ndarray, out: np.ndarray,
-                   f_out: np.ndarray) -> None:
-    """March the transport runs at ``alphas`` (shape (..., 2)) as one block,
-    writing run r's states and term values into ``out[r]`` and ``f_out[r]``
-    (each m x n_steps).
-
-    The runs' step matrices are stacked into one tridiagonal system whose
-    coupling entries are exactly zero, so one banded solve (LAPACK ``gtsv``)
-    per step gives every run the numbers of its own solve.  A non-finite run
-    spreads to the others through ``0 * NaN``.
-    """
-    m, h = cfg.m, cfg.h
-    u0 = burgers_initial_state(cfg, alphas[..., 1:2])
-    # per-entry band parts, so that a single run does array-array arithmetic
-    # only, as fast as with scalars
-    diff = np.broadcast_to(alphas[..., :1] / h**2, u0.shape)
-    diag = lru_cache(maxsize=None)(lambda c: c + 2.0 * diff)
-    lower = -diff[..., 1:]
-    f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
-    ab = np.zeros((3,) + u0.shape)
-    ab[0, ..., 1:] = lower
-    bands = ab.reshape(3, -1)
-
-    def solve(c, w, rhs):
-        coeff = u0 if w is None else w
-        np.add(diag(c), coeff / h, out=ab[1])
-        np.subtract(lower, coeff[..., 1:] / h, out=ab[2, ..., :-1])
-        x = scipy.linalg.solve_banded((1, 1), bands, rhs.reshape(-1), check_finite=False)
-        if w is not None:
-            gu = np.empty_like(x)                   # the upwind gradient of each run
-            np.subtract(x[1:], x[:-1], out=gu[1:])
-            gu[::m] = x[::m]                        # a run's first node sees the Dirichlet zero
-            gu /= h
-            np.multiply(-w, gu.reshape(w.shape), out=next(f_cols))
-        return x.reshape(rhs.shape)
-
-    _bdf2(solve, u0, cfg.dt, cfg.n_steps, tail=True, out=out)
-
-
 # ---------------------------------------------------------------------------
 # Phase-field problem (2D, zero Neumann)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class AllenCahnConfig:
+class AllenCahnConfig(ProblemConfig):
     """2D phase-field test problem with a double-well potential.
 
     The grid is cell-centered, ``m x m`` cells on the unit square with
@@ -214,21 +261,59 @@ class AllenCahnConfig:
     pre_time: float = 1.0
 
     kind = "allen_cahn"
+    cli_name = "allen-cahn"
     run_name = "phase-field"
-
-    def __post_init__(self):
-        _require_sizes(self, least_m=1)
+    default_shape = (4, 3, 3)
+    # full tensors at paper scale occupy roughly 2.6 GB in memory
+    paper_m, paper_steps, paper_shape = 150, 200, (8, 3, 3)
 
     @property
     def n_dofs(self) -> int:
         return self.m * self.m
 
-    @property
-    def dt(self) -> float:
-        return self.t_final / self.n_steps
-
     def stabilization(self, dt: float) -> float:
         return self.beta_s if self.beta_s is not None else 0.5 / dt
+
+    @lru_cache(maxsize=8)
+    def affine(self) -> AffineOperator:
+        """Diffusion ``width^2 * Laplacian``, built once per config; read-only arrays."""
+        base = neumann_laplacian(self.m)
+        for part in (base.data, base.indices, base.indptr):
+            part.flags.writeable = False
+        return AffineOperator(terms=(base,), coeff=lambda alpha: alpha[:1] ** 2)
+
+    def nonlinearity(self, alpha) -> PointwiseTerm:
+        """The potential term at the asymmetry ``alpha[1]``: a number for one
+        parameter vector, a column (..., 1) for a block of them (..., 3)."""
+        alpha = np.asarray(alpha)
+        asym = float(alpha[1]) if alpha.ndim == 1 else alpha[..., 1:2]
+        return PointwiseTerm(fn=lambda u: -potential_derivative(u, asym))
+
+    def initial_state(self, alpha) -> np.ndarray:
+        """The relaxed field of the mask class of ``alpha[2]``
+        (``ac_initial_state``), of one parameter vector or each of a block."""
+        probs = np.asarray(alpha, dtype=np.float64)[..., 2]
+        return np.array([ac_initial_state(self, _ac_class_probability(self, float(p)))
+                         for p in probs.flat]).reshape(probs.shape + (self.n_dofs,))
+
+    def _axes(self, shape):
+        return (uniform_axis(*self.width_range, shape[0], log_scale=True),
+                uniform_axis(0.0, 0.3, shape[1], box=self.asym_range),
+                uniform_axis(*self.bernoulli_range, shape[2]))
+
+    def march(self, alphas: np.ndarray, out: np.ndarray, f_out: np.ndarray) -> None:
+        """March the runs at ``alphas`` (shape (..., 3)), which share the
+        width and so the operator the offline stage projects, as one block
+        from their initial states, writing run r's states and term values into
+        ``out[r]`` and ``f_out[r]``: one ``splu`` per shift, one
+        multi-right-hand-side solve per step, and the potential on the whole
+        block through a per-run asymmetry column.  It can round apart from one
+        run's solve in the last digits, since SuperLU then takes its
+        multi-column kernels."""
+        u0 = self.initial_state(alphas)
+        a_mat = self.affine().assemble(alphas.reshape(-1, alphas.shape[-1])[0])
+        _march_full(a_mat, self.nonlinearity(alphas), u0, self.dt, self.n_steps,
+                    self.stabilization(self.dt), out, f_out)
 
 
 def neumann_laplacian(m: int) -> sp.csr_matrix:
@@ -243,32 +328,9 @@ def neumann_laplacian(m: int) -> sp.csr_matrix:
     return ((sp.kron(l1, eye) + sp.kron(eye, l1)) * m**2).tocsr()
 
 
-@lru_cache(maxsize=8)
-def ac_affine(cfg: AllenCahnConfig) -> AffineOperator:
-    """Diffusion ``width^2 * Laplacian``, built once per config; read-only arrays."""
-    base = neumann_laplacian(cfg.m)
-    for part in (base.data, base.indices, base.indptr):
-        part.flags.writeable = False
-    return AffineOperator(terms=(base,), coeff=lambda alpha: alpha[:1] ** 2)
-
-
 def potential_derivative(u: np.ndarray, asym: float) -> np.ndarray:
     """Derivative of the double well u^2 (1-u)^2 + (asym/10)(u^4 - u/2)."""
     return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u) + (asym / 10.0) * (4.0 * u**3 - 0.5)
-
-
-def ac_nonlinearity(cfg: AllenCahnConfig, asym) -> PointwiseTerm:
-    """The potential term at asymmetry ``asym``: a number, or a column
-    (shape (..., 1)) that gives each run of a block its own."""
-    return PointwiseTerm(fn=lambda u: -potential_derivative(u, asym))
-
-
-def ac_grid(cfg: AllenCahnConfig, shape: tuple[int, int, int] = (4, 3, 3)) -> ParameterGrid:
-    return ParameterGrid((
-        uniform_axis(*cfg.width_range, shape[0], log_scale=True),
-        uniform_axis(0.0, 0.3, shape[1], box=cfg.asym_range),
-        uniform_axis(*cfg.bernoulli_range, shape[2]),
-    ))
 
 
 def _ac_uniform_field(cfg: AllenCahnConfig) -> np.ndarray:
@@ -301,50 +363,29 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     probabilities between the training values.
 
     The state depends on ``p_high`` only through the mask
-    ``field < p_high``, so the callers in this module pass one probability
-    per mask (``_ac_class_probability``) and a query relaxes a field only
-    when its mask is not among the cached ones.  The cache stays an
-    ``lru_cache`` keyed by ``(cfg, p_high)``: its ``cache_info()`` is how
+    ``field < p_high``, so ``AllenCahnConfig.initial_state`` passes one
+    probability per mask (``_ac_class_probability``) and a query relaxes a
+    field only when its mask is not among the cached ones.  The cache stays
+    an ``lru_cache`` keyed by ``(cfg, p_high)``: its ``cache_info()`` is how
     hits and misses are counted.
     """
     field = (_ac_uniform_field(cfg) < p_high).astype(np.float64)
     if cfg.pre_steps == 0:
         return field
     dt_pre = cfg.pre_time / cfg.pre_steps
-    a_mat = ac_affine(cfg).assemble([0.01, 0.0])
-    term = ac_nonlinearity(cfg, 0.0)
-    states, _ = integrate_full(a_mat, term, field, dt_pre, cfg.pre_steps,
-                               stab=cfg.stabilization(dt_pre))
+    relax = [0.01, 0.0]     # the width and asymmetry of the relaxation
+    states, _ = integrate_full(cfg.affine().assemble(relax), cfg.nonlinearity(relax), field,
+                               dt_pre, cfg.pre_steps, stab=cfg.stabilization(dt_pre))
     out = states[:, -1].copy()
     out.flags.writeable = False
     return out
 
 
-def _ac_march(cfg: AllenCahnConfig, alphas: np.ndarray, out: np.ndarray,
-              f_out: np.ndarray) -> None:
-    """March the phase-field runs at ``alphas`` (shape (..., 3)), which share
-    the width and so the operator, as one block from their initial states,
-    writing run r's states and term values into ``out[r]`` and ``f_out[r]``:
-    one ``splu`` per shift, one multi-right-hand-side solve per step."""
-    probs = alphas[..., 2].ravel()
-    u0 = np.stack([ac_initial_state(cfg, _ac_class_probability(cfg, float(p)))
-                   for p in probs]).reshape(alphas.shape[:-1] + (cfg.n_dofs,))
-    a_mat = ac_affine(cfg).assemble(alphas.reshape(-1, alphas.shape[-1])[0])
-    term = ac_nonlinearity(cfg, alphas[..., 1:2])
-    _march_full(a_mat, term, u0, cfg.dt, cfg.n_steps, cfg.stabilization(cfg.dt),
-                out, f_out)
-
-
 # ---------------------------------------------------------------------------
-# Snapshot sets
+# The problem registry and snapshot sets
 # ---------------------------------------------------------------------------
 
-ProblemConfig = BurgersConfig | AllenCahnConfig
-
-_PROBLEM_KINDS = {cls.kind: cls for cls in (BurgersConfig, AllenCahnConfig)}
-
-# the block march of each problem kind, the one way its full-order model runs
-_MARCHES = {BurgersConfig.kind: _burgers_march, AllenCahnConfig.kind: _ac_march}
+PROBLEMS = {cls.kind: cls for cls in (BurgersConfig, AllenCahnConfig)}
 
 
 def config_to_dict(cfg: ProblemConfig) -> dict:
@@ -352,40 +393,31 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> ProblemConfig:
-    d = dict(d)
+    """The config a dict describes; JSON lists become tuples."""
+    d = {key: tuple(value) if isinstance(value, list) else value for key, value in d.items()}
     kind = d.pop("kind")
-    cls = _PROBLEM_KINDS.get(kind)
+    cls = PROBLEMS.get(kind)
     if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}; expected one of "
-                         f"{', '.join(_PROBLEM_KINDS)}")
+                         f"{', '.join(PROBLEMS)}")
     names = [f.name for f in fields(cls)]
     unknown = [key for key in d if key not in names]
     if unknown:
         raise ValueError(f"{', '.join(unknown)} {'is' if len(unknown) == 1 else 'are'} "
                          f"not among the fields of the {kind} problem: {', '.join(names)}")
-    for key in ("nu_range", "front_range", "width_range", "asym_range", "bernoulli_range"):
-        if key in d:
-            d[key] = tuple(d[key])
     return cls(**d)
 
 
 def affine_operator_for(cfg: ProblemConfig) -> AffineOperator:
-    if isinstance(cfg, BurgersConfig):
-        return burgers_affine(cfg)
-    return ac_affine(cfg)
+    return cfg.affine()
 
 
 def nonlinearity_for(cfg: ProblemConfig, alpha) -> AdvectiveTerm | PointwiseTerm:
-    if isinstance(cfg, BurgersConfig):
-        return burgers_nonlinearity(cfg)
-    return ac_nonlinearity(cfg, float(np.atleast_1d(alpha)[1]))
+    return cfg.nonlinearity(alpha)
 
 
 def initial_state_for(cfg: ProblemConfig, alpha) -> np.ndarray:
-    alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
-    if isinstance(cfg, BurgersConfig):
-        return burgers_initial_state(cfg, float(alpha[1]))
-    return np.array(ac_initial_state(cfg, _ac_class_probability(cfg, float(alpha[2]))))
+    return cfg.initial_state(alpha)
 
 
 def run_fom(cfg: ProblemConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
@@ -394,19 +426,13 @@ def run_fom(cfg: ProblemConfig, alpha) -> tuple[np.ndarray, np.ndarray]:
     alpha = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     states = np.empty((cfg.n_dofs, cfg.n_steps))
     f_vals = np.empty_like(states)
-    _MARCHES[cfg.kind](cfg, alpha, states, f_vals)
+    cfg.march(alpha, states, f_vals)
     _require_finite(states, cfg.run_name, alpha)
     return states, f_vals
 
 
 def default_grid(cfg: ProblemConfig, shape=None) -> ParameterGrid:
-    make, default = ((burgers_grid, (8, 16)) if isinstance(cfg, BurgersConfig)
-                     else (ac_grid, (4, 3, 3)))
-    shape = tuple(shape) if shape else default
-    if len(shape) != len(default):
-        raise ValueError(f"grid shape {list(shape)} has {len(shape)} entries; the "
-                         f"{cfg.kind} problem has {len(default)} parameters")
-    return make(cfg, shape)
+    return cfg.grid(shape)
 
 
 @dataclass(frozen=True)
@@ -433,7 +459,6 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
     shape = (cfg.n_dofs,) + grid.shape + (cfg.n_steps,)
     u_tensor = np.empty(shape)
     f_tensor = np.empty(shape)
-    march = _MARCHES[cfg.kind]
     rest = [ax.nodes for ax in grid.axes[1:]]
     for i, first in enumerate(grid.axes[0].nodes):
         # the slab's parameters, K_2 x .. x K_D x D; then its views into the
@@ -441,7 +466,7 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
         alphas = np.stack(np.meshgrid([first], *rest, indexing="ij"), axis=-1)[0]
         out, f_out = (np.moveaxis(t[:, i], 0, -2) for t in (u_tensor, f_tensor))
         try:
-            march(cfg, alphas, out, f_out)
+            cfg.march(alphas, out, f_out)
             cause = None if np.isfinite(out).all() else FloatingPointError(
                 f"non-finite state in the slab at alpha[0]={first}")
         except Exception as exc:

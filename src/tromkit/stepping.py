@@ -16,7 +16,7 @@ loop:
 * pointwise -- a cached ``splu`` of the constant step matrix per shift (the
   phase-field FOM assembles it from its ``AffineOperator``); the runs of one
   width share it, so a step is one multi-right-hand-side solve;
-* advective -- the transport block march (``fom._burgers_march``) passes a
+* advective -- the transport block march (``BurgersConfig.march``) passes a
   banded solve, the one kept copy of the transport stencil.  Each run's step
   matrix depends on its own state, so a block stacks them into one
   tridiagonal system with exactly zero coupling entries and takes one

@@ -8,7 +8,7 @@ from tromkit import fom
 def desk_burgers():
     """Desk-scale transport snapshot set shared by the expensive tests."""
     cfg = fom.BurgersConfig(m=100, n_steps=100)
-    grid = fom.burgers_grid(cfg, (8, 16))
+    grid = cfg.grid((8, 16))
     return cfg, grid, fom.sample_snapshots(cfg, grid)
 
 
@@ -17,14 +17,14 @@ def small_burgers():
     """Tiny transport set with more snapshot times than space dofs, so the
     exact-replay identities hold at full local rank."""
     cfg = fom.BurgersConfig(m=40, n_steps=60)
-    grid = fom.burgers_grid(cfg, (3, 4))
+    grid = cfg.grid((3, 4))
     return cfg, grid, fom.sample_snapshots(cfg, grid)
 
 
 @pytest.fixture(scope="session")
 def tiny_ac():
     cfg = fom.AllenCahnConfig(m=16, n_steps=24, seed=42)
-    grid = fom.ac_grid(cfg, (3, 2, 2))
+    grid = cfg.grid((3, 2, 2))
     return cfg, grid, fom.sample_snapshots(cfg, grid)
 
 

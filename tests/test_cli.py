@@ -85,13 +85,56 @@ class TestSample:
          "problem config: seed is not among the fields of the burgers problem: "),
         ({"kind": "burgers", "nu": 0.1, "m": 20},
          "problem config: nu is not among the fields of the burgers problem: "),
-    ], ids=["unknown_kind", "float_m", "bool_steps", "seed_on_transport", "typo"])
+        ({"kind": "burgers", "nu_range": [0.5]},
+         r"problem config: nu_range must be two finite numbers lo < hi, got \(0\.5,\)"),
+        ({"kind": "allen_cahn", "width_range": [0.01]},
+         r"problem config: width_range must be two finite numbers lo < hi, got \(0\.01,\)"),
+        ({"kind": "burgers", "t_final": -1},
+         "problem config: t_final must be a finite number above 0, got -1"),
+        ({"kind": "allen_cahn", "t_final": 0},
+         "problem config: t_final must be a finite number above 0, got 0"),
+        ({"kind": "burgers", "t_final": "1"},
+         "problem config: t_final must be a finite number above 0, got '1'"),
+        ({"kind": "allen_cahn", "beta_s": "x"},
+         "problem config: beta_s must be None or a finite number, got 'x'"),
+        ({"kind": "allen_cahn", "pre_steps": -1},
+         "problem config: pre_steps must be at least 0, got -1"),
+    ], ids=["unknown_kind", "float_m", "bool_steps", "seed_on_transport", "typo",
+            "short_nu_range", "short_width_range", "negative_t_final", "zero_t_final",
+            "string_t_final", "string_beta_s", "negative_pre_steps"])
     def test_config_file_problem_refused(self, tmp_path, problem, named):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": problem, "grid": [2, 2, 2]}))
         with pytest.raises(SystemExit, match=named):
             run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("argv,file_cfg,sizes,shape", [
+        (["--problem", "burgers"], None, (400, 200), (16, 32)),
+        (["--problem", "allen-cahn"], None, (150, 200), (8, 3, 3)),
+        (["--problem", "burgers", "--m", "50", "--steps", "7", "--grid", "2x3"], None,
+         (50, 7), (2, 3)),
+        ([], {"problem": {"kind": "allen_cahn", "m": 9}, "grid": [2, 2, 2]},
+         (9, 200), (2, 2, 2)),
+    ], ids=["transport", "phase_field", "flags_win", "config_file_wins"])
+    def test_paper_scale_presets(self, tmp_path, monkeypatch, argv, file_cfg, sizes, shape):
+        # the sizes and grid --paper-scale resolves to, without sampling: one
+        # phase-field tensor at paper scale is about 2.6 GB
+        seen = []
+
+        def record(cfg, grid):
+            seen.append((cfg, grid))
+            raise RuntimeError("sampling skipped")
+
+        monkeypatch.setattr(fom, "sample_snapshots", record)
+        if file_cfg is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
+            argv = argv + ["--config", tmp_path / "cfg.json"]
+        with pytest.raises(RuntimeError, match="sampling skipped"):
+            run("sample", *argv, "--paper-scale", "--out", tmp_path / "out")
+        [(cfg, grid)] = seen
+        assert (cfg.m, cfg.n_steps) == sizes
+        assert grid.shape == shape
 
     @pytest.mark.parametrize("problem,grid,named", [
         ("burgers", "2x2x2", r"--grid: grid shape \[2, 2, 2\] has 3 entries; "

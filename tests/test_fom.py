@@ -11,12 +11,12 @@ from tromkit.stepping import PointwiseTerm, integrate_full
 
 def burgers_diffusion(m, nu):
     """The transport problem's assembled diffusion matrix at viscosity ``nu``."""
-    return fom.burgers_affine(fom.BurgersConfig(m=m)).assemble([nu, 0.5])
+    return fom.BurgersConfig(m=m).affine().assemble([nu, 0.5])
 
 
 class TestBurgersOperators:
     def test_gradient_of_constant_vanishes_on_interior_rows(self):
-        grad = fom.burgers_nonlinearity(fom.BurgersConfig(m=20)).grad
+        grad = fom.BurgersConfig(m=20).nonlinearity().grad
         out = grad @ np.full(20, 3.0)
         assert np.allclose(out[1:], 0.0, atol=1e-13)
         assert out[0] != 0.0  # boundary row sees the Dirichlet zero
@@ -69,9 +69,9 @@ class TestBurgersFom:
         # step matrix c I - A + diag(w) G at every step
         cfg = fom.BurgersConfig(m=25, n_steps=15)
         alpha = (0.08, 0.6)
-        a_mat = sp.csr_matrix(fom.burgers_affine(cfg).assemble(alpha))
-        grad = fom.burgers_nonlinearity(cfg).grad
-        u0 = fom.burgers_initial_state(cfg, alpha[1])
+        a_mat = sp.csr_matrix(cfg.affine().assemble(alpha))
+        grad = cfg.nonlinearity().grad
+        u0 = cfg.initial_state(alpha)
         eye = sp.identity(cfg.m, format="csr")
         ref_f = np.empty((cfg.m, cfg.n_steps))
         f_cols = iter(ref_f.T)
@@ -92,7 +92,7 @@ class TestBurgersFom:
         # transport runs march through run_fom's banded block solve
         cfg = fom.BurgersConfig(m=10, n_steps=3)
         with pytest.raises(TypeError, match="unsupported nonlinearity"):
-            integrate_full(burgers_diffusion(cfg.m, 0.1), fom.burgers_nonlinearity(cfg),
+            integrate_full(burgers_diffusion(cfg.m, 0.1), cfg.nonlinearity(),
                            np.zeros(cfg.m), cfg.dt, cfg.n_steps)
 
     def test_non_finite_step_is_named(self, monkeypatch):
@@ -141,7 +141,7 @@ class TestAllenCahn:
         # the wells) for the explicit treatment to be stable at this step
         cfg = fom.AllenCahnConfig(m=12, n_steps=10, beta_s=2.0)
         alpha = (0.02, 0.0, 0.5)
-        a_mat = fom.ac_affine(cfg).assemble(alpha)
+        a_mat = cfg.affine().assemble(alpha)
         for value in (0.0, 1.0):
             states, _ = integrate_full(a_mat, fom.nonlinearity_for(cfg, alpha),
                                        np.full(cfg.n_dofs, value), cfg.dt, cfg.n_steps,
@@ -173,8 +173,8 @@ class TestAllenCahn:
         # projects, here at a width between the training nodes
         cfg = fom.AllenCahnConfig(m=8, n_steps=6, pre_steps=3, seed=4)
         alpha = np.array([0.0137, 0.2, 0.51])
-        assert not np.isclose(fom.ac_grid(cfg).axes[0].nodes, alpha[0]).any()
-        ref = integrate_full(fom.ac_affine(cfg).assemble(alpha),
+        assert not np.isclose(cfg.grid().axes[0].nodes, alpha[0]).any()
+        ref = integrate_full(cfg.affine().assemble(alpha),
                              fom.nonlinearity_for(cfg, alpha),
                              fom.initial_state_for(cfg, alpha), cfg.dt, cfg.n_steps,
                              stab=cfg.stabilization(cfg.dt))
@@ -251,7 +251,7 @@ class TestInitialStateClasses:
             fom.ac_initial_state.cache_clear()
             direct = fom.ac_initial_state(cfg, p)
             assert np.array_equal(got, direct), name
-            ref = integrate_full(fom.ac_affine(cfg).assemble(alpha),
+            ref = integrate_full(cfg.affine().assemble(alpha),
                                  fom.nonlinearity_for(cfg, alpha), np.array(direct),
                                  cfg.dt, cfg.n_steps, stab=cfg.stabilization(cfg.dt))
             assert all(np.array_equal(a, b) for a, b in zip(got_fom, ref)), name
@@ -273,7 +273,7 @@ class TestInitialStateClasses:
 class TestSampling:
     def test_single_point_grid(self):
         cfg = fom.BurgersConfig(m=20, n_steps=10)
-        grid = fom.burgers_grid(cfg, (1, 1))
+        grid = cfg.grid((1, 1))
         snaps = fom.sample_snapshots(cfg, grid)
         assert snaps.u_tensor.shape == (20, 1, 1, 10)
 
@@ -292,7 +292,7 @@ class TestSampling:
         # tridiagonal system has exactly zero coupling entries, so the banded
         # solve gives every run the numbers of its own solve
         cfg, grid, snaps = small_burgers
-        edge = fom.burgers_grid(cfg, (1, 4))
+        edge = cfg.grid((1, 4))
         for grid, snaps in ((grid, snaps), (edge, fom.sample_snapshots(cfg, edge))):
             self.assert_slabs_match_runs(cfg, grid, snaps, exact=True)
 
@@ -303,7 +303,7 @@ class TestSampling:
         cfg, grid, snaps = tiny_ac
         self.assert_slabs_match_runs(cfg, grid, snaps, exact=False)
         for shape in ((1, 2, 2), (2, 1, 1)):
-            grid = fom.ac_grid(cfg, shape)
+            grid = cfg.grid(shape)
             self.assert_slabs_match_runs(cfg, grid, fom.sample_snapshots(cfg, grid),
                                          exact=shape[1:] == (1, 1))
 
@@ -326,7 +326,7 @@ class TestSampling:
 
     def test_desk_shape(self):
         cfg = fom.BurgersConfig(m=100, n_steps=100)
-        grid = fom.burgers_grid(cfg, (8, 16))
+        grid = cfg.grid((8, 16))
         assert grid.shape == (8, 16)
         # shape check only; the full sampling lives in the session fixture
 
@@ -364,15 +364,16 @@ class TestSampling:
         # transport solve it spreads to every run of the slab, so the slab's
         # nodes are run again one at a time to name the one at fault
         cfg = fom.BurgersConfig(m=20, n_steps=6)
-        grid = fom.burgers_grid(cfg, (2, 3))
+        grid = cfg.grid((2, 3))
         bad_front = grid.axes[1].nodes[1]
-        real_burgers = fom.burgers_initial_state
+        real_burgers = fom.BurgersConfig.initial_state
 
-        def poisoned_burgers(cfg_, front):
-            return np.where(np.asarray(front) == bad_front, np.nan, real_burgers(cfg_, front))
+        def poisoned_burgers(cfg_, alpha):
+            front = np.asarray(alpha)[..., 1:2]
+            return np.where(front == bad_front, np.nan, real_burgers(cfg_, alpha))
 
         ac_cfg = fom.AllenCahnConfig(m=6, n_steps=4)
-        ac_grid = fom.ac_grid(ac_cfg, (2, 2, 2))
+        ac_grid = ac_cfg.grid((2, 2, 2))
         bad_p = fom._ac_class_probability(ac_cfg, ac_grid.axes[2].nodes[1])
         real_ac = fom.ac_initial_state
 
@@ -380,13 +381,13 @@ class TestSampling:
             state = real_ac(cfg_, p_high)
             return np.full_like(state, np.nan) if p_high == bad_p else state
 
-        for cfg, grid, name, poisoned in (
-                (cfg, grid, "burgers_initial_state", poisoned_burgers),
-                (ac_cfg, ac_grid, "ac_initial_state", poisoned_ac)):
+        for cfg, grid, owner, name, poisoned in (
+                (cfg, grid, fom.BurgersConfig, "initial_state", poisoned_burgers),
+                (ac_cfg, ac_grid, fom, "ac_initial_state", poisoned_ac)):
             named = grid.node((0,) * (grid.ndim - 1) + (1,))
             neighbour = grid.node((0,) * grid.ndim)
             with monkeypatch.context() as patch:
-                patch.setattr(fom, name, poisoned)
+                patch.setattr(owner, name, poisoned)
                 with pytest.raises(RuntimeError) as info:
                     fom.sample_snapshots(cfg, grid)
             message = str(info.value)
@@ -400,7 +401,7 @@ class TestSampling:
         # the banded solve fails only for stacked blocks, so every node of the
         # first slab runs on its own and the slab's own error is the cause
         cfg = fom.BurgersConfig(m=20, n_steps=6)
-        grid = fom.burgers_grid(cfg, (2, 3))
+        grid = cfg.grid((2, 3))
         banded = fom.scipy.linalg.solve_banded
         slab_error = np.linalg.LinAlgError("stacked solve failed")
 
@@ -428,27 +429,27 @@ class TestSampling:
 class TestAffineOperators:
     def test_burgers_affine_assembles_viscosity_scaling(self):
         cfg = fom.BurgersConfig(m=15)
-        op = fom.burgers_affine(cfg)
+        op = cfg.affine()
         d2 = -2.0 * np.eye(15) + np.eye(15, k=1) + np.eye(15, k=-1)
         direct = 0.37 * d2 / cfg.h**2
         assert np.allclose(op.assemble([0.37, 0.5]).toarray(), direct)
 
     def test_ac_affine_scales_with_width_squared(self):
         cfg = fom.AllenCahnConfig(m=6)
-        op = fom.ac_affine(cfg)
+        op = cfg.affine()
         direct = 0.02**2 * fom.neumann_laplacian(cfg.m).toarray()
         assert np.allclose(op.assemble([0.02, 0.1, 0.5]).toarray(), direct)
 
     def test_ac_affine_built_once_per_config_and_read_only(self):
-        op = fom.ac_affine(fom.AllenCahnConfig(m=6))
-        assert fom.ac_affine(fom.AllenCahnConfig(m=6)) is op
-        assert fom.ac_affine(fom.AllenCahnConfig(m=7)) is not op
+        op = fom.AllenCahnConfig(m=6).affine()
+        assert fom.AllenCahnConfig(m=6).affine() is op
+        assert fom.AllenCahnConfig(m=7).affine() is not op
         with pytest.raises(ValueError, match="read-only"):
             op.terms[0].data[0] = 0.0
 
     def test_reduced_terms_match_projection(self):
         cfg = fom.BurgersConfig(m=15)
-        op = fom.burgers_affine(cfg)
+        op = cfg.affine()
         basis = np.linalg.qr(np.random.default_rng(0).standard_normal((15, 4)))[0]
         red = op.reduce(basis)
         assert red.coeff is op.coeff
@@ -457,15 +458,43 @@ class TestAffineOperators:
         assert np.allclose(assembled, oracle, atol=1e-13)
 
 
+# The field order of each registered problem's dict, which is the order of its
+# bundle and artifact metadata: a class constant turned into a field by
+# mistake would show here.
+DICT_KEYS = {
+    "burgers": ["m", "n_steps", "t_final", "nu_range", "front_range", "kind"],
+    "allen_cahn": ["m", "n_steps", "t_final", "beta_s", "width_range", "asym_range",
+                   "bernoulli_range", "seed", "pre_steps", "pre_time", "kind"],
+}
+
+
 class TestConfigSerialization:
     def test_round_trip_both_problems(self):
-        for cfg in (fom.BurgersConfig(m=33, n_steps=17),
-                    fom.AllenCahnConfig(m=9, n_steps=5, seed=2)):
-            assert fom.config_from_dict(fom.config_to_dict(cfg)) == cfg
+        assert sorted(fom.PROBLEMS) == sorted(DICT_KEYS)
+        for kind, cls in fom.PROBLEMS.items():
+            for cfg in (cls(), cls(m=cls.least_m + 2, n_steps=5)):
+                d = fom.config_to_dict(cfg)
+                assert list(d) == DICT_KEYS[kind]
+                assert fom.config_from_dict(d) == cfg
+
+    @pytest.mark.parametrize("kind", sorted(DICT_KEYS))
+    def test_grids_span_the_parameters_the_problem_reads(self, kind):
+        # the default and paper-scale grids have one axis per entry of the
+        # parameter vector, whose last entry the initial state or the term reads
+        cfg = fom.PROBLEMS[kind](m=4, n_steps=3)
+        grid = cfg.grid()
+        assert len(cfg.grid(cfg.paper_shape).axes) == grid.ndim
+        alpha = grid.node((0,) * grid.ndim)
+        assert cfg.initial_state(alpha).shape == (cfg.n_dofs,)
+        cfg.nonlinearity(alpha)
+        with pytest.raises((IndexError, ValueError)):
+            cfg.initial_state(alpha[:-1])
+            cfg.nonlinearity(alpha[:-1])
 
     @pytest.mark.parametrize("kind,field,value,least", [
         ("burgers", "n_steps", 0, 1), ("allen_cahn", "n_steps", 0, 1),
-        ("burgers", "m", 2, 3), ("allen_cahn", "m", 0, 1)])
+        ("burgers", "m", 2, 3), ("allen_cahn", "m", 0, 1),
+        ("allen_cahn", "pre_steps", -1, 0), ("allen_cahn", "seed", -1, 0)])
     def test_sizes_below_the_least_refused(self, kind, field, value, least):
         with pytest.raises(ValueError, match=f"^{field} must be at least {least}, "
                                              f"got {value}$"):
@@ -479,6 +508,44 @@ class TestConfigSerialization:
         with pytest.raises(ValueError, match=f"^{named} not among the fields of the "
                                              f"{d['kind']} problem: m, n_steps, "):
             fom.config_from_dict(d)
+
+    @pytest.mark.parametrize("d,message", [
+        ({"kind": "burgers", "nu_range": [0.5]}, "nu_range must be two finite numbers "
+                                                 "lo < hi, got (0.5,)"),
+        ({"kind": "allen_cahn", "width_range": [0.01]}, "width_range must be two finite "
+                                                        "numbers lo < hi, got (0.01,)"),
+        ({"kind": "burgers", "front_range": [0.8, 0.2]}, "front_range must be two finite "
+                                                         "numbers lo < hi, got (0.8, 0.2)"),
+        ({"kind": "allen_cahn", "asym_range": [0.0, float("inf")]},
+         "asym_range must be two finite numbers lo < hi, got (0.0, inf)"),
+        ({"kind": "burgers", "t_final": -1}, "t_final must be a finite number above 0, got -1"),
+        ({"kind": "allen_cahn", "t_final": 0}, "t_final must be a finite number above 0, got 0"),
+        ({"kind": "burgers", "t_final": "1"},
+         "t_final must be a finite number above 0, got '1'"),
+        ({"kind": "allen_cahn", "pre_time": float("nan")},
+         "pre_time must be a finite number above 0, got nan"),
+        ({"kind": "allen_cahn", "beta_s": "x"}, "beta_s must be None or a finite number, "
+                                                "got 'x'"),
+        ({"kind": "allen_cahn", "beta_s": True}, "beta_s must be None or a finite number, "
+                                                 "got True"),
+        ({"kind": "allen_cahn", "pre_steps": 1.5}, "pre_steps must be an integer, got 1.5"),
+    ], ids=["short_nu_range", "short_width_range", "reversed_range", "infinite_range",
+            "negative_t_final", "zero_t_final", "string_t_final", "nan_pre_time",
+            "string_beta_s", "bool_beta_s", "float_pre_steps"])
+    def test_malformed_fields_refused(self, d, message):
+        # the message starts with the field name, which the CLI maps to its flag
+        with pytest.raises(ValueError) as info:
+            fom.config_from_dict(d)
+        assert str(info.value) == message
+
+    def test_accepted_values_serialize_as_given(self):
+        # validation refuses and never converts: an integer time span, a
+        # negative shift and no relaxation round-trip as given
+        d = {"kind": "allen_cahn", "t_final": 2, "beta_s": -0.5, "pre_steps": 0,
+             "asym_range": [0, 1]}
+        out = fom.config_to_dict(fom.config_from_dict(d))
+        assert (out["t_final"], out["beta_s"], out["pre_steps"]) == (2, -0.5, 0)
+        assert out["asym_range"] == (0, 1) and isinstance(out["t_final"], int)
 
     def test_least_sizes_accepted(self):
         assert fom.run_fom(fom.BurgersConfig(m=3, n_steps=1), (0.1, 0.5))[0].shape == (3, 1)
@@ -503,7 +570,7 @@ class TestAdvectiveTermShape:
     def test_term_is_minus_state_times_upwind_difference(self):
         # f(u) = -u * (G u) with G the upwind difference, Dirichlet zero inflow
         cfg = fom.BurgersConfig(m=10)
-        term = fom.burgers_nonlinearity(cfg)
+        term = cfg.nonlinearity()
         u = np.random.default_rng(1).standard_normal(10)
         gu = np.concatenate(([u[0]], np.diff(u))) / cfg.h
         assert np.allclose(-u * (term.grad @ u), -u * gu)
@@ -513,8 +580,8 @@ class TestAdvectiveTermShape:
         cfg = fom.BurgersConfig(m=12)
         term = fom.nonlinearity_for(cfg, [0.1, 0.3])
         assert fom.nonlinearity_for(cfg, [0.2, 0.6]) is term
-        assert fom.burgers_nonlinearity(fom.BurgersConfig(m=12)) is term
-        assert fom.burgers_nonlinearity(fom.BurgersConfig(m=13)) is not term
+        assert fom.BurgersConfig(m=12).nonlinearity() is term
+        assert fom.BurgersConfig(m=13).nonlinearity() is not term
         upwind = (np.eye(12) - np.eye(12, k=-1)) / cfg.h
         assert np.array_equal(term.grad.toarray(), upwind)
         with pytest.raises(ValueError, match="read-only"):

@@ -91,7 +91,7 @@ class TestPodSolve:
     def test_norm_decays_without_forcing(self):
         # diffusion only: the reduced trajectory must dissipate
         m = 24
-        a_full = fom.burgers_affine(fom.BurgersConfig(m=m)).assemble([0.3, 0.5])
+        a_full = fom.BurgersConfig(m=m).affine().assemble([0.3, 0.5])
         rng = np.random.default_rng(1)
         traj = np.empty((m, 10))
         state = np.sin(np.pi * fom.BurgersConfig(m=m).nodes)
@@ -109,11 +109,11 @@ class TestPodSolve:
     def test_full_basis_reproduces_fom(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.m, cfg.m,
-                              a_op=fom.burgers_affine(cfg))
+                              a_op=cfg.affine())
         alpha = np.array([0.07, 0.55])
         u_ref, _ = fom.run_fom(cfg, alpha)
-        term = fom.burgers_nonlinearity(cfg)
-        u0 = fom.burgers_initial_state(cfg, alpha[1])
+        term = cfg.nonlinearity()
+        u0 = cfg.initial_state(alpha)
         _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
         assert np.linalg.norm(states - u_ref) <= 1e-8 * np.linalg.norm(u_ref)
 
@@ -123,10 +123,10 @@ class TestPodSolve:
         # pins the stabilization, the exact start-up term and the
         # selected-row extrapolation of the reduced path against the FOM
         cfg = fom.AllenCahnConfig(m=8, n_steps=16, pre_steps=5, seed=42)
-        grid = fom.ac_grid(cfg, (3, 2, 2))
+        grid = cfg.grid((3, 2, 2))
         snaps = fom.sample_snapshots(cfg, grid)
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, cfg.n_dofs, cfg.n_dofs,
-                              a_op=fom.ac_affine(cfg))
+                              a_op=cfg.affine())
         alpha = grid.node((1, 0, 1)) if alpha == "node" else np.array(alpha)
         u_ref, _ = fom.run_fom(cfg, alpha)
         _, states = pod.pod_solve(art, alpha, fom.nonlinearity_for(cfg, alpha),
@@ -163,7 +163,7 @@ class TestPodSolve:
         # the composed map equals projecting deim_apply of the lifted term
         cfg, grid, snaps = small_burgers
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 8, 10,
-                              a_op=fom.burgers_affine(cfg))
+                              a_op=cfg.affine())
         local = completed_local(art, [0.05, 0.45])
         rng = np.random.default_rng(2)
         f = rng.standard_normal(cfg.m)
@@ -175,11 +175,11 @@ class TestPodSolve:
         # the cumulative basis misses out-of-sample fronts at modest dims
         cfg, grid, snaps = desk_burgers
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 10, 20,
-                              a_op=fom.burgers_affine(cfg))
+                              a_op=cfg.affine())
         alpha = np.array([0.013, 0.633])
         u_ref, _ = fom.run_fom(cfg, alpha)
-        term = fom.burgers_nonlinearity(cfg)
-        u0 = fom.burgers_initial_state(cfg, alpha[1])
+        term = cfg.nonlinearity()
+        u0 = cfg.initial_state(alpha)
         _, states = pod.pod_solve(art, alpha, term, u0, cfg.dt, cfg.n_steps)
         err = np.linalg.norm(states - u_ref) / np.linalg.norm(u_ref)
         assert err > 0.02

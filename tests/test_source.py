@@ -44,3 +44,63 @@ def test_scan_flags_only_unreferenced_names():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def problem_knowledge(path: Path) -> list[str]:
+    """Places outside ``fom`` that pick or name a registered problem.
+
+    In every module: a call of ``isinstance`` whose class argument names a
+    problem config class.  In every module but ``fom``: a name or attribute
+    that is a registered config class (the package ``__init__`` re-exports
+    them as import aliases and ``__all__`` strings, which are neither), and
+    a comparison against a registered kind or CLI name.
+    """
+    from tromkit import fom
+
+    problems = [obj for obj in vars(fom).values()
+                if isinstance(obj, type) and isinstance(getattr(obj, "kind", None), str)]
+    classes = {cls.__name__ for cls in problems}
+    names = {getattr(cls, attr, cls.kind) for cls in problems for attr in ("kind", "cli_name")}
+    tree = ast.parse(path.read_text())
+    found = []
+    for node in ast.walk(tree):
+        where = f"{path.name}:{getattr(node, 'lineno', 0)}"
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2
+                and {n.id if isinstance(n, ast.Name) else n.attr
+                     for n in ast.walk(node.args[1])
+                     if isinstance(n, (ast.Name, ast.Attribute))} & (classes | {"ProblemConfig"})):
+            found.append(f"{where} isinstance with a problem class")
+        if path.name == "fom.py":
+            continue
+        if ((isinstance(node, ast.Name) and node.id in classes)
+                or (isinstance(node, ast.Attribute) and node.attr in classes)):
+            found.append(f"{where} names a problem class")
+        if isinstance(node, ast.Compare) and any(
+                isinstance(n, ast.Constant) and n.value in names
+                for n in [node.left, *node.comparators]):
+            found.append(f"{where} compares against a problem kind")
+    return sorted(found)
+
+
+def test_problem_scan_flags_picks_by_type_and_kind(tmp_path):
+    path = tmp_path / "mod.py"
+    path.write_text("from . import fom\n"
+                    "from .fom import BurgersConfig\n"
+                    "__all__ = ['BurgersConfig']\n"
+                    "a = isinstance(cfg, fom.AllenCahnConfig)\n"
+                    "b = isinstance(cfg, (int, BurgersConfig))\n"
+                    "c = spec['kind'] == 'burgers'\n"
+                    "d = 'allen-cahn' != name\n"
+                    "e = isinstance(x, int) and kind == 'other'\n")
+    assert problem_knowledge(path) == [
+        "mod.py:4 isinstance with a problem class", "mod.py:4 names a problem class",
+        "mod.py:5 isinstance with a problem class", "mod.py:5 names a problem class",
+        "mod.py:6 compares against a problem kind", "mod.py:7 compares against a problem kind"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_problems_picked_only_by_their_class(path):
+    # each problem's facts live on its config class in fom; elsewhere a
+    # problem is reached through the config or the registry
+    assert problem_knowledge(path) == []

@@ -107,7 +107,7 @@ class TestOffline:
         # column-Gram path; its Rayleigh-Ritz step keeps the normalised
         # trailing rows orthonormal (about 4e-12 here, about 3e-9 without it).
         cfg = fom.AllenCahnConfig(m=12, n_steps=40, seed=42)
-        snaps = fom.sample_snapshots(cfg, fom.ac_grid(cfg, (4, 3, 3)))
+        snaps = fom.sample_snapshots(cfg, cfg.grid((4, 3, 3)))
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, snaps.grid,
                                  fmt="tt", eps=1e-4)
         for part in (art.u_part, art.f_part):
@@ -282,7 +282,7 @@ class TestBuildReducedSystem:
         # square full-rank fit degenerates to the plain inverse composition
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=0.0,
-                                 a_op=fom.burgers_affine(cfg))
+                                 a_op=cfg.affine())
         r_f = art.f_part.basis.shape[1]
         n_u = min(art.local_dim_bounds()[0], 10)
         assert art.local_dim_bounds()[1] == r_f  # lossless case is full rank
@@ -332,7 +332,7 @@ class TestBuildReducedSystem:
     def test_deim_mode_selects_square_invertible_block(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-6,
-                                 a_op=fom.burgers_affine(cfg))
+                                 a_op=cfg.affine())
         local = trom.build_reduced_system(
             art, trom.local_bases(art, [0.1, 0.5], 6, 8), mode="deim")
         assert local.used_rows.size == 8
@@ -341,7 +341,7 @@ class TestBuildReducedSystem:
     def test_cstar_shared_across_queries_in_ls_mode(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-6,
-                                 a_op=fom.burgers_affine(cfg))
+                                 a_op=cfg.affine())
         rng = np.random.default_rng(7)
         stars = set()
         for alpha in grid.sample(5, rng):
@@ -352,7 +352,7 @@ class TestBuildReducedSystem:
 
     def test_projected_operator_matches_dense(self, small_burgers):
         cfg, grid, snaps = small_burgers
-        op = fom.burgers_affine(cfg)
+        op = cfg.affine()
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
                                  eps=1e-6, a_op=op)
         alpha = np.array([0.2, 0.4])
@@ -379,14 +379,14 @@ class TestSolve:
     def test_in_sample_replay_full_rank(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=0.0, a_op=fom.burgers_affine(cfg))
+                                 eps=0.0, a_op=cfg.affine())
         bounds = art.local_dim_bounds()
-        term = fom.burgers_nonlinearity(cfg)
+        term = cfg.nonlinearity()
         for mi in [(0, 0), (1, 2), (2, 3)]:
             alpha = grid.node(mi)
             local = trom.build_reduced_system(
                 art, trom.local_bases(art, alpha, bounds[0], bounds[1]), mode="ls")
-            u0 = fom.burgers_initial_state(cfg, alpha[1])
+            u0 = cfg.initial_state(alpha)
             _, states = trom.trom_solve(art, local, term, u0, cfg.dt, cfg.n_steps)
             slab_u = snaps.u_tensor[(slice(None),) + mi]
             assert np.linalg.norm(states - slab_u) <= 1e-6 * np.linalg.norm(slab_u)
@@ -394,10 +394,10 @@ class TestSolve:
     def test_replay_both_hyper_reduction_modes_agree(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-5, a_op=fom.burgers_affine(cfg))
+                                 eps=1e-5, a_op=cfg.affine())
         alpha = np.array([0.05, 0.45])
-        term = fom.burgers_nonlinearity(cfg)
-        u0 = fom.burgers_initial_state(cfg, alpha[1])
+        term = cfg.nonlinearity()
+        u0 = cfg.initial_state(alpha)
         runs = {}
         for mode in ("ls", "deim"):
             local = trom.build_reduced_system(
@@ -409,7 +409,7 @@ class TestSolve:
     def test_pointwise_replay_allen_cahn(self, tiny_ac):
         cfg, grid, snaps = tiny_ac
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-9, a_op=fom.ac_affine(cfg))
+                                 eps=1e-9, a_op=cfg.affine())
         mi = (1, 1, 0)
         alpha = grid.node(mi)
         bounds = art.local_dim_bounds()
@@ -427,7 +427,7 @@ class TestSolve:
     def test_pointwise_step_inverse_matches_per_step_solve(self, tiny_ac, mode):
         cfg, grid, snaps = tiny_ac
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-6, a_op=fom.ac_affine(cfg))
+                                 eps=1e-6, a_op=cfg.affine())
         _assert_pointwise_step_matches_oracle(cfg, art, np.array([0.017, 0.12, 0.507]), mode)
 
     @pytest.mark.parametrize("n_steps", [1, 2])
@@ -437,7 +437,7 @@ class TestSolve:
         # before the march's two-column recurrence
         cfg, grid, snaps = tiny_ac
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-6, a_op=fom.ac_affine(cfg))
+                                 eps=1e-6, a_op=cfg.affine())
         _assert_pointwise_step_matches_oracle(cfg, art, np.array([0.017, 0.12, 0.507]),
                                               mode, n_steps)
 
@@ -445,7 +445,7 @@ class TestSolve:
     def test_advective_step_tensor_matches_per_step_solve(self, small_burgers, mode):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-6, a_op=fom.burgers_affine(cfg))
+                                 eps=1e-6, a_op=cfg.affine())
         alpha = np.array([0.05, 0.45])
         local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 10, 14),
                                           mode=mode)
@@ -459,7 +459,7 @@ class TestSolve:
                                                           n_steps):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-6, a_op=fom.burgers_affine(cfg))
+                                 eps=1e-6, a_op=cfg.affine())
         alpha = np.array([0.05, 0.45])
         local = trom.build_reduced_system(art, trom.local_bases(art, alpha, 10, 14),
                                           mode=mode)
@@ -470,7 +470,7 @@ class TestSolve:
     def test_pod_advective_step_tensor_matches_per_step_solve(self, small_burgers):
         cfg, grid, snaps = small_burgers
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 9, 13,
-                              a_op=fom.burgers_affine(cfg))
+                              a_op=cfg.affine())
         alpha = np.array([0.05, 0.45])
         local = trom.build_reduced_system(
             art, trom.local_bases(art, alpha, *art.local_dim_bounds()), mode="deim")
@@ -484,7 +484,7 @@ class TestSolve:
         # c I - a_red vanishes at the BDF2 shift and the term does too
         a_red = 1.5 / cfg.dt * np.eye(6)
         sys, beta0 = stepping.reduced_system(
-            lifted, rows, a_red, np.zeros((6, rows.size)), fom.burgers_nonlinearity(cfg),
+            lifted, rows, a_red, np.zeros((6, rows.size)), cfg.nonlinearity(),
             np.zeros(cfg.m))
         assert not sys.start.any()
         with pytest.raises(np.linalg.LinAlgError, match=r"at step 2 of 9, n=6"):
@@ -500,7 +500,7 @@ class TestSolve:
         # 2 beta_2 - beta_1 and with it the step-3 matrix vanish.
         sys = stepping.ReducedSystem(
             a_red=np.array([[6.0]]), f_map=np.eye(1), sel_state=np.eye(1),
-            u0_sel=np.ones(1), term=fom.burgers_nonlinearity(fom.BurgersConfig(m=10)),
+            u0_sel=np.ones(1), term=fom.BurgersConfig(m=10).nonlinearity(),
             start=np.array([[2.0 if step == 1 else 6.0]]),
             transport=np.array([[1.0], [-1.0]]))
         with pytest.raises(np.linalg.LinAlgError, match=rf"at step {step} of 5, n=1"):
@@ -530,7 +530,7 @@ class TestSolve:
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-4)
         local = trom.local_bases(art, [0.1, 0.5], 4, 4)
         with pytest.raises(ValueError, match="build_reduced_system"):
-            trom.trom_solve(art, local, fom.burgers_nonlinearity(cfg),
+            trom.trom_solve(art, local, cfg.nonlinearity(),
                             np.zeros(cfg.m), cfg.dt, 5)
 
 
@@ -538,7 +538,7 @@ class TestOnlineComplexity:
     def test_online_memory_bounded_by_ranks(self, desk_burgers):
         cfg, grid, snaps = desk_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-3, a_op=fom.burgers_affine(cfg))
+                                 eps=1e-3, a_op=cfg.affine())
         alpha = np.array([0.02, 0.44])
         trom.build_reduced_system(art, trom.local_bases(art, alpha, 10, 20))  # warm up
         tracemalloc.start()
@@ -594,14 +594,14 @@ class TestArtifactSerialization:
     def test_loaded_artifact_answers_queries_identically(self, tmp_path, small_burgers):
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-5, a_op=fom.burgers_affine(cfg),
+                                 eps=1e-5, a_op=cfg.affine(),
                                  problem=fom.config_to_dict(cfg))
         path = tmp_path / "art.trbl"
         trom.save_artifact(path, art)
         loaded = trom.load_artifact(path)
         alpha = np.array([0.05, 0.5])
-        term = fom.burgers_nonlinearity(cfg)
-        u0 = fom.burgers_initial_state(cfg, alpha[1])
+        term = cfg.nonlinearity()
+        u0 = cfg.initial_state(alpha)
         outs = []
         for a in (art, loaded):
             local = trom.build_reduced_system(a, trom.local_bases(a, alpha, 8, 12))
@@ -642,7 +642,7 @@ class TestArtifactSerialization:
         # the coefficient function cannot be stored; load rebuilds it from problem
         cfg, grid, snaps = small_burgers
         art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-3, a_op=fom.burgers_affine(cfg))
+                                 eps=1e-3, a_op=cfg.affine())
         path = tmp_path / "a.trbl"
         with pytest.raises(ValueError, match="no problem"):
             trom.save_artifact(path, art)
