@@ -186,13 +186,16 @@ _OFFLINE_HEADER = ["format", "eps", "cp_rank", "ranks_u", "ranks_f",
                    "cp_sweeps", "cp_converged", "t_offline"]
 
 
-def _build_artifact(snaps: fom.SnapshotSet, fmt: str, eps, cp_rank, interp_order,
-                    cp_opts=None) -> tuple[trom.OfflineArtifact, float]:
+def _build_artifact(snaps: fom.SnapshotSet, cfgd: dict,
+                    level: tuple) -> tuple[trom.OfflineArtifact, float]:
+    """Build one artifact at a (format, eps, cp_rank) level with the config's
+    ``interp_order`` and ``cp_opts``; also returns the seconds it took."""
+    fmt, eps, cp_rank = level
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=interp_order, a_op=snaps.config.affine(),
-        problem=fom.config_to_dict(snaps.config), cp_opts=cp_opts)
+        interp_order=cfgd.get("interp_order", 2), a_op=snaps.config.affine(),
+        problem=fom.config_to_dict(snaps.config), cp_opts=cfgd.get("cp_opts"))
     return art, time.perf_counter() - t0
 
 
@@ -208,8 +211,8 @@ _ROUNDING_SLACK = 1e-12
 
 def cmd_offline(args) -> int:
     snaps = fom.load_snapshots(args.snapshots)
-    art, elapsed = _build_artifact(snaps, args.format, args.eps, args.cp_rank,
-                                   args.interp_order)
+    art, elapsed = _build_artifact(snaps, {"interp_order": args.interp_order},
+                                   (args.format, args.eps, args.cp_rank))
     err_u = err_f = None
     if not args.skip_errors:
         err_u, err_f = _compression_errors(art, snaps)
@@ -276,79 +279,65 @@ def cmd_query(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
-_STUDY_CP_RANKS = (20, 50)     # default cp_rank_list
-
-
-def _study_cp_rank(cfgd):
-    """CP rank of the studies that build one artifact: ``cp_rank``, else,
-    for a CP config, the largest level of ``cp_rank_list``."""
-    rank = cfgd.get("cp_rank")
-    if rank is None and cfgd.get("format", "tt") == "cp":
-        rank = max(cfgd.get("cp_rank_list", _STUDY_CP_RANKS))
-    return rank
-
-
-def _study_builds(snaps, cfgd):
-    """Build one artifact per accuracy level of the study config (eps for
-    TT and Tucker, CP rank for CP); yields (eps, artifact, seconds)."""
+def _study_levels(cfgd, eps=None) -> list[tuple]:
+    """The (format, eps, cp_rank) of each artifact a study builds: one per entry
+    of ``eps_list`` (of ``cp_rank_list`` for CP), or, given a table's default
+    ``eps``, one at ``eps`` (for CP at ``cp_rank``, else the largest listed)."""
     fmt = cfgd.get("format", "tt")
     if fmt == "cp":
-        levels = [(None, rank) for rank in cfgd.get("cp_rank_list", _STUDY_CP_RANKS)]
-    else:
-        levels = [(eps, None) for eps in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
-    for eps, rank in levels:
-        art, elapsed = _build_artifact(snaps, fmt, eps, rank, cfgd.get("interp_order", 2),
-                                       cfgd.get("cp_opts"))
-        yield eps, art, elapsed
+        ranks = cfgd.get("cp_rank_list", [20, 50])
+        if eps is not None:
+            ranks = [max(ranks) if cfgd.get("cp_rank") is None else cfgd["cp_rank"]]
+        return [(fmt, None, rank) for rank in ranks]
+    if eps is not None:
+        return [(fmt, cfgd.get("eps", eps), None)]
+    return [(fmt, level, None) for level in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
 
 
-def _study_ranks(snaps, cfgd, out_dir, rows_out):
+def _check_alphas(grid: ParameterGrid, count: int, seed: int) -> np.ndarray:
+    return grid.sample(count, np.random.default_rng(seed))
+
+
+def _study_ranks(snaps, cfgd):
     """Ranks, compression factors, and achieved errors versus accuracy."""
     rows = []
-    for _, art, elapsed in _study_builds(snaps, cfgd):
-        err_u, err_f = _compression_errors(art, snaps)
-        rows.append(_offline_report_row(art, err_u, err_f, elapsed))
-    path = out_dir / "ranks_vs_eps.csv"
-    _write_csv(path, _OFFLINE_HEADER, rows)
-    rows_out.append(path)
+    for level in _study_levels(cfgd):
+        art, elapsed = _build_artifact(snaps, cfgd, level)
+        rows.append(_offline_report_row(art, *_compression_errors(art, snaps), elapsed))
+    return "ranks_vs_eps.csv", _OFFLINE_HEADER, rows
 
 
-def _study_refine(snaps, cfgd, out_dir, rows_out):
+def _study_refine(snaps, cfgd):
     """Averaged/max query error versus grid refinement: the late-window
     gradient-energy quotient for transport, the space-time l2 error for the
     phase field."""
     cfg = snaps.config
-    rng = np.random.default_rng(cfgd.get("seed", 2024))
-    count = cfgd.get("query_count", 100)
-    alphas = snaps.grid.sample(count, rng)
+    alphas = _check_alphas(snaps.grid, cfgd.get("query_count", 100), cfgd.get("seed", 2024))
     metric, error = list(cfg.error_metrics(cfgd.get("t_window", 0.5)).items())[-1]
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
+    [level] = _study_levels(cfgd, 1e-3)
     rows = []
     for shape in cfgd.get("refine_grids", [[2, 4], [4, 8], [8, 16]]):
         grid = _default_grid(cfg, shape, "config refine_grids")
         sub = fom.sample_snapshots(cfg, grid)
-        art, _ = _build_artifact(sub, cfgd.get("format", "tt"), cfgd.get("eps", 1e-3),
-                                 _study_cp_rank(cfgd), cfgd.get("interp_order", 2))
+        art, _ = _build_artifact(sub, cfgd, level)
         bounds = art.local_dim_bounds()
         n_u = min(cfgd.get("n_u", 10), bounds[0])
         n_f = min(cfgd.get("n_f", 20), bounds[1])
         errs = np.array([error(_solve_query(art, al, n_u, n_f, cfgd.get("mode", "ls"))[3], ref)
                          for al, ref in zip(alphas, refs)])
         rows.append(["x".join(map(str, shape)), n_u, n_f,
-                     f"{errs.mean():.6e}", f"{errs.max():.6e}", count])
-    path = out_dir / "error_vs_grid.csv"
-    _write_csv(path, ["grid", "n_u", "n_f", f"avg_err_{metric}", f"max_err_{metric}",
-                      "n_queries"], rows)
-    rows_out.append(path)
+                     f"{errs.mean():.6e}", f"{errs.max():.6e}", len(alphas)])
+    return ("error_vs_grid.csv", ["grid", "n_u", "n_f", f"avg_err_{metric}",
+                                  f"max_err_{metric}", "n_queries"], rows)
 
 
-def _study_svdecay(snaps, cfgd, out_dir, rows_out):
+def _study_svdecay(snaps, cfgd):
     """Scaled singular values: all-snapshot unfolding versus local matrices."""
-    art, _ = _build_artifact(snaps, cfgd.get("format", "tt"), cfgd.get("eps", 1e-4),
-                             _study_cp_rank(cfgd), cfgd.get("interp_order", 2))
+    [level] = _study_levels(cfgd, 1e-4)
+    art, _ = _build_artifact(snaps, cfgd, level)
     _, f_svals = pod.pod_basis(snaps.f_tensor)
-    rng = np.random.default_rng(cfgd.get("seed", 2024))
-    alphas = snaps.grid.sample(cfgd.get("svdecay_count", 10), rng)
+    alphas = _check_alphas(snaps.grid, cfgd.get("svdecay_count", 10), cfgd.get("seed", 2024))
     locs = [trom.local_bases(art, al, 1, 1) for al in alphas]
     depth = min([f_svals.size] + [loc.f_sing_vals.size for loc in locs])
     rows = []
@@ -357,27 +346,24 @@ def _study_svdecay(snaps, cfgd, out_dir, rows_out):
         row += [f"{loc.f_sing_vals[i] / loc.f_sing_vals[0]:.6e}" for loc in locs]
         rows.append(row)
     header = ["n", "pod"] + [f"alpha_{_alpha_str(al)}" for al in alphas]
-    path = out_dir / "sing_val_decay.csv"
-    _write_csv(path, header, rows)
-    rows_out.append(path)
+    return "sing_val_decay.csv", header, rows
 
 
-def _study_effrank(snaps, cfgd, out_dir, rows_out):
+def _study_effrank(snaps, cfgd):
     """Compressed-format error versus truncated-SVD error at equal effective rank."""
     tensors = {"u": snaps.u_tensor, "f": snaps.f_tensor}
     svals = {tag: pod.pod_basis(tensor)[1] for tag, tensor in tensors.items()}
     rows = {tag: [] for tag in tensors}
-    for eps, art, _ in _study_builds(snaps, cfgd):
+    for level in _study_levels(cfgd):
+        art, _ = _build_artifact(snaps, cfgd, level)
+        errs = dict(zip(tensors, _compression_errors(art, snaps)))
         for tag, part in (("u", art.u_part), ("f", art.f_part)):
             eff = part.ranks[-1]
-            err_lrtd = decomp.relative_error(part, tensors[tag])
             tail = max(float(np.sum(svals[tag]**2)) - float(np.sum(svals[tag][:eff]**2)), 0.0)
             err_svd = np.sqrt(tail) / np.linalg.norm(tensors[tag])
-            rows[tag].append([tag, eps, eff, f"{err_lrtd:.6e}", f"{err_svd:.6e}"])
-    path = out_dir / "effective_rank.csv"
-    _write_csv(path, ["tensor", "eps", "effective_rank", "err_lrtd", "err_trunc_svd"],
-               rows["u"] + rows["f"])
-    rows_out.append(path)
+            rows[tag].append([tag, art.eps, eff, f"{errs[tag]:.6e}", f"{err_svd:.6e}"])
+    return ("effective_rank.csv", ["tensor", "eps", "effective_rank", "err_lrtd",
+                                   "err_trunc_svd"], rows["u"] + rows["f"])
 
 
 _STUDIES = {"ranks": _study_ranks, "refine": _study_refine,
@@ -401,7 +387,9 @@ def cmd_study(args) -> int:
     outputs = []
     for kind in kinds:
         t0 = time.perf_counter()
-        _STUDIES[kind](snaps, cfgd, out_dir, outputs)
+        name, header, rows = _STUDIES[kind](snaps, cfgd)
+        outputs.append(out_dir / name)
+        _write_csv(outputs[-1], header, rows)
         print(f"study {kind}: {time.perf_counter() - t0:.1f}s -> {outputs[-1]}")
     _write_manifest(out_dir, "study", cfgd | {"kinds": kinds}, [snap_path], outputs)
     return 0
@@ -504,14 +492,13 @@ def cmd_verify(args) -> int:
     _check_pairing(art, snaps, args.artifact, args.snapshots)
     if int(np.prod(snaps.u_tensor.shape)) > 2 * 10**7:
         raise SystemExit("instance too large for dense verification")
-    rng = np.random.default_rng(args.seed)
     if args.alphas:
         alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
     elif args.random < 1:
         raise SystemExit(f"--random {args.random} leaves no parameter to check; "
                          f"pass a count of at least 1 or --alphas")
     else:
-        alphas = list(snaps.grid.sample(args.random, rng))
+        alphas = _check_alphas(snaps.grid, args.random, args.seed)
     try:
         n_list = [int(x) for x in args.n_list.split(",")]
     except ValueError:

@@ -388,8 +388,28 @@ class TestStudy:
         assert all(np.isfinite(float(r[3])) for r in rows)
         header, rows = read_csv(out / "sing_val_decay.csv")
         assert len(header) == 2 + 2 and rows
-        assert cli._study_cp_rank(config) == 6
-        assert cli._study_cp_rank({"format": "tt"}) is None
+        assert cli._study_levels(config, 1e-3) == [("cp", None, 6)]
+        assert cli._study_levels({"format": "tt"}, 1e-3) == [("tt", 1e-3, None)]
+
+    @pytest.mark.parametrize("config,eps,levels", [
+        # ranks and effrank: one level per listed eps, or per listed CP rank
+        ({}, None, [("tt", 0.1, None), ("tt", 0.03, None), ("tt", 0.01, None)]),
+        ({"format": "hosvd", "eps_list": [0.2]}, None, [("hosvd", 0.2, None)]),
+        ({"format": "cp", "cp_rank": 3, "cp_rank_list": [4, 6]}, None,
+         [("cp", None, 4), ("cp", None, 6)]),
+        ({"format": "cp"}, None, [("cp", None, 20), ("cp", None, 50)]),
+        # refine and svdecay: one level, at their own eps default
+        ({}, 1e-3, [("tt", 1e-3, None)]),
+        ({}, 1e-4, [("tt", 1e-4, None)]),
+        ({"eps": 0.05, "eps_list": [0.1]}, 1e-4, [("tt", 0.05, None)]),
+        # an explicit cp_rank wins over cp_rank_list
+        ({"format": "cp", "cp_rank": 3, "cp_rank_list": [4, 6]}, 1e-3, [("cp", None, 3)]),
+        ({"format": "cp"}, 1e-4, [("cp", None, 50)]),
+    ], ids=["tt_default_list", "hosvd_list", "cp_list", "cp_default_list",
+            "refine_default_eps", "svdecay_default_eps", "config_eps_wins",
+            "cp_rank_wins", "cp_default_rank"])
+    def test_study_levels(self, config, eps, levels):
+        assert cli._study_levels(config, eps) == levels
 
     def test_phase_field_runs_every_study(self, tmp_path):
         config = {
