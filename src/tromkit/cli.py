@@ -123,6 +123,22 @@ def _default_grid(cfg: fom.ProblemConfig, shape, source: str) -> ParameterGrid:
         raise SystemExit(f"{source}: {exc}") from None
 
 
+def _refuse_mismatch(pairs, what: str, side: str) -> None:
+    """Refuse the first (name, ours, theirs) of ``pairs`` whose values differ,
+    ours being the ``side``'s and theirs the snapshot bundle's.  Both go
+    through JSON, as an artifact's do, and a mismatch of two dicts names only
+    the keys that differ."""
+    for name, ours, theirs in pairs:
+        ours, theirs = (json.loads(json.dumps(v)) for v in (ours, theirs))
+        if isinstance(ours, dict):
+            keys = sorted(k for k in ours.keys() | theirs.keys()
+                          if ours.get(k) != theirs.get(k))
+            ours, theirs = ({k: v.get(k) for k in keys} for v in (ours, theirs))
+        if ours != theirs:
+            raise SystemExit(f"{what}: {name} {ours} in the {side}, "
+                             f"{theirs} in the snapshot bundle")
+
+
 def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str):
     cfg = fom.config_from_dict(art.problem)
     term = cfg.nonlinearity(alpha)
@@ -194,8 +210,8 @@ def _build_artifact(snaps: fom.SnapshotSet, cfgd: dict,
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=cfgd.get("interp_order", 2), a_op=snaps.config.affine(),
-        problem=fom.config_to_dict(snaps.config), cp_opts=cfgd.get("cp_opts"))
+        interp_order=cfgd["interp_order"], a_op=snaps.config.affine(),
+        problem=fom.config_to_dict(snaps.config), cp_opts=cfgd["cp_opts"])
     return art, time.perf_counter() - t0
 
 
@@ -211,8 +227,8 @@ _ROUNDING_SLACK = 1e-12
 
 def cmd_offline(args) -> int:
     snaps = fom.load_snapshots(args.snapshots)
-    art, elapsed = _build_artifact(snaps, {"interp_order": args.interp_order},
-                                   (args.format, args.eps, args.cp_rank))
+    build_cfg = {"interp_order": args.interp_order, "cp_opts": None}
+    art, elapsed = _build_artifact(snaps, build_cfg, (args.format, args.eps, args.cp_rank))
     err_u = err_f = None
     if not args.skip_errors:
         err_u, err_f = _compression_errors(art, snaps)
@@ -279,19 +295,32 @@ def cmd_query(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
+# Every key of a study config, with its default.  ``problem`` and ``grid``
+# are read as ``sample`` reads them; an ``eps`` of None is 1e-3 for refine
+# and 1e-4 for svdecay.
+_STUDY_KEYS = {
+    "problem": None, "grid": None, "out_dir": "study_out",
+    "format": "tt", "eps": None, "eps_list": [0.1, 0.03, 0.01],
+    "cp_rank": None, "cp_rank_list": [20, 50], "interp_order": 2, "cp_opts": None,
+    "seed": 2024, "query_count": 100, "t_window": 0.5,
+    "refine_grids": [[2, 4], [4, 8], [8, 16]], "n_u": 10, "n_f": 20, "mode": "ls",
+    "svdecay_count": 10,
+}
+
+
 def _study_levels(cfgd, eps=None) -> list[tuple]:
     """The (format, eps, cp_rank) of each artifact a study builds: one per entry
     of ``eps_list`` (of ``cp_rank_list`` for CP), or, given a table's default
     ``eps``, one at ``eps`` (for CP at ``cp_rank``, else the largest listed)."""
-    fmt = cfgd.get("format", "tt")
+    fmt = cfgd["format"]
     if fmt == "cp":
-        ranks = cfgd.get("cp_rank_list", [20, 50])
+        ranks = cfgd["cp_rank_list"]
         if eps is not None:
-            ranks = [max(ranks) if cfgd.get("cp_rank") is None else cfgd["cp_rank"]]
+            ranks = [max(ranks) if cfgd["cp_rank"] is None else cfgd["cp_rank"]]
         return [(fmt, None, rank) for rank in ranks]
     if eps is not None:
-        return [(fmt, cfgd.get("eps", eps), None)]
-    return [(fmt, level, None) for level in cfgd.get("eps_list", [0.1, 0.03, 0.01])]
+        return [(fmt, eps if cfgd["eps"] is None else cfgd["eps"], None)]
+    return [(fmt, level, None) for level in cfgd["eps_list"]]
 
 
 def _check_alphas(grid: ParameterGrid, count: int, seed: int) -> np.ndarray:
@@ -310,24 +339,28 @@ def _study_ranks(snaps, cfgd):
 def _study_refine(snaps, cfgd):
     """Averaged/max query error versus grid refinement: the late-window
     gradient-energy quotient for transport, the space-time l2 error for the
-    phase field."""
+    phase field.  A grid whose max error is above 1, which the zero trajectory
+    scores in both metrics, is flagged on stderr."""
     cfg = snaps.config
-    alphas = _check_alphas(snaps.grid, cfgd.get("query_count", 100), cfgd.get("seed", 2024))
-    metric, error = list(cfg.error_metrics(cfgd.get("t_window", 0.5)).items())[-1]
+    alphas = _check_alphas(snaps.grid, cfgd["query_count"], cfgd["seed"])
+    metric, error = list(cfg.error_metrics(cfgd["t_window"]).items())[-1]
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
     [level] = _study_levels(cfgd, 1e-3)
     rows = []
-    for shape in cfgd.get("refine_grids", [[2, 4], [4, 8], [8, 16]]):
+    for shape in cfgd["refine_grids"]:
         grid = _default_grid(cfg, shape, "config refine_grids")
         sub = fom.sample_snapshots(cfg, grid)
         art, _ = _build_artifact(sub, cfgd, level)
         bounds = art.local_dim_bounds()
-        n_u = min(cfgd.get("n_u", 10), bounds[0])
-        n_f = min(cfgd.get("n_f", 20), bounds[1])
-        errs = np.array([error(_solve_query(art, al, n_u, n_f, cfgd.get("mode", "ls"))[3], ref)
+        n_u = min(cfgd["n_u"], bounds[0])
+        n_f = min(cfgd["n_f"], bounds[1])
+        errs = np.array([error(_solve_query(art, al, n_u, n_f, cfgd["mode"])[3], ref)
                          for al, ref in zip(alphas, refs)])
-        rows.append(["x".join(map(str, shape)), n_u, n_f,
-                     f"{errs.mean():.6e}", f"{errs.max():.6e}", len(alphas)])
+        label = "x".join(map(str, shape))
+        if not errs.max() <= 1:
+            print(f"study refine: grid {label} diverged, max error {errs.max():.6e} "
+                  f"above the 1 of the zero trajectory", file=sys.stderr)
+        rows.append([label, n_u, n_f, f"{errs.mean():.6e}", f"{errs.max():.6e}", len(alphas)])
     return ("error_vs_grid.csv", ["grid", "n_u", "n_f", f"avg_err_{metric}",
                                   f"max_err_{metric}", "n_queries"], rows)
 
@@ -337,7 +370,7 @@ def _study_svdecay(snaps, cfgd):
     [level] = _study_levels(cfgd, 1e-4)
     art, _ = _build_artifact(snaps, cfgd, level)
     _, f_svals = pod.pod_basis(snaps.f_tensor)
-    alphas = _check_alphas(snaps.grid, cfgd.get("svdecay_count", 10), cfgd.get("seed", 2024))
+    alphas = _check_alphas(snaps.grid, cfgd["svdecay_count"], cfgd["seed"])
     locs = [trom.local_bases(art, al, 1, 1) for al in alphas]
     depth = min([f_svals.size] + [loc.f_sing_vals.size for loc in locs])
     rows = []
@@ -371,15 +404,30 @@ _STUDIES = {"ranks": _study_ranks, "refine": _study_refine,
 
 
 def cmd_study(args) -> int:
-    cfgd = _load_config(args)
-    out_dir = Path(args.out or cfgd.get("out_dir", "study_out"))
+    file_cfg = _load_config(args)
+    unknown = sorted(file_cfg.keys() - _STUDY_KEYS.keys())
+    if unknown:
+        raise SystemExit(f"study config: {', '.join(unknown)} "
+                         f"{'is' if len(unknown) == 1 else 'are'} not among the keys "
+                         f"of a study config: {', '.join(_STUDY_KEYS)}")
+    cfgd = _STUDY_KEYS | file_cfg
+    out_dir = Path(args.out or cfgd["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.snapshots:
         snaps = fom.load_snapshots(args.snapshots)
         snap_path = Path(args.snapshots)
+        # a problem or grid that the config or --problem names must be the bundle's
+        pairs = []
+        if args.problem or "problem" in file_cfg:
+            pairs.append(("problem", fom.config_to_dict(_problem_config(args, file_cfg)),
+                          fom.config_to_dict(snaps.config)))
+        if cfgd["grid"] is not None:
+            pairs.append(("grid", cfgd["grid"], list(snaps.grid.shape)))
+        _refuse_mismatch(pairs, f"study config does not describe snapshot bundle "
+                                f"{snap_path}", "config")
     else:
-        cfg = _problem_config(args, cfgd)
-        grid = _default_grid(cfg, cfgd.get("grid"), "config grid")
+        cfg = _problem_config(args, file_cfg)
+        grid = _default_grid(cfg, cfgd["grid"], "config grid")
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
         fom.save_snapshots(snap_path, snaps)
@@ -391,7 +439,7 @@ def cmd_study(args) -> int:
         outputs.append(out_dir / name)
         _write_csv(outputs[-1], header, rows)
         print(f"study {kind}: {time.perf_counter() - t0:.1f}s -> {outputs[-1]}")
-    _write_manifest(out_dir, "study", cfgd | {"kinds": kinds}, [snap_path], outputs)
+    _write_manifest(out_dir, "study", file_cfg | {"kinds": kinds}, [snap_path], outputs)
     return 0
 
 
@@ -468,22 +516,13 @@ def _check_pairing(art: trom.OfflineArtifact, snaps: fom.SnapshotSet,
                    art_path, snap_path) -> None:
     """Refuse a snapshot bundle that is not the artifact's training set:
     its problem (when the artifact records one), grid and tensor shape must
-    match the artifact's.  Both sides go through JSON, as the artifact did,
-    and a mismatch of two dicts names only the keys that differ."""
+    match the artifact's."""
     pairs = [("grid", art.grid.to_dict(), snaps.grid.to_dict()),
              ("full_shape", list(art.full_shape), list(snaps.u_tensor.shape))]
     if art.problem is not None:
         pairs.insert(0, ("problem", art.problem, fom.config_to_dict(snaps.config)))
-    for name, ours, theirs in pairs:
-        ours, theirs = (json.loads(json.dumps(v)) for v in (ours, theirs))
-        if isinstance(ours, dict):
-            keys = sorted(k for k in ours.keys() | theirs.keys()
-                          if ours.get(k) != theirs.get(k))
-            ours, theirs = ({k: v.get(k) for k in keys} for v in (ours, theirs))
-        if ours != theirs:
-            raise SystemExit(f"snapshot bundle {snap_path} does not belong to artifact "
-                             f"{art_path}: {name} {ours} in the artifact, "
-                             f"{theirs} in the snapshot bundle")
+    _refuse_mismatch(pairs, f"snapshot bundle {snap_path} does not belong to artifact "
+                            f"{art_path}", "artifact")
 
 
 def cmd_verify(args) -> int:

@@ -388,8 +388,8 @@ class TestStudy:
         assert all(np.isfinite(float(r[3])) for r in rows)
         header, rows = read_csv(out / "sing_val_decay.csv")
         assert len(header) == 2 + 2 and rows
-        assert cli._study_levels(config, 1e-3) == [("cp", None, 6)]
-        assert cli._study_levels({"format": "tt"}, 1e-3) == [("tt", 1e-3, None)]
+        assert cli._study_levels(cli._STUDY_KEYS | config, 1e-3) == [("cp", None, 6)]
+        assert cli._study_levels(cli._STUDY_KEYS, 1e-3) == [("tt", 1e-3, None)]
 
     @pytest.mark.parametrize("config,eps,levels", [
         # ranks and effrank: one level per listed eps, or per listed CP rank
@@ -409,7 +409,7 @@ class TestStudy:
             "refine_default_eps", "svdecay_default_eps", "config_eps_wins",
             "cp_rank_wins", "cp_default_rank"])
     def test_study_levels(self, config, eps, levels):
-        assert cli._study_levels(config, eps) == levels
+        assert cli._study_levels(cli._STUDY_KEYS | config, eps) == levels
 
     def test_phase_field_runs_every_study(self, tmp_path):
         config = {
@@ -431,6 +431,99 @@ class TestStudy:
         assert header[3:5] == ["avg_err_l2l2", "max_err_l2l2"]
         assert len(rows) == 2
         assert all(np.isfinite(float(r[3])) for r in rows)
+
+    def test_cp_opts_reach_every_build(self, tmp_path, monkeypatch):
+        config = {
+            "problem": {"kind": "burgers", "m": 30, "n_steps": 20},
+            "grid": [3, 4],
+            "format": "cp",
+            "cp_rank_list": [3],
+            "cp_opts": {"max_sweeps": 2},
+            "n_u": 3, "n_f": 3,
+            "query_count": 1,
+            "refine_grids": [[2, 3]],
+            "svdecay_count": 1,
+        }
+        seen = []
+        build = trom.build_offline
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["cp_opts"])
+            return build(*args, **kwargs)
+        monkeypatch.setattr(trom, "build_offline", record)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        assert run("study", "--config", cfg_path, "--out", tmp_path / "res") == 0
+        # one build each for ranks, refine (one grid), svdecay and effrank
+        assert seen == [config["cp_opts"]] * 4
+
+    @pytest.mark.parametrize("extra,named", [
+        ({"eps_lst": [0.5]}, "study config: eps_lst is not among the keys of a "
+                             "study config: problem, grid, out_dir, format, eps, "),
+        ({"n_U": 4, "count": 2}, "study config: count, n_U are not among the keys "),
+    ], ids=["one", "two"])
+    def test_unknown_key_refused_before_sampling(self, tmp_path, monkeypatch, extra, named):
+        monkeypatch.setattr(fom, "sample_snapshots",
+                            lambda *args: pytest.fail("sampled before the key check"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"problem": {"kind": "burgers", "m": 20, "n_steps": 12}, "grid": [3, 4]} | extra))
+        with pytest.raises(SystemExit, match=named):
+            run("study", "--config", cfg_path, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    def test_snapshots_with_matching_config_reproduce_the_study(self, study_out):
+        # the sampled study's config and bundle; only t_offline may differ
+        again = study_out.parent / "again"
+        assert run("study", "--config", study_out.parent / "cfg.json",
+                   "--snapshots", study_out / "snapshots.trbl", "--out", again) == 0
+        for name in ("ranks_vs_eps.csv", "error_vs_grid.csv",
+                     "sing_val_decay.csv", "effective_rank.csv"):
+            header, rows = read_csv(study_out / name)
+            header_again, rows_again = read_csv(again / name)
+            assert header_again == header
+            keep = [i for i, h in enumerate(header) if h != "t_offline"]
+            assert ([[r[i] for i in keep] for r in rows_again]
+                    == [[r[i] for i in keep] for r in rows])
+
+    @pytest.mark.parametrize("config,flags,named", [
+        ({"problem": {"kind": "allen_cahn", "m": 40, "n_steps": 30}}, [],
+         r"problem \{.*'kind': 'allen_cahn'.*\} in the config, \{.*'kind': 'burgers'"),
+        ({"problem": {"kind": "burgers", "m": 20, "n_steps": 30}}, [],
+         r"problem \{'m': 20\} in the config, \{'m': 40\} in the snapshot bundle"),
+        # an omitted field takes its default, m = 100
+        ({"problem": {"kind": "burgers", "n_steps": 30}}, [],
+         r"problem \{'m': 100\} in the config, \{'m': 40\} in the snapshot bundle"),
+        ({"grid": [2, 3]}, [], r"grid \[2, 3\] in the config, \[3, 4\] in the snapshot"),
+        ({}, ["--problem", "allen-cahn"], r"problem \{.*'kind': 'allen_cahn'"),
+    ], ids=["kind", "m", "default_m", "grid", "problem_flag"])
+    def test_snapshots_with_disagreeing_config_refused(self, study_out, tmp_path, config,
+                                                        flags, named):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match="study config does not describe snapshot "
+                                             f"bundle .*: {named}"):
+            run("study", "--config", cfg_path, "--snapshots", study_out / "snapshots.trbl",
+                "--out", tmp_path / "res", *flags)
+        assert not (tmp_path / "res" / "ranks_vs_eps.csv").exists()
+
+    def test_diverged_refine_grid_flagged(self, tmp_path, capsys):
+        # at 2x2x2 the reduced phase field of this config blows up; the row
+        # and the exit status stay, one stderr line names the grid
+        config = {"problem": {"kind": "allen_cahn", "m": 6, "n_steps": 12},
+                  "grid": [2, 2, 2], "eps_list": [0.1],
+                  "refine_grids": [[2, 2, 2], [3, 2, 2]], "query_count": 3}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "res"
+        assert run("study", "--config", cfg_path, "--kind", "refine", "--out", out) == 0
+        header, rows = read_csv(out / "error_vs_grid.csv")
+        max_err = {r[0]: float(r[4]) for r in rows}
+        assert max_err["2x2x2"] > 1 >= max_err["3x2x2"]
+        flagged = [line for line in capsys.readouterr().err.splitlines()
+                   if line.startswith("study refine:")]
+        assert flagged == [f"study refine: grid 2x2x2 diverged, max error "
+                           f"{max_err['2x2x2']:.6e} above the 1 of the zero trajectory"]
 
 
 class TestVerify:
