@@ -599,7 +599,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("study", help="reproduction studies (CSV tables)")
     p.add_argument("--config", help="JSON study config")
     p.add_argument("--problem", choices=list(_PROBLEMS))
-    p.add_argument("--snapshots", help="reuse an existing snapshot bundle")
+    p.add_argument("--snapshots", help="reuse an existing snapshot bundle; a problem "
+                                        "or grid that the config or --problem gives "
+                                        "must be the bundle's")
     p.add_argument("--kind", action="append", choices=list(_STUDIES),
                    help="study to run (repeatable; default all)")
     p.add_argument("--out", help="output directory")
