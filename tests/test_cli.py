@@ -389,7 +389,6 @@ class TestStudy:
         header, rows = read_csv(out / "sing_val_decay.csv")
         assert len(header) == 2 + 2 and rows
         assert cli._study_levels(cli._STUDY_KEYS | config, 1e-3) == [("cp", None, 6)]
-        assert cli._study_levels(cli._STUDY_KEYS, 1e-3) == [("tt", 1e-3, None)]
 
     @pytest.mark.parametrize("config,eps,levels", [
         # ranks and effrank: one level per listed eps, or per listed CP rank
