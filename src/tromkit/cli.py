@@ -88,7 +88,13 @@ def _alpha_str(alpha) -> str:
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        cfg = json.loads(Path(args.config).read_text())
+        try:
+            cfg = json.loads(Path(args.config).read_text())
+        except json.JSONDecodeError as exc:
+            raise SystemExit(f"config file {args.config} is not JSON: {exc}") from None
+        if not isinstance(cfg, dict):
+            raise SystemExit(f"config file {args.config} must hold a JSON object of "
+                             f"settings, not {json.dumps(cfg)[:40]}")
     return cfg
 
 

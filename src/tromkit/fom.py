@@ -439,7 +439,11 @@ def default_grid(cfg: ProblemConfig, shape=None) -> ParameterGrid:
 class SnapshotSet:
     """Snapshot tensors (M x K_1 x ... x K_D x N) plus what regenerates
     them: the grid and the problem config, which also fixes the time grid
-    and the initial state at every parameter (``initial_state_for``)."""
+    and the initial state at every parameter (``initial_state_for``).
+
+    ``sample_snapshots`` and ``load_snapshots`` give Fortran-ordered
+    (canonical, first index fastest) tensors: the space index runs
+    contiguously, and the first unfolding is a view."""
 
     u_tensor: np.ndarray
     f_tensor: np.ndarray
@@ -451,14 +455,16 @@ def sample_snapshots(cfg: ProblemConfig, grid: ParameterGrid) -> SnapshotSet:
     """Run the full-order model at every grid node and pack the tensors.
 
     The runs at one node of the first axis march together as one block and
-    write their steps straight into that slab of both tensors.  When a slab
+    write their steps straight into that slab of both tensors.  The tensors
+    are Fortran-ordered, so each step writes contiguous runs of M entries
+    and the compressions read the first unfolding without a copy.  When a slab
     fails, its nodes are marched again one at a time, so that the error
     names the first node that fails on its own: in the transport block a
     non-finite run spreads to the others.
     """
     shape = (cfg.n_dofs,) + grid.shape + (cfg.n_steps,)
-    u_tensor = np.empty(shape)
-    f_tensor = np.empty(shape)
+    u_tensor = np.empty(shape, order="F")
+    f_tensor = np.empty(shape, order="F")
     rest = [ax.nodes for ax in grid.axes[1:]]
     for i, first in enumerate(grid.axes[0].nodes):
         # the slab's parameters, K_2 x .. x K_D x D; then its views into the

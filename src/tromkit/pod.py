@@ -11,21 +11,39 @@ from __future__ import annotations
 
 import numpy as np
 
-from .decomp import PodPart, truncated_left_svd
+from .decomp import PodPart, _kept_rank
 from .stepping import AffineOperator
 from .tensors import unfold
 from .trom import (OfflineArtifact, _coupled_artifact, build_reduced_system, local_bases,
                    trom_solve)
 
 
+# Columns of the unfolding per QR step of ``pod_basis``, in multiples of its
+# row count: each step factors a (5 M) x M stack, which keeps the work close to
+# one QR of the whole transposed unfolding and the memory at a few M x M blocks.
+_QR_BLOCK = 4
+
+
 def pod_basis(snapshot_tensor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Left singular vectors and singular values of the mode-1 unfolding.
 
-    Budget 0 keeps every direction with a nonzero singular value, so this
-    runs the SVD path of ``truncated_left_svd``.
+    With ``A`` the M x K unfolding, the triangular factor ``R`` of the QR of
+    ``A^T`` is accumulated over blocks of columns of ``A`` (each step a QR of
+    ``R`` stacked on the next block), and the SVD of ``R^T`` gives the left
+    singular vectors and the singular values of ``A``.  No right singular
+    vectors of ``A`` are formed, and the unfolding of a Fortran-ordered
+    tensor is never copied whole.  Every singular value is returned; the
+    basis keeps the columns a budget-0 truncation keeps, every direction up
+    to the last nonzero singular value.
     """
-    u, svals, _ = truncated_left_svd(unfold(snapshot_tensor, 0), 0.0)
-    return u, svals
+    mat = unfold(np.asarray(snapshot_tensor, dtype=np.float64), 0)
+    rows = mat.shape[0]
+    step = _QR_BLOCK * rows
+    r = np.empty((0, rows))
+    for j in range(0, mat.shape[1], step):
+        r = np.linalg.qr(np.concatenate((r, mat[:, j:j + step].T)), mode="r")
+    u, svals, _ = np.linalg.svd(r.T, full_matrices=False)
+    return np.ascontiguousarray(u[:, :_kept_rank(svals, 0.0)]), svals
 
 
 def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,

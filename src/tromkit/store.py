@@ -1,12 +1,13 @@
 """The on-disk format: the tensor record and the single-file bundle.
 
 A tensor record is the magic ``TNSR``, a u32 version, a u8 order, i64
-extents and the f64 entries in canonical (first index fastest) order.  A
-bundle is the magic ``TRBL``, a u32 version, a u64 metadata length, JSON
-metadata and then one tensor record per blob.  Bundles hold snapshot sets
-and offline artifacts.  Writing is deterministic (sorted JSON keys,
-explicit blob order), so a load/save round trip is byte-identical; a short
-read or bytes after the last blob raise ``ValueError``.
+extents and the f64 entries in canonical (first index fastest) order; it is
+read back as a Fortran-ordered array, the layout sampling gives a snapshot
+tensor.  A bundle is the magic ``TRBL``, a u32 version, a u64 metadata
+length, JSON metadata and then one tensor record per blob.  Bundles hold
+snapshot sets and offline artifacts.  Writing is deterministic (sorted JSON
+keys, explicit blob order), so a load/save round trip is byte-identical; a
+short read or bytes after the last blob raise ``ValueError``.
 """
 from __future__ import annotations
 
@@ -44,6 +45,8 @@ def read_exact(fh: BinaryIO, count: int, what: str) -> bytes:
 
 
 def read_tensor(fh: BinaryIO) -> np.ndarray:
+    """Read one tensor record into a Fortran-ordered (canonical) array: the
+    one copy is the conversion out of the read-only file bytes."""
     magic = read_exact(fh, 4, "tensor magic")
     if magic != TENSOR_MAGIC:
         raise ValueError(f"bad tensor magic {magic!r}")
@@ -57,8 +60,7 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     count = int(np.prod(dims, dtype=np.int64)) if order else 0
     raw = read_exact(fh, 8 * count, f"tensor data of shape {dims}")
     data = np.frombuffer(raw, dtype="<f8", count=count)
-    # C-contiguous result so downstream kernels see the usual memory layout
-    return np.ascontiguousarray(np.reshape(data.astype(np.float64), dims, order="F"))
+    return np.reshape(data.astype(np.float64), dims, order="F")
 
 
 def dumps_meta(meta: dict) -> bytes:

@@ -2,7 +2,8 @@
 
 Tensors are plain float64 ``numpy.ndarray`` values and all functions here are
 pure.  The canonical element order (unfolding columns, serialized entries) is
-Fortran order: the first index varies fastest.  The on-disk tensor record
+Fortran order: the first index varies fastest.  Snapshot tensors are held in
+that order, so the first unfolding of one is a view.  The on-disk tensor record
 lives in :mod:`tromkit.store`.
 """
 from __future__ import annotations
@@ -11,8 +12,9 @@ import numpy as np
 
 
 def frobenius_norm(t: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.asarray(t).ravel()))
+    """Square root of the sum of squared entries, read in memory order, so
+    that a contiguous tensor of either order is not copied."""
+    return float(np.linalg.norm(np.asarray(t).ravel(order="K")))
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

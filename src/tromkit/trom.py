@@ -322,6 +322,10 @@ def load_artifact(path) -> OfflineArtifact:
     from .fom import affine_operator_for, config_from_dict
 
     meta, blobs = store.load_bundle(path)
+    # C-contiguous, as artifacts have always loaded: over the Fortran-ordered
+    # arrays of ``read_tensor`` the online products round differently, and a
+    # reloaded artifact would not answer bit for bit like the one saved.
+    blobs = {name: np.ascontiguousarray(blob) for name, blob in blobs.items()}
     schema = meta.get("schema")
     if schema != _SCHEMA:
         raise ValueError(f"{path} has schema {schema!r}, not {_SCHEMA!r}; rebuild "

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -73,6 +74,24 @@ class TestSample:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": {"kind": "burgers", "n_steps": 0}}))
         with pytest.raises(SystemExit, match="problem config: n_steps must be at least 1"):
+            run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
+
+    @pytest.mark.parametrize("command", ["sample", "study"])
+    @pytest.mark.parametrize("content", ["[1]", "3", '"burgers"', "null"],
+                             ids=["array", "number", "string", "null"])
+    def test_config_file_that_is_not_an_object_refused(self, tmp_path, command, content):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(content)
+        message = f"config file {cfg_path} must hold a JSON object of settings, not {content}"
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            run(command, "--config", cfg_path, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    def test_config_file_that_is_not_json_refused(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"problem": {"kind":\n')
+        with pytest.raises(SystemExit, match=f"^config file {re.escape(str(cfg_path))} is "
+                                             "not JSON: Expecting value: line 2 column 1"):
             run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
 
     @pytest.mark.parametrize("problem,named", [

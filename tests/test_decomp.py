@@ -1,7 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from tromkit import decomp
+from tromkit import decomp, pod
 from tromkit.tensors import unfold
 
 from conftest import smooth_tensor
@@ -99,6 +101,30 @@ def dense_tt_svd(t, eps):
         if k < t.ndim - 1:
             rest = rest.reshape(r * t.shape[k], -1, order="F")
     return tuple(ranks), rest.T
+
+
+class TestFirstUnfoldingIsNotCopied:
+    @pytest.mark.parametrize("build", [
+        lambda t: decomp.tt_svd(t, 1e-3),
+        lambda t: decomp.hosvd(t, 1e-3),
+        pod.pod_basis,
+    ], ids=["tt_svd", "hosvd", "pod_basis"])
+    def test_peak_stays_below_the_tensor(self, build):
+        # A Fortran-ordered tensor's first unfolding is a view.  A copy of
+        # it, a C-ordered copy for the norm, or the right singular vectors
+        # of the unfolding would each take the tensor's size.  The tensor has
+        # CP rank 6 (at most M/4), so what the compressions keep is small.
+        rng = np.random.default_rng(3)
+        factors = [rng.standard_normal((n, 6)) for n in (64, 6, 8, 40)]
+        t = np.asfortranarray(np.einsum("ar,br,cr,dr->abcd", *factors))
+        build(t)
+        tracemalloc.start()
+        try:
+            build(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < t.nbytes
 
 
 class TestTTSVD:

@@ -337,11 +337,30 @@ class TestSampling:
         loaded = fom.load_snapshots(path)
         assert np.array_equal(loaded.u_tensor, snaps.u_tensor)
         assert np.array_equal(loaded.f_tensor, snaps.f_tensor)
+        # both sampled and loaded tensors are held in canonical order
+        for t in (snaps.u_tensor, snaps.f_tensor, loaded.u_tensor, loaded.f_tensor):
+            assert t.flags.f_contiguous
         assert loaded.config == cfg
         assert loaded.grid.to_dict() == grid.to_dict()
         path2 = tmp_path / "snaps2.trbl"
         fom.save_snapshots(path2, loaded)
         assert path.read_bytes() == path2.read_bytes()
+
+    def test_load_holds_one_blob_of_file_bytes_beyond_the_tensors(self, tmp_path,
+                                                                   small_burgers):
+        # each blob is read as file bytes and converted once; a further
+        # reordering copy would add a third tensor-sized array to the peak
+        _, _, snaps = small_burgers
+        path = tmp_path / "snaps.trbl"
+        fom.save_snapshots(path, snaps)
+        tracemalloc.start()
+        try:
+            loaded = fom.load_snapshots(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        size = loaded.u_tensor.nbytes
+        assert peak - 2 * size < 1.5 * size
 
     def test_bundle_with_initial_state_blob_loads(self, tmp_path, small_burgers):
         # older bundles also stored every node's initial state and the list of

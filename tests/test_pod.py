@@ -43,15 +43,19 @@ class TestPodBasis:
         tail = np.sum(pod.pod_basis(snaps.u_tensor)[1][12:] ** 2)
         assert residual == pytest.approx(tail, rel=1e-8)
 
-    def test_gram_path_matches_direct_svd(self):
+    def test_matches_direct_svd(self):
+        # a tall unfolding (cols < rows), one QR block, and a wide
+        # Fortran-ordered one over several blocks with a graded spectrum
         rng = np.random.default_rng(0)
-        mat = rng.standard_normal((30, 8))  # tall unfolding (cols < rows)
-        tall = mat.reshape(30, 2, 4)
-        u_gram, s_gram = pod.pod_basis(tall)
-        u_ref, s_ref, _ = np.linalg.svd(mat, full_matrices=False)
-        assert np.max(np.abs(s_gram - s_ref)) < 1e-10 * s_ref[0]
-        overlap = np.abs(np.sum(u_gram * u_ref, axis=0))
-        assert np.allclose(overlap, 1.0, atol=1e-10)
+        wide = np.linalg.qr(rng.standard_normal((150, 12)))[0] * 0.5 ** np.arange(12)
+        wide = np.linalg.qr(rng.standard_normal((12, 12)))[0] @ wide.T
+        for mat, shape, tol in ((rng.standard_normal((30, 8)), (30, 2, 4), 1e-10),
+                                (wide, (12, 5, 30), 1e-12)):
+            u_pod, s_pod = pod.pod_basis(np.reshape(mat, shape, order="F"))
+            u_ref, s_ref, _ = np.linalg.svd(mat, full_matrices=False)
+            assert np.max(np.abs(s_pod - s_ref)) < tol * s_ref[0]
+            overlap = np.abs(np.sum(u_pod * u_ref, axis=0))
+            assert np.allclose(overlap, 1.0, atol=tol)
 
     def test_rank_deficiency_detected(self):
         v = np.array([1.0, 2.0, -1.0])

@@ -54,6 +54,12 @@ class TestNorm:
         t = canon(range(1, 9), (2, 2, 2))
         assert tensors.frobenius_norm(t) == pytest.approx(np.sqrt(204.0), rel=1e-15)
 
+    def test_any_memory_layout(self):
+        t = np.random.default_rng(4).standard_normal((7, 5, 6))
+        for view in (t, np.asfortranarray(t), t[::2, :, 1::2], np.asfortranarray(t)[:, ::-1]):
+            assert tensors.frobenius_norm(view) == pytest.approx(
+                np.sqrt(np.sum(view**2)), rel=1e-15, abs=0.0)
+
 
 class TestBinaryFormat:
     def test_round_trip(self):

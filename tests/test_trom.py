@@ -591,22 +591,28 @@ class TestArtifactSerialization:
         trom.save_artifact(p2, loaded)
         assert p1.read_bytes() == p2.read_bytes()
 
-    def test_loaded_artifact_answers_queries_identically(self, tmp_path, small_burgers):
-        cfg, grid, snaps = small_burgers
-        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-5, a_op=cfg.affine(),
-                                 problem=fom.config_to_dict(cfg))
-        path = tmp_path / "art.trbl"
-        trom.save_artifact(path, art)
-        loaded = trom.load_artifact(path)
-        alpha = np.array([0.05, 0.5])
-        term = cfg.nonlinearity()
-        u0 = cfg.initial_state(alpha)
-        outs = []
-        for a in (art, loaded):
-            local = trom.build_reduced_system(a, trom.local_bases(a, alpha, 8, 12))
-            outs.append(trom.trom_solve(a, local, term, u0, cfg.dt, cfg.n_steps)[1])
-        assert np.array_equal(outs[0], outs[1])
+    def test_loaded_artifact_answers_queries_identically(self, tmp_path, small_burgers,
+                                                         tiny_ac):
+        # every format of both problems, in both online modes, answers with
+        # the betas of the artifact that was saved
+        for cfg, grid, snaps in (small_burgers, tiny_ac):
+            alpha = grid.sample(1, np.random.default_rng(2))[0]
+            term, u0 = cfg.nonlinearity(alpha), cfg.initial_state(alpha)
+            for fmt, kw in (("tt", {"eps": 1e-4}), ("hosvd", {"eps": 1e-4}),
+                            ("cp", {"cp_rank": 6})):
+                art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt=fmt,
+                                         a_op=cfg.affine(), problem=fom.config_to_dict(cfg),
+                                         **kw)
+                path = tmp_path / f"{cfg.kind}_{fmt}.trbl"
+                trom.save_artifact(path, art)
+                loaded = trom.load_artifact(path)
+                dims = art.local_dim_bounds()
+                for mode in ("ls", "deim"):
+                    betas = [trom.trom_solve(
+                        a, trom.build_reduced_system(a, trom.local_bases(a, alpha, *dims), mode),
+                        term, u0, cfg.dt, cfg.n_steps, cfg.stabilization(cfg.dt))[0]
+                        for a in (art, loaded)]
+                    np.testing.assert_array_equal(*betas, err_msg=f"{cfg.kind} {fmt} {mode}")
 
     def test_truncated_artifact_rejected(self, tmp_path):
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
