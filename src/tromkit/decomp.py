@@ -3,7 +3,7 @@
 Each format has one representation, the part the online stage reads: an
 orthonormal space basis (from the mode-1 factor), the parametric cores or
 factors, and an orthonormal time factor (``TTPart``, ``TuckerPart``,
-``CPPart``; ``PodPart`` is the parameter-independent POD baseline).
+``CPPart``).
 ``tt_svd``, ``hosvd`` and ``cp_als`` build these parts directly from an
 order-d snapshot tensor shaped (space, parameters..., time).
 
@@ -126,7 +126,8 @@ class TTPart(OnlinePart):
             lo, hi = nz[0], nz[-1] + 1
             mat = np.einsum("rkq,k->rq", core[:, lo:hi], w[lo:hi])
             out = mat if out is None else mat @ out
-        # A train of an order-2 tensor has no parametric core.
+        # A train of an order-2 tensor, or a POD basis (``pod``), has no
+        # parametric core.
         return np.eye(self.time_scale.size) if out is None else out
 
     def scaled_core_matrix(self, weights) -> np.ndarray:
@@ -188,20 +189,6 @@ class CPPart(OnlinePart):
         return self.r_left @ (s[:, None] * self.r_right.T)
 
     scaled_core_matrix = core_matrix
-
-
-@dataclass(frozen=True)
-class PodPart(OnlinePart):
-    """Truncated POD basis; its core matrix diag(sing_vals) ignores the weights."""
-
-    sing_vals: np.ndarray                # n, descending
-    basis: np.ndarray                    # M x n, orthonormal
-    time_factor: np.ndarray              # n x n identity
-
-    kind = "pod"
-
-    def scaled_core_matrix(self, weights) -> np.ndarray:
-        return np.diag(self.sing_vals)
 
 
 # ---------------------------------------------------------------------------

@@ -2,16 +2,17 @@
 
 The projection basis is the leading left singular vectors of the mode-1
 unfolding of the state-snapshot tensor; the interpolation basis likewise for
-the nonlinear-term snapshots.  Each is a ``decomp.PodPart``, the fourth part
-kind, whose core matrix does not depend on the parameter; the baseline is an
-``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None, queried through the
-shared TROM online stage.
+the nonlinear-term snapshots.  Each is a ``decomp.TTPart`` without a
+parametric core, the singular values as its time scale and the identity as
+its time factor, so its core matrix is ``diag(sigma)`` at every parameter;
+the baseline is an ``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None,
+queried through the shared TROM online stage.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .decomp import PodPart, _kept_rank
+from .decomp import TTPart, _kept_rank
 from .stepping import AffineOperator
 from .tensors import unfold
 from .trom import (OfflineArtifact, _coupled_artifact, build_reduced_system, local_bases,
@@ -56,7 +57,8 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
         basis, svals = pod_basis(snaps)
         if want > basis.shape[1] or svals[want - 1] <= svals[0] * 1e-14:
             raise ValueError(f"{name} snapshots are rank-deficient below n={want}")
-        parts.append(PodPart(svals[:want], basis[:, :want], np.eye(want)))
+        parts.append(TTPart(cores=(), time_scale=svals[:want], basis=basis[:, :want],
+                            time_factor=np.eye(want)))
     return _coupled_artifact(*parts, a_op, fmt="pod", eps=None, cp_rank=None,
                              interp_order=0, grid=None, full_shape=np.shape(u_snaps))
 

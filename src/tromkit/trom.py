@@ -14,9 +14,9 @@ Everything the online stage touches is sized by compression ranks and grid
 node counts; the full spatial dimension appears only in the universal bases
 kept for lifting and initial-condition projection.
 
-On ``decomp.PodPart``, whose core matrix does not depend on the parameter,
-the online stage is POD-DEIM (``pod``); that in-memory artifact has
-``fmt="pod"`` and ``grid`` None.
+On tensor-train parts without a parametric core, whose core matrix does
+not depend on the parameter, the online stage is POD-DEIM (``pod``); that
+in-memory artifact has ``fmt="pod"`` and ``grid`` None.
 
 An artifact is saved as one bundle (``store``) with schema
 ``tromkit-artifact-2``.  Each compressed part is written from its dataclass
