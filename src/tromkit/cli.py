@@ -99,7 +99,11 @@ def _load_config(args) -> dict:
 
 
 def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
-    spec = dict(file_cfg.get("problem", {}))
+    spec = file_cfg.get("problem", {})
+    if not isinstance(spec, dict):
+        raise SystemExit(f"config file {args.config}: problem must be a JSON object of "
+                         f"problem fields, not {json.dumps(spec)[:40]}")
+    spec = dict(spec)
     if getattr(args, "problem", None):
         spec["kind"] = _PROBLEMS[args.problem].kind
     if "kind" not in spec:
@@ -313,6 +317,11 @@ _STUDY_KEYS = {
     "svdecay_count": 10,
 }
 
+# what a study key admits, by the type of its default (JSON has no tuples,
+# and an integer is a number too)
+_JSON_TYPES = {list: ((list,), "a list"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string")}
+
 
 def _study_levels(cfgd, eps=None) -> list[tuple]:
     """The (format, eps, cp_rank) of each artifact a study builds: one per entry
@@ -416,6 +425,13 @@ def cmd_study(args) -> int:
         raise SystemExit(f"study config: {', '.join(unknown)} "
                          f"{'is' if len(unknown) == 1 else 'are'} not among the keys "
                          f"of a study config: {', '.join(_STUDY_KEYS)}")
+    for key, value in file_cfg.items():
+        if _STUDY_KEYS[key] is None:
+            continue
+        types, what = _JSON_TYPES[type(_STUDY_KEYS[key])]
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise SystemExit(f"study config: {key} must be {what}, "
+                             f"got {json.dumps(value)[:40]}")
     cfgd = _STUDY_KEYS | file_cfg
     out_dir = Path(args.out or cfgd["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

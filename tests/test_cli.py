@@ -87,6 +87,16 @@ class TestSample:
             run(command, "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
 
+    @pytest.mark.parametrize("command", ["sample", "study"])
+    @pytest.mark.parametrize("problem", [[1], "burgers", None], ids=["array", "string", "null"])
+    def test_problem_that_is_not_an_object_refused(self, tmp_path, command, problem):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": problem}))
+        message = (f"config file {cfg_path}: problem must be a JSON object of problem "
+                   f"fields, not {json.dumps(problem)}")
+        with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
+            run(command, "--config", cfg_path, "--out", tmp_path / "bad")
+
     def test_config_file_that_is_not_json_refused(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"problem": {"kind":\n')
@@ -161,12 +171,28 @@ class TestSample:
         ("allen-cahn", "4x3", r"--grid: grid shape \[4, 3\] has 2 entries; "
                               r"the allen_cahn problem has 3 parameters"),
         ("burgers", "3xq", r"--grid '3xq' is not a shape"),
-    ], ids=["three_for_two", "two_for_three", "not_integer"])
+        # a shape from a config file, which need not be a list of integers
+        ("burgers", {"grid": "3x4"}, r"config grid: grid shape '3x4' is not a list of integers"),
+        ("burgers", {"grid": [3.5, 4]},
+         r"config grid: grid shape \[3.5, 4\] is not a list of integers"),
+        ("burgers", {"refine_grids": [3, 4]},
+         r"config refine_grids: grid shape 3 is not a list of integers"),
+    ], ids=["three_for_two", "two_for_three", "not_integer", "config_string",
+            "config_float", "refine_entry_not_a_list"])
     def test_bad_grid_refused(self, tmp_path, problem, grid, named):
+        out = tmp_path / "bad"
+        if isinstance(grid, str):
+            argv = ["sample", "--problem", problem, "--m", "8", "--steps", "5", "--grid", grid]
+        else:
+            # refine_grids is read by the refine study, after the bundle is sampled
+            cfg_path = tmp_path / "cfg.json"
+            cfg_path.write_text(json.dumps({"problem": {"kind": problem, "m": 8, "n_steps": 5},
+                                            "grid": [2, 2], "query_count": 1} | grid))
+            argv = (["study", "--kind", "refine"] if "refine_grids" in grid
+                    else ["sample"]) + ["--config", cfg_path]
         with pytest.raises(SystemExit, match=named):
-            run("sample", "--problem", problem, "--m", "8", "--steps", "5",
-                "--grid", grid, "--out", tmp_path / "bad")
-        assert not (tmp_path / "bad").exists()
+            run(*argv, "--out", out)
+        assert not (out / "error_vs_grid.csv" if argv[0] == "study" else out).exists()
 
 
 class TestOffline:
@@ -487,6 +513,27 @@ class TestStudy:
         cfg_path.write_text(json.dumps(
             {"problem": {"kind": "burgers", "m": 20, "n_steps": 12}, "grid": [3, 4]} | extra))
         with pytest.raises(SystemExit, match=named):
+            run("study", "--config", cfg_path, "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("extra,named", [
+        ({"eps_list": 0.1}, "eps_list must be a list, got 0.1"),
+        ({"refine_grids": "2x3"}, 'refine_grids must be a list, got "2x3"'),
+        ({"query_count": "3"}, 'query_count must be an integer, got "3"'),
+        ({"seed": True}, "seed must be an integer, got true"),
+        ({"n_u": 4.0}, "n_u must be an integer, got 4.0"),
+        ({"t_window": "0.5"}, 't_window must be a number, got "0.5"'),
+        ({"mode": None}, "mode must be a string, got null"),
+    ], ids=["list", "list_string", "int_string", "int_bool", "int_float", "float_string",
+            "string_null"])
+    def test_value_of_wrong_type_refused_before_sampling(self, tmp_path, monkeypatch,
+                                                         extra, named):
+        monkeypatch.setattr(fom, "sample_snapshots",
+                            lambda *args: pytest.fail("sampled before the type check"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(
+            {"problem": {"kind": "burgers", "m": 20, "n_steps": 12}, "grid": [3, 4]} | extra))
+        with pytest.raises(SystemExit, match=f"^study config: {re.escape(named)}$"):
             run("study", "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
 

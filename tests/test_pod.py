@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 import tromkit
-from tromkit import deim, fom, pod, stepping, trom
+from tromkit import decomp, deim, fom, pod, stepping, trom
 from tromkit.stepping import AffineOperator, PointwiseTerm
 from tromkit.tensors import unfold
 
@@ -74,6 +74,13 @@ class TestPodBasis:
         art = pod.pod_offline(snaps.u_tensor, snaps.f_tensor, 6, 9)
         assert art.fmt == "pod" and art.grid is None
         assert art.local_dim_bounds() == (6, 9)
+        # each POD basis is a tensor train without a parametric core
+        for part, tensor, n in ((art.u_part, snaps.u_tensor, 6),
+                                (art.f_part, snaps.f_tensor, 9)):
+            assert isinstance(part, decomp.TTPart)
+            assert part.cores == () and part.ranks == (n,)
+            assert np.array_equal(part.scaled_core_matrix([]),
+                                  np.diag(pod.pod_basis(tensor)[1][:n]))
         with pytest.raises(ValueError, match="in-memory baselines"):
             trom.save_artifact(tmp_path / "pod.trbl", art)
         assert not (tmp_path / "pod.trbl").exists()
