@@ -95,15 +95,14 @@ def _load_config(args) -> dict:
         if not isinstance(cfg, dict):
             raise SystemExit(f"config file {args.config} must hold a JSON object of "
                              f"settings, not {json.dumps(cfg)[:40]}")
+        if not isinstance(cfg.get("problem", {}), dict):
+            raise SystemExit(f"config file {args.config}: problem must be a JSON object of "
+                             f"problem fields, not {json.dumps(cfg['problem'])[:40]}")
     return cfg
 
 
 def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
-    spec = file_cfg.get("problem", {})
-    if not isinstance(spec, dict):
-        raise SystemExit(f"config file {args.config}: problem must be a JSON object of "
-                         f"problem fields, not {json.dumps(spec)[:40]}")
-    spec = dict(spec)
+    spec = dict(file_cfg.get("problem", {}))
     if getattr(args, "problem", None):
         spec["kind"] = _PROBLEMS[args.problem].kind
     if "kind" not in spec:
@@ -317,8 +316,7 @@ _STUDY_KEYS = {
     "svdecay_count": 10,
 }
 
-# what a study key admits, by the type of its default (JSON has no tuples,
-# and an integer is a number too)
+# what a study key admits, by the type of its default; an integer is a number too
 _JSON_TYPES = {list: ((list,), "a list"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
@@ -426,12 +424,10 @@ def cmd_study(args) -> int:
                          f"{'is' if len(unknown) == 1 else 'are'} not among the keys "
                          f"of a study config: {', '.join(_STUDY_KEYS)}")
     for key, value in file_cfg.items():
-        if _STUDY_KEYS[key] is None:
-            continue
-        types, what = _JSON_TYPES[type(_STUDY_KEYS[key])]
-        if isinstance(value, bool) or not isinstance(value, types):
-            raise SystemExit(f"study config: {key} must be {what}, "
-                             f"got {json.dumps(value)[:40]}")
+        # a key whose default is None has no type to check it against here
+        types, what = _JSON_TYPES.get(type(_STUDY_KEYS[key]), ((object,), ""))
+        if what and (isinstance(value, bool) or not isinstance(value, types)):
+            raise SystemExit(f"study config: {key} must be {what}, got {json.dumps(value)}")
     cfgd = _STUDY_KEYS | file_cfg
     out_dir = Path(args.out or cfgd["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)

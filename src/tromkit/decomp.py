@@ -126,8 +126,7 @@ class TTPart(OnlinePart):
             lo, hi = nz[0], nz[-1] + 1
             mat = np.einsum("rkq,k->rq", core[:, lo:hi], w[lo:hi])
             out = mat if out is None else mat @ out
-        # A train of an order-2 tensor, or a POD basis (``pod``), has no
-        # parametric core.
+        # A train of an order-2 tensor, or a POD basis, has no parametric core.
         return np.eye(self.time_scale.size) if out is None else out
 
     def scaled_core_matrix(self, weights) -> np.ndarray:

@@ -87,9 +87,8 @@ class ProblemConfig:
 
     def grid(self, shape=None) -> ParameterGrid:
         """The training grid, ``shape`` (or ``default_shape``) nodes per axis."""
-        if not shape:
-            shape = self.default_shape
-        elif not (isinstance(shape, (list, tuple)) and all(map(_ADMITS["int"][0], shape))):
+        shape = shape or self.default_shape
+        if not (isinstance(shape, (list, tuple)) and all(map(_ADMITS["int"][0], shape))):
             raise ValueError(f"grid shape {shape!r} is not a list of integers")
         if len(shape) != len(self.default_shape):
             raise ValueError(f"grid shape {list(shape)} has {len(shape)} entries; the "

@@ -2,11 +2,10 @@
 
 The projection basis is the leading left singular vectors of the mode-1
 unfolding of the state-snapshot tensor; the interpolation basis likewise for
-the nonlinear-term snapshots.  Each is a ``decomp.TTPart`` without a
-parametric core, the singular values as its time scale and the identity as
-its time factor, so its core matrix is ``diag(sigma)`` at every parameter;
-the baseline is an ``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None,
-queried through the shared TROM online stage.
+the nonlinear-term snapshots.  Each is a ``decomp.TTPart`` without cores,
+with the singular values as its time scale and the identity as its time
+factor, so its core matrix is ``diag(sigma)`` at every parameter; the baseline
+is an ``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None.
 """
 from __future__ import annotations
 
