@@ -316,7 +316,6 @@ _STUDY_KEYS = {
     "svdecay_count": 10,
 }
 
-# what a study key admits, by the type of its default; an integer is a number too
 _JSON_TYPES = {list: ((list,), "a list"), int: ((int,), "an integer"),
                float: ((int, float), "a number"), str: ((str,), "a string")}
 
@@ -424,7 +423,7 @@ def cmd_study(args) -> int:
                          f"{'is' if len(unknown) == 1 else 'are'} not among the keys "
                          f"of a study config: {', '.join(_STUDY_KEYS)}")
     for key, value in file_cfg.items():
-        # a key whose default is None has no type to check it against here
+        # a key whose default is not None takes its JSON type; an integer is a number too
         types, what = _JSON_TYPES.get(type(_STUDY_KEYS[key]), ((object,), ""))
         if what and (isinstance(value, bool) or not isinstance(value, types)):
             raise SystemExit(f"study config: {key} must be {what}, got {json.dumps(value)}")

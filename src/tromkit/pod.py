@@ -3,9 +3,9 @@
 The projection basis is the leading left singular vectors of the mode-1
 unfolding of the state-snapshot tensor; the interpolation basis likewise for
 the nonlinear-term snapshots.  Each is a ``decomp.TTPart`` without cores,
-with the singular values as its time scale and the identity as its time
-factor, so its core matrix is ``diag(sigma)`` at every parameter; the baseline
-is an ``OfflineArtifact`` with ``fmt="pod"`` and ``grid`` None.
+the singular values as its time scale and the identity as its time factor,
+so its core matrix is ``diag(sigma)``; the baseline, an ``OfflineArtifact``
+with ``fmt="pod"`` and ``grid`` None, runs the shared TROM online stage.
 """
 from __future__ import annotations
 
@@ -52,12 +52,11 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
     if n_u < 1 or n_f < 1:
         raise ValueError(f"basis sizes ({n_u}, {n_f}) must be at least 1")
     parts = []
-    for name, snaps, want in (("state", u_snaps, n_u), ("term", f_snaps, n_f)):
-        basis, svals = pod_basis(snaps)
-        if want > basis.shape[1] or svals[want - 1] <= svals[0] * 1e-14:
-            raise ValueError(f"{name} snapshots are rank-deficient below n={want}")
-        parts.append(TTPart(cores=(), time_scale=svals[:want], basis=basis[:, :want],
-                            time_factor=np.eye(want)))
+    for name, snaps, n in (("state", u_snaps, n_u), ("term", f_snaps, n_f)):
+        u, s = pod_basis(snaps)
+        if n > u.shape[1] or s[n - 1] <= s[0] * 1e-14:
+            raise ValueError(f"{name} snapshots are rank-deficient below n={n}")
+        parts.append(TTPart(cores=(), time_scale=s[:n], basis=u[:, :n], time_factor=np.eye(n)))
     return _coupled_artifact(*parts, a_op, fmt="pod", eps=None, cp_rank=None,
                              interp_order=0, grid=None, full_shape=np.shape(u_snaps))
 

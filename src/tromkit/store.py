@@ -68,14 +68,16 @@ def dumps_meta(meta: dict) -> bytes:
 
 
 def save_bundle(path, meta: dict, blobs: dict[str, np.ndarray]) -> None:
-    payload = dumps_meta(meta | {"blobs": list(blobs)})
+    meta = dict(meta)
+    meta["blobs"] = list(blobs.keys())
+    payload = dumps_meta(meta)
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))
         fh.write(struct.pack("<Q", len(payload)))
         fh.write(payload)
-        for blob in blobs.values():
-            write_tensor(fh, blob)
+        for name in meta["blobs"]:
+            write_tensor(fh, blobs[name])
 
 
 def load_bundle(path) -> tuple[dict, dict[str, np.ndarray]]:
