@@ -132,6 +132,13 @@ def _default_grid(cfg: fom.ProblemConfig, shape, source: str) -> ParameterGrid:
         raise SystemExit(f"{source}: {exc}") from None
 
 
+def _error_metrics(cfg: fom.ProblemConfig, t_window: float, source: str) -> dict:
+    try:
+        return cfg.error_metrics(t_window)
+    except ValueError as exc:
+        raise SystemExit(f"{source}: {exc}") from None
+
+
 def _refuse_mismatch(pairs, what: str, side: str) -> None:
     """Refuse the first (name, ours, theirs) of ``pairs`` whose values differ,
     ours being the ``side``'s and theirs the snapshot bundle's.  Both go
@@ -265,6 +272,8 @@ def cmd_offline(args) -> int:
 def cmd_query(args) -> int:
     art = trom.load_artifact(args.artifact)
     alpha = _parse_alpha(args.alpha, art.grid)
+    error_metrics = None if args.no_reference else _error_metrics(
+        fom.config_from_dict(art.problem), args.t_window, "query")
     bounds = art.local_dim_bounds()
     n_u = bounds[0] if args.n_phi is None else args.n_phi
     n_f = bounds[1] if args.n_psi is None else args.n_psi
@@ -283,7 +292,7 @@ def cmd_query(args) -> int:
         t0 = time.perf_counter()
         u_ref, _ = fom.run_fom(cfg, alpha)
         t_fom = f"{time.perf_counter() - t0:.3f}"
-        errs = {k: fn(states, u_ref) for k, fn in cfg.error_metrics(args.t_window).items()}
+        errs = {k: fn(states, u_ref) for k, fn in error_metrics.items()}
         err_l2l2 = f"{errs['l2l2']:.6e}"
         err_h1 = f"{errs['h1']:.6e}" if "h1" in errs else ""
 
@@ -429,7 +438,6 @@ def cmd_study(args) -> int:
             raise SystemExit(f"study config: {key} must be {what}, got {json.dumps(value)}")
     cfgd = _STUDY_KEYS | file_cfg
     out_dir = Path(args.out or cfgd["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
     if args.snapshots:
         snaps = fom.load_snapshots(args.snapshots)
         snap_path = Path(args.snapshots)
@@ -442,13 +450,19 @@ def cmd_study(args) -> int:
             pairs.append(("grid", cfgd["grid"], list(snaps.grid.shape)))
         _refuse_mismatch(pairs, f"study config does not describe snapshot bundle "
                                 f"{snap_path}", "config")
+        cfg = snaps.config
     else:
         cfg = _problem_config(args, file_cfg)
         grid = _default_grid(cfg, cfgd["grid"], "config grid")
+    kinds = args.kind or list(_STUDIES)
+    if "refine" in kinds:
+        # the refine study's window, refused before any full-order run
+        _error_metrics(cfg, cfgd["t_window"], "study config")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if not args.snapshots:
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
         fom.save_snapshots(snap_path, snaps)
-    kinds = args.kind or list(_STUDIES)
     outputs = []
     for kind in kinds:
         t0 = time.perf_counter()

@@ -326,6 +326,22 @@ class TestQuery:
                    "--mode", "ls", "--no-reference", "--out", out) == 0
         assert np.all(np.isfinite(np.load(out)["betas"]))
 
+    def test_window_without_two_snapshot_times_refused_before_any_run(self, workdir,
+                                                                       monkeypatch):
+        # t_final 1 over 40 steps: a window from t = 1 holds the last time only
+        root, _ = workdir
+        monkeypatch.setattr(cli, "_solve_query", lambda *args: pytest.fail("query ran"))
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
+        with pytest.raises(SystemExit, match=r"^query: t_window 1 leaves 1 of the 40 "
+                                             r"snapshot times \(t = 0\.025 \.\. 1\); "):
+            run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                "--t-window", "1")
+
+    def test_window_unchecked_without_a_reference(self, workdir):
+        root, _ = workdir
+        assert run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                   "--t-window", "1", "--no-reference") == 0
+
     @pytest.mark.parametrize("flags", [("--n-phi", "0"), ("--n-psi=-2",)])
     def test_nonpositive_dims_rejected(self, workdir, flags):
         # 0 is a dimension, not "unset": only a missing flag takes the bound
@@ -536,6 +552,32 @@ class TestStudy:
         with pytest.raises(SystemExit, match=f"^study config: {re.escape(named)}$"):
             run("study", "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
+
+    @pytest.mark.parametrize("window,count", [(1, 1), (1.5, 0)])
+    def test_window_without_two_snapshot_times_refused_before_sampling(
+            self, tmp_path, monkeypatch, window, count):
+        monkeypatch.setattr(fom, "sample_snapshots",
+                            lambda *args: pytest.fail("sampled before the window check"))
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"kind": "burgers", "m": 20, "n_steps": 12},
+                                        "grid": [3, 4], "t_window": window}))
+        with pytest.raises(SystemExit, match=f"^study config: t_window {window} leaves "
+                                             f"{count} of the 12 snapshot times"):
+            run("study", "--config", cfg_path, "--kind", "refine", "--out", tmp_path / "bad")
+        assert not (tmp_path / "bad").exists()
+
+    def test_window_refused_on_a_bundle_before_any_run(self, study_out, tmp_path,
+                                                       monkeypatch):
+        # the study's bundle has 30 steps to t_final 1
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
+        config = json.loads((study_out.parent / "cfg.json").read_text()) | {"t_window": 1}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match="^study config: t_window 1 leaves 1 of the 30 "):
+            run("study", "--config", cfg_path, "--snapshots", study_out / "snapshots.trbl",
+                "--out", tmp_path / "res")
+        assert not (tmp_path / "res").exists()
 
     def test_snapshots_with_matching_config_reproduce_the_study(self, study_out):
         # the sampled study's config and bundle; only t_offline may differ

@@ -182,8 +182,38 @@ class TestAllenCahn:
         assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
     def test_potential_derivative_roots(self):
-        for u in (0.0, 0.5, 1.0):
-            assert fom.potential_derivative(np.array([u]), 0.0)[0] == pytest.approx(0.0)
+        # the cubic's Horner passes hit its roots exactly
+        got = fom.potential_derivative(np.array([0.0, 0.5, 1.0]), 0.0)
+        assert np.array_equal(got, np.zeros(3))
+
+    @pytest.mark.parametrize("asym", [0.0, 0.3, 1.0])
+    def test_potential_derivative_matches_factored_form(self, asym):
+        def factored(u, a):
+            return 2.0 * u * (1.0 - u) * (1.0 - 2.0 * u) + (a / 10.0) * (4.0 * u**3 - 0.5)
+        u = np.linspace(-0.5, 1.5, 801)
+        # and a block of rows with one asymmetry each, as the block march passes it
+        block, col = np.vstack([u, u[::-1], u]), np.array([[asym], [asym / 2], [0.0]])
+        for x, a in ((u, asym), (block, col)):
+            err = np.abs(fom.potential_derivative(x, a) - factored(x, a))
+            assert np.all(err <= 1e-14 * (1.0 + np.abs(x) ** 3))
+
+    def test_potential_derivative_only_reads_its_input(self):
+        u = np.linspace(-0.5, 1.5, 9)
+        u.flags.writeable = False
+        before = u.copy()
+        fom.potential_derivative(u, 0.3)
+        assert np.array_equal(u, before)
+
+    def test_term_is_the_negated_potential_derivative(self):
+        # the term folds the sign into the cubic's coefficients, bit for bit
+        cfg = fom.AllenCahnConfig(m=4)
+        u = np.linspace(-0.5, 1.5, 401)
+        alphas = np.array([[0.02, 0.3, 0.51], [0.02, 1.0, 0.5]])
+        assert np.array_equal(cfg.nonlinearity(alphas[0]).fn(u),
+                              -fom.potential_derivative(u, 0.3))
+        block = np.vstack([u, u[::-1]])
+        assert np.array_equal(cfg.nonlinearity(alphas).fn(block),
+                              -fom.potential_derivative(block, alphas[:, 1:2]))
 
     def test_golden_regression(self):
         cfg = fom.AllenCahnConfig(m=16, n_steps=20, seed=42)
