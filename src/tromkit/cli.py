@@ -8,10 +8,12 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
 import time
+from numbers import Real
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +40,7 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, config: dict,
-                    inputs: list[Path], outputs: list[Path]) -> Path:
+                    inputs: list[Path], outputs: list[Path]) -> None:
     manifest = {
         "schema": CSV_SCHEMA,
         "command": command,
@@ -46,9 +48,7 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
     }
-    path = out_dir / "manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
-    return path
+    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -85,13 +85,22 @@ def _alpha_str(alpha) -> str:
     return ";".join(f"{a:.10g}" for a in np.atleast_1d(alpha))
 
 
+def _refusing(source: str, make, *args, flags: dict | None = None, **kwargs):
+    """Call ``make``, and end its ``ValueError`` in a one-line ``SystemExit`` led by
+    the flag (``flags``: field -> flag) whose field starts the message, else by ``source``."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        where = next((flag for field, flag in (flags or {}).items()
+                      if str(exc).startswith(f"{field} ")), source)
+        raise SystemExit(f"{where}: {exc}") from None
+
+
 def _load_config(args) -> dict:
     cfg = {}
     if getattr(args, "config", None):
-        try:
-            cfg = json.loads(Path(args.config).read_text())
-        except json.JSONDecodeError as exc:
-            raise SystemExit(f"config file {args.config} is not JSON: {exc}") from None
+        cfg = _refusing(f"config file {args.config} is not JSON", json.loads,
+                        Path(args.config).read_text())
         if not isinstance(cfg, dict):
             raise SystemExit(f"config file {args.config} must hold a JSON object of "
                              f"settings, not {json.dumps(cfg)[:40]}")
@@ -111,32 +120,12 @@ def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
     for field, flag in (("m", "m"), ("n_steps", "steps"), ("seed", "seed")):
         if getattr(args, flag, None) is not None:
             spec[field] = getattr(args, flag)
-            flags[field] = f"--{flag}"
-    try:
-        cfg = fom.config_from_dict(spec)
-        if getattr(args, "paper_scale", False):
-            # the problem's paper-scale sizes where no flag or file sets them
-            cfg = fom.config_from_dict({"m": cfg.paper_m, "n_steps": cfg.paper_steps} | spec)
-        return cfg
-    except ValueError as exc:
-        # the configs name the field first; say which flag set it
-        field = next((f for f in flags if str(exc).startswith(f"{f} ")), None)
-        where = f"{flags[field]} {spec[field]}" if field else "problem config"
-        raise SystemExit(f"{where}: {exc}") from None
-
-
-def _default_grid(cfg: fom.ProblemConfig, shape, source: str) -> ParameterGrid:
-    try:
-        return cfg.grid(shape)
-    except ValueError as exc:
-        raise SystemExit(f"{source}: {exc}") from None
-
-
-def _error_metrics(cfg: fom.ProblemConfig, t_window: float, source: str) -> dict:
-    try:
-        return cfg.error_metrics(t_window)
-    except ValueError as exc:
-        raise SystemExit(f"{source}: {exc}") from None
+            flags[field] = f"--{flag} {spec[field]}"
+    cfg = _refusing("problem config", fom.config_from_dict, spec, flags=flags)
+    if getattr(args, "paper_scale", False):
+        # the problem's paper-scale sizes where no flag or file sets them
+        cfg = fom.config_from_dict({"m": cfg.paper_m, "n_steps": cfg.paper_steps} | spec)
+    return cfg
 
 
 def _refuse_mismatch(pairs, what: str, side: str) -> None:
@@ -179,7 +168,7 @@ def cmd_sample(args) -> int:
     shape = _parse_shape(args.grid) if args.grid else file_cfg.get("grid")
     if args.paper_scale and shape is None:
         shape = cfg.paper_shape
-    grid = _default_grid(cfg, shape, "--grid" if args.grid else "config grid")
+    grid = _refusing("--grid" if args.grid else "config grid", cfg.grid, shape)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
@@ -218,16 +207,16 @@ _OFFLINE_HEADER = ["format", "eps", "cp_rank", "ranks_u", "ranks_f",
                    "cp_sweeps", "cp_converged", "t_offline"]
 
 
-def _build_artifact(snaps: fom.SnapshotSet, cfgd: dict,
+def _build_artifact(snaps: fom.SnapshotSet, settings: StudySettings,
                     level: tuple) -> tuple[trom.OfflineArtifact, float]:
-    """Build one artifact at a (format, eps, cp_rank) level with the config's
+    """Build one artifact at a (format, eps, cp_rank) level with the settings'
     ``interp_order`` and ``cp_opts``; also returns the seconds it took."""
     fmt, eps, cp_rank = level
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=cfgd["interp_order"], a_op=snaps.config.affine(),
-        problem=fom.config_to_dict(snaps.config), cp_opts=cfgd["cp_opts"])
+        interp_order=settings.interp_order, a_op=snaps.config.affine(),
+        problem=fom.config_to_dict(snaps.config), cp_opts=settings.cp_opts)
     return art, time.perf_counter() - t0
 
 
@@ -242,9 +231,16 @@ _ROUNDING_SLACK = 1e-12
 
 
 def cmd_offline(args) -> int:
+    # the build flags, refused as a study config's keys are, before any load
+    keys = ("format", "eps", "cp_rank", "interp_order")
+    flags = {key: "--" + key.replace("_", "-") for key in keys}
+    settings = _refusing("offline", StudySettings, **{key: getattr(args, key) for key in keys},
+                         flags={key: f"{flags[key]} {getattr(args, key)}" for key in keys})
+    need = "cp_rank" if settings.format == "cp" else "eps"
+    if getattr(settings, need) is None:
+        raise SystemExit(f"--format {settings.format} needs {flags[need]}")
     snaps = fom.load_snapshots(args.snapshots)
-    build_cfg = {"interp_order": args.interp_order, "cp_opts": None}
-    art, elapsed = _build_artifact(snaps, build_cfg, (args.format, args.eps, args.cp_rank))
+    art, elapsed = _build_artifact(snaps, settings, (args.format, args.eps, args.cp_rank))
     err_u = err_f = None
     if not args.skip_errors:
         err_u, err_f = _compression_errors(art, snaps)
@@ -272,8 +268,8 @@ def cmd_offline(args) -> int:
 def cmd_query(args) -> int:
     art = trom.load_artifact(args.artifact)
     alpha = _parse_alpha(args.alpha, art.grid)
-    error_metrics = None if args.no_reference else _error_metrics(
-        fom.config_from_dict(art.problem), args.t_window, "query")
+    error_metrics = None if args.no_reference else _refusing(
+        "query", fom.config_from_dict(art.problem).error_metrics, args.t_window)
     bounds = art.local_dim_bounds()
     n_u = bounds[0] if args.n_phi is None else args.n_phi
     n_f = bounds[1] if args.n_psi is None else args.n_psi
@@ -313,69 +309,80 @@ def cmd_query(args) -> int:
 # study
 # ---------------------------------------------------------------------------
 
-# Every key of a study config, with its default.  ``problem`` and ``grid``
-# are read as ``sample`` reads them; an ``eps`` of None is 1e-3 for refine
-# and 1e-4 for svdecay.
-_STUDY_KEYS = {
-    "problem": None, "grid": None, "out_dir": "study_out",
-    "format": "tt", "eps": None, "eps_list": [0.1, 0.03, 0.01],
-    "cp_rank": None, "cp_rank_list": [20, 50], "interp_order": 2, "cp_opts": None,
-    "seed": 2024, "query_count": 100, "t_window": 0.5,
-    "refine_grids": [[2, 4], [4, 8], [8, 16]], "n_u": 10, "n_f": 20, "mode": "ls",
-    "svdecay_count": 10,
-}
+@dataclasses.dataclass(frozen=True)
+class StudySettings(fom.Settings):
+    """Every key of a study config with its default, checked as a problem config
+    is; ``offline`` builds from ``format``, ``eps``, ``cp_rank`` and ``interp_order``.
+    ``problem`` and ``grid`` are read as ``sample`` reads them; a None ``eps`` is
+    1e-3 for refine and 1e-4 for svdecay, a None ``cp_rank`` the largest listed."""
 
-_JSON_TYPES = {list: ((list,), "a list"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string")}
+    problem: dict | None = None
+    grid: tuple[int, ...] | None = None
+    out_dir: str = "study_out"
+    format: str = "tt"
+    eps: float | None = None
+    eps_list: tuple[float, ...] = (0.1, 0.03, 0.01)
+    cp_rank: int | None = None
+    cp_rank_list: tuple[int, ...] = (20, 50)
+    interp_order: int = 2
+    cp_opts: dict | None = None
+    seed: int = 2024
+    query_count: int = 100
+    t_window: Real = 0.5        # any finite number, where a float field is above 0
+    refine_grids: tuple = ((2, 4), (4, 8), (8, 16))
+    n_u: int = 10
+    n_f: int = 20
+    mode: str = "ls"
+    svdecay_count: int = 10
+
+    least = dict.fromkeys(["cp_rank", "cp_rank_list", "interp_order", "query_count", "n_u",
+                           "n_f", "svdecay_count"], 1) | {"eps": 0, "eps_list": 0}
+    below = {"eps": 1, "eps_list": 1}
+    choices = {"format": ("tt", "hosvd", "cp"), "mode": ("ls", "deim"),
+               "cp_opts": tuple(decomp.cp_als.__kwdefaults__)}
 
 
-def _study_levels(cfgd, eps=None) -> list[tuple]:
+def _study_levels(settings: StudySettings, eps=None) -> list[tuple]:
     """The (format, eps, cp_rank) of each artifact a study builds: one per entry
     of ``eps_list`` (of ``cp_rank_list`` for CP), or, given a table's default
     ``eps``, one at ``eps`` (for CP at ``cp_rank``, else the largest listed)."""
-    fmt = cfgd["format"]
+    fmt = settings.format
     if fmt == "cp":
-        ranks = cfgd["cp_rank_list"]
-        if eps is not None:
-            ranks = [max(ranks) if cfgd["cp_rank"] is None else cfgd["cp_rank"]]
-        return [(fmt, None, rank) for rank in ranks]
-    if eps is not None:
-        return [(fmt, eps if cfgd["eps"] is None else cfgd["eps"], None)]
-    return [(fmt, level, None) for level in cfgd["eps_list"]]
+        one = settings.cp_rank or max(settings.cp_rank_list)
+        return [(fmt, None, rank) for rank in (settings.cp_rank_list if eps is None else [one])]
+    one = eps if settings.eps is None else settings.eps
+    return [(fmt, level, None) for level in (settings.eps_list if eps is None else [one])]
 
 
 def _check_alphas(grid: ParameterGrid, count: int, seed: int) -> np.ndarray:
     return grid.sample(count, np.random.default_rng(seed))
 
 
-def _study_ranks(snaps, cfgd):
+def _study_ranks(snaps, settings, build):
     """Ranks, compression factors, and achieved errors versus accuracy."""
     rows = []
-    for level in _study_levels(cfgd):
-        art, elapsed = _build_artifact(snaps, cfgd, level)
+    for level in _study_levels(settings):
+        art, elapsed = build(level)
         rows.append(_offline_report_row(art, *_compression_errors(art, snaps), elapsed))
     return "ranks_vs_eps.csv", _OFFLINE_HEADER, rows
 
 
-def _study_refine(snaps, cfgd):
+def _study_refine(snaps, settings, build):
     """Averaged/max query error versus grid refinement: the late-window
     gradient-energy quotient for transport, the space-time l2 error for the
     phase field.  A grid whose max error is above 1, which the zero trajectory
     scores in both metrics, is flagged on stderr."""
     cfg = snaps.config
-    alphas = _check_alphas(snaps.grid, cfgd["query_count"], cfgd["seed"])
-    metric, error = list(cfg.error_metrics(cfgd["t_window"]).items())[-1]
+    alphas = _check_alphas(snaps.grid, settings.query_count, settings.seed)
+    metric, error = list(cfg.error_metrics(settings.t_window).items())[-1]
     refs = [fom.run_fom(cfg, al)[0] for al in alphas]
-    [level] = _study_levels(cfgd, 1e-3)
+    [level] = _study_levels(settings, 1e-3)
     rows = []
-    for shape in cfgd["refine_grids"]:
-        grid = _default_grid(cfg, shape, "config refine_grids")
-        sub = fom.sample_snapshots(cfg, grid)
-        art, _ = _build_artifact(sub, cfgd, level)
-        bounds = art.local_dim_bounds()
-        n_u = min(cfgd["n_u"], bounds[0])
-        n_f = min(cfgd["n_f"], bounds[1])
-        errs = np.array([error(_solve_query(art, al, n_u, n_f, cfgd["mode"])[3], ref)
+    for shape in settings.refine_grids:
+        sub = fom.sample_snapshots(cfg, cfg.grid(shape))
+        art, _ = _build_artifact(sub, settings, level)
+        n_u, n_f = map(min, (settings.n_u, settings.n_f), art.local_dim_bounds())
+        errs = np.array([error(_solve_query(art, al, n_u, n_f, settings.mode)[3], ref)
                          for al, ref in zip(alphas, refs)])
         label = "x".join(map(str, shape))
         if not errs.max() <= 1:
@@ -386,12 +393,12 @@ def _study_refine(snaps, cfgd):
                                   f"max_err_{metric}", "n_queries"], rows)
 
 
-def _study_svdecay(snaps, cfgd):
+def _study_svdecay(snaps, settings, build):
     """Scaled singular values: all-snapshot unfolding versus local matrices."""
-    [level] = _study_levels(cfgd, 1e-4)
-    art, _ = _build_artifact(snaps, cfgd, level)
+    [level] = _study_levels(settings, 1e-4)
+    art, _ = build(level)
     _, f_svals = pod.pod_basis(snaps.f_tensor)
-    alphas = _check_alphas(snaps.grid, cfgd["svdecay_count"], cfgd["seed"])
+    alphas = _check_alphas(snaps.grid, settings.svdecay_count, settings.seed)
     locs = [trom.local_bases(art, al, 1, 1) for al in alphas]
     depth = min([f_svals.size] + [loc.f_sing_vals.size for loc in locs])
     rows = []
@@ -403,13 +410,13 @@ def _study_svdecay(snaps, cfgd):
     return "sing_val_decay.csv", header, rows
 
 
-def _study_effrank(snaps, cfgd):
+def _study_effrank(snaps, settings, build):
     """Compressed-format error versus truncated-SVD error at equal effective rank."""
     tensors = {"u": snaps.u_tensor, "f": snaps.f_tensor}
     svals = {tag: pod.pod_basis(tensor)[1] for tag, tensor in tensors.items()}
     rows = {tag: [] for tag in tensors}
-    for level in _study_levels(cfgd):
-        art, _ = _build_artifact(snaps, cfgd, level)
+    for level in _study_levels(settings):
+        art, _ = build(level)
         errs = dict(zip(tensors, _compression_errors(art, snaps)))
         for tag, part in (("u", art.u_part), ("f", art.f_part)):
             eff = part.ranks[-1]
@@ -426,18 +433,9 @@ _STUDIES = {"ranks": _study_ranks, "refine": _study_refine,
 
 def cmd_study(args) -> int:
     file_cfg = _load_config(args)
-    unknown = sorted(file_cfg.keys() - _STUDY_KEYS.keys())
-    if unknown:
-        raise SystemExit(f"study config: {', '.join(unknown)} "
-                         f"{'is' if len(unknown) == 1 else 'are'} not among the keys "
-                         f"of a study config: {', '.join(_STUDY_KEYS)}")
-    for key, value in file_cfg.items():
-        # a key whose default is not None takes its JSON type; an integer is a number too
-        types, what = _JSON_TYPES.get(type(_STUDY_KEYS[key]), ((object,), ""))
-        if what and (isinstance(value, bool) or not isinstance(value, types)):
-            raise SystemExit(f"study config: {key} must be {what}, got {json.dumps(value)}")
-    cfgd = _STUDY_KEYS | file_cfg
-    out_dir = Path(args.out or cfgd["out_dir"])
+    settings = _refusing("study config", StudySettings.from_dict, file_cfg,
+                         "keys of a study config")
+    out_dir = Path(args.out or settings.out_dir)
     if args.snapshots:
         snaps = fom.load_snapshots(args.snapshots)
         snap_path = Path(args.snapshots)
@@ -446,27 +444,31 @@ def cmd_study(args) -> int:
         if args.problem or "problem" in file_cfg:
             pairs.append(("problem", fom.config_to_dict(_problem_config(args, file_cfg)),
                           fom.config_to_dict(snaps.config)))
-        if cfgd["grid"] is not None:
-            pairs.append(("grid", cfgd["grid"], list(snaps.grid.shape)))
+        if settings.grid is not None:
+            pairs.append(("grid", settings.grid, list(snaps.grid.shape)))
         _refuse_mismatch(pairs, f"study config does not describe snapshot bundle "
                                 f"{snap_path}", "config")
         cfg = snaps.config
     else:
         cfg = _problem_config(args, file_cfg)
-        grid = _default_grid(cfg, cfgd["grid"], "config grid")
+        grid = _refusing("config grid", cfg.grid, settings.grid)
     kinds = args.kind or list(_STUDIES)
     if "refine" in kinds:
-        # the refine study's window, refused before any full-order run
-        _error_metrics(cfg, cfgd["t_window"], "study config")
+        # the refine study's window and grids, refused before any full-order run
+        _refusing("study config", cfg.error_metrics, settings.t_window)
+        for shape in settings.refine_grids:
+            _refusing("config refine_grids", cfg.grid, shape)
     out_dir.mkdir(parents=True, exist_ok=True)
     if not args.snapshots:
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
         fom.save_snapshots(snap_path, snaps)
+    # each (format, eps, cp_rank) level is built once on the study's bundle
+    build = functools.cache(functools.partial(_build_artifact, snaps, settings))
     outputs = []
     for kind in kinds:
         t0 = time.perf_counter()
-        name, header, rows = _STUDIES[kind](snaps, cfgd)
+        name, header, rows = _STUDIES[kind](snaps, settings, build)
         outputs.append(out_dir / name)
         _write_csv(outputs[-1], header, rows)
         print(f"study {kind}: {time.perf_counter() - t0:.1f}s -> {outputs[-1]}")
@@ -569,10 +571,8 @@ def cmd_verify(args) -> int:
                          f"pass a count of at least 1 or --alphas")
     else:
         alphas = _check_alphas(snaps.grid, args.random, args.seed)
-    try:
-        n_list = [int(x) for x in args.n_list.split(",")]
-    except ValueError:
-        raise SystemExit(f"--n-list entries must be integers, got {args.n_list}") from None
+    n_list = _refusing(f"--n-list entries must be integers, got {args.n_list}",
+                       lambda: [int(x) for x in args.n_list.split(",")])
     if min(n_list) < 1:
         raise SystemExit(f"--n-list entries must be at least 1, got {args.n_list}")
     rows, violations = _verify_rows(art, snaps, alphas, n_list, args.mode)
@@ -602,7 +602,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("offline", help="compress snapshots into an artifact")
     p.add_argument("--snapshots", required=True)
-    p.add_argument("--format", choices=["tt", "hosvd", "cp"], default="tt")
+    p.add_argument("--format", choices=StudySettings.choices["format"], default="tt")
     p.add_argument("--eps", type=float)
     p.add_argument("--cp-rank", type=int)
     p.add_argument("--interp-order", type=int, default=2)
@@ -619,7 +619,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", required=True, help="comma-separated parameter vector")
     p.add_argument("--n-phi", type=int, help="projection space dimension")
     p.add_argument("--n-psi", type=int, help="interpolation space dimension")
-    p.add_argument("--mode", choices=["ls", "deim"], default="ls")
+    p.add_argument("--mode", choices=StudySettings.choices["mode"], default="ls")
     p.add_argument("--t-window", type=float, default=0.5)
     p.add_argument("--no-reference", action="store_true",
                    help="skip the full-order reference run")
@@ -650,7 +650,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "mean squared hyper-reduction residual of fresh term "
                         "snapshots; at a training node with eps=0 it equals "
                         "the local tail beyond n")
-    p.add_argument("--mode", choices=["ls", "deim"], default="ls")
+    p.add_argument("--mode", choices=StudySettings.choices["mode"], default="ls")
     p.add_argument("--out", help="CSV report path")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -41,42 +41,94 @@ def _finite_number(value) -> bool:
             and math.isfinite(value))
 
 
-# what a config field of each type admits, and how its refusal says so; a JSON
-# config can give a float, a boolean or a string anywhere
+def _integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _list_of(admits):
+    return lambda v: isinstance(v, tuple) and len(v) > 0 and all(map(admits, v))
+
+
+# what a settings field of each type admits, and how its refusal says so; a
+# JSON config can give a float, a boolean or a string anywhere, and its lists
+# arrive as tuples
 _ADMITS = {
-    "int": (lambda v: isinstance(v, (int, np.integer)) and not isinstance(v, bool),
-            "an integer"),
+    "int": (_integer, "an integer"),
+    "int | None": (lambda v: v is None or _integer(v), "None or an integer"),
     "float": (lambda v: _finite_number(v) and v > 0, "a finite number above 0"),
     "float | None": (lambda v: v is None or _finite_number(v), "None or a finite number"),
+    "Real": (_finite_number, "a finite number"),
     "tuple[float, float]": (lambda v: (isinstance(v, tuple) and len(v) == 2
                                        and all(map(_finite_number, v)) and v[0] < v[1]),
                             "two finite numbers lo < hi"),
+    "tuple[float, ...]": (_list_of(_finite_number), "a non-empty list of finite numbers"),
+    "tuple[int, ...]": (_list_of(_integer), "a non-empty list of integers"),
+    "tuple[int, ...] | None": (lambda v: v is None or _list_of(_integer)(v),
+                               "None or a non-empty list of integers"),
+    "tuple": (_list_of(lambda v: True), "a non-empty list"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "dict | None": (lambda v: v is None or isinstance(v, dict), "None or a JSON object"),
 }
 
 
-class ProblemConfig:
-    """The base of the problem configs, frozen dataclasses that also set
-    ``kind``, ``cli_name``, ``run_name`` (the name their errors give),
-    ``default_shape`` and the paper-scale ``paper_m``, ``paper_steps`` and
-    ``paper_shape``.  Construction refuses, with a ``ValueError`` that starts
-    with the field name, a value the field's type does not admit or an integer
-    below its least (``least_m`` for ``m``, 1 for ``n_steps``, else 0), so
-    that every stage takes the same sizes.  It converts nothing, so an
-    accepted config serializes as it was given.
+class Settings:
+    """The base of the frozen settings dataclasses: the problem configs and
+    the study settings.  Construction refuses, with a ``ValueError`` that
+    starts with the field name, a value that the field's annotated type does
+    not admit (``_ADMITS``), a number below its ``least`` (0 for an integer
+    not named there) or not below its ``below``, and a value outside its
+    ``choices``; of a list these hold for each entry, of an object for each
+    key.  It converts nothing, so accepted settings serialize as given.
     """
 
-    least_m = 1
+    least, below, choices = {}, {}, {}
 
     def __post_init__(self):
-        least = {"m": self.least_m, "n_steps": 1}
         for f in fields(self):
             value = getattr(self, f.name)
             admits, what = _ADMITS[f.type]
             if not admits(value):
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
-            if f.type == "int" and value < least.get(f.name, 0):
-                raise ValueError(f"{f.name} must be at least {least.get(f.name, 0)}, "
-                                 f"got {value}")
+            if value is None:
+                continue
+            entries = (value if isinstance(value, tuple)
+                       else value.keys() if isinstance(value, dict) else [value])
+            name = f.name + {tuple: " entries", dict: " keys"}.get(type(value), "")
+            least = self.least.get(f.name, 0 if f.type == "int" else None)
+            if least is not None and min(entries) < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+            if f.name in self.below and max(entries) >= self.below[f.name]:
+                raise ValueError(f"{name} must be below {self.below[f.name]}, got {value}")
+            if f.name in self.choices and not set(entries) <= set(self.choices[f.name]):
+                raise ValueError(f"{name} must be among {', '.join(self.choices[f.name])}, "
+                                 f"got {value!r}")
+
+    @classmethod
+    def from_dict(cls, d: dict, members: str):
+        """The settings ``d`` describes, its JSON lists as tuples.  Refuses a
+        key that is no field, naming the ``members`` (what the fields are)."""
+        names = [f.name for f in fields(cls)]
+        unknown = sorted(d.keys() - set(names))
+        if unknown:
+            raise ValueError(f"{', '.join(unknown)} {'is' if len(unknown) == 1 else 'are'} "
+                             f"not among the {members}: {', '.join(names)}")
+        return cls(**{key: tuple(value) if isinstance(value, list) else value
+                      for key, value in d.items()})
+
+
+class ProblemConfig(Settings):
+    """The base of the problem configs, which also set ``kind``,
+    ``cli_name``, ``run_name`` (the name their errors give),
+    ``default_shape`` and the paper-scale ``paper_m``, ``paper_steps`` and
+    ``paper_shape``.  The least sizes are ``least_m`` for ``m`` and 1 for
+    ``n_steps``, so that every stage takes the same sizes.
+    """
+
+    least_m = 1
+
+    @property
+    def least(self) -> dict:
+        return {"m": self.least_m, "n_steps": 1}
 
     @property
     def dt(self) -> float:
@@ -88,7 +140,7 @@ class ProblemConfig:
     def grid(self, shape=None) -> ParameterGrid:
         """The training grid, ``shape`` (or ``default_shape``) nodes per axis."""
         shape = shape or self.default_shape
-        if not (isinstance(shape, (list, tuple)) and all(map(_ADMITS["int"][0], shape))):
+        if not (isinstance(shape, (list, tuple)) and all(map(_integer, shape))):
             raise ValueError(f"grid shape {shape!r} is not a list of integers")
         if len(shape) != len(self.default_shape):
             raise ValueError(f"grid shape {list(shape)} has {len(shape)} entries; the "
@@ -421,18 +473,13 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
 
 def config_from_dict(d: dict) -> ProblemConfig:
     """The config a dict describes; JSON lists become tuples."""
-    d = {key: tuple(value) if isinstance(value, list) else value for key, value in d.items()}
+    d = dict(d)
     kind = d.pop("kind")
-    cls = PROBLEMS.get(kind)
+    cls = PROBLEMS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}; expected one of "
                          f"{', '.join(PROBLEMS)}")
-    names = [f.name for f in fields(cls)]
-    unknown = [key for key in d if key not in names]
-    if unknown:
-        raise ValueError(f"{', '.join(unknown)} {'is' if len(unknown) == 1 else 'are'} "
-                         f"not among the fields of the {kind} problem: {', '.join(names)}")
-    return cls(**d)
+    return cls.from_dict(d, f"fields of the {kind} problem")
 
 
 def affine_operator_for(cfg: ProblemConfig) -> AffineOperator:

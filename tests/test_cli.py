@@ -184,7 +184,7 @@ class TestSample:
         if isinstance(grid, str):
             argv = ["sample", "--problem", problem, "--m", "8", "--steps", "5", "--grid", grid]
         else:
-            # refine_grids is read by the refine study, after the bundle is sampled
+            # refine_grids shapes are refused before the study samples its bundle
             cfg_path = tmp_path / "cfg.json"
             cfg_path.write_text(json.dumps({"problem": {"kind": problem, "m": 8, "n_steps": 5},
                                             "grid": [2, 2], "query_count": 1} | grid))
@@ -192,7 +192,7 @@ class TestSample:
                     else ["sample"]) + ["--config", cfg_path]
         with pytest.raises(SystemExit, match=named):
             run(*argv, "--out", out)
-        assert not (out / "error_vs_grid.csv" if argv[0] == "study" else out).exists()
+        assert not out.exists()
 
 
 class TestOffline:
@@ -244,9 +244,28 @@ class TestOffline:
 
     def test_cp_requires_rank(self, workdir):
         root, snap = workdir
-        with pytest.raises(ValueError):
+        with pytest.raises(SystemExit, match="^--format cp needs --cp-rank$"):
             run("offline", "--snapshots", snap, "--format", "cp",
                 "--out", root / "cp.trbl")
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--format", "tt"], "--format tt needs --eps"),
+        (["--format", "hosvd"], "--format hosvd needs --eps"),
+        (["--eps", "1.5"], "--eps 1.5: eps must be below 1, got 1.5"),
+        (["--eps=-0.1"], "--eps -0.1: eps must be at least 0, got -0.1"),
+        (["--eps", "nan"], "--eps nan: eps must be None or a finite number, got nan"),
+        (["--format", "cp", "--cp-rank", "0"], "--cp-rank 0: cp_rank must be at least 1, got 0"),
+        (["--eps", "1e-3", "--interp-order", "0"],
+         "--interp-order 0: interp_order must be at least 1, got 0"),
+    ], ids=["tt_without_eps", "hosvd_without_eps", "eps_above_one", "negative_eps", "nan_eps",
+            "cp_rank_zero", "interp_order_zero"])
+    def test_bad_flags_refused_before_loading(self, tmp_path, monkeypatch, flags, named):
+        # the bundle path does not exist: a refusal must come before it is read
+        monkeypatch.setattr(fom, "load_snapshots", lambda *args: pytest.fail("bundle loaded"))
+        with pytest.raises(SystemExit, match=f"^{re.escape(named)}$"):
+            run("offline", "--snapshots", tmp_path / "none.trbl", *flags,
+                "--out", tmp_path / "art.trbl")
+        assert not (tmp_path / "art.trbl").exists()
 
 
 class TestQuery:
@@ -449,7 +468,8 @@ class TestStudy:
         assert all(np.isfinite(float(r[3])) for r in rows)
         header, rows = read_csv(out / "sing_val_decay.csv")
         assert len(header) == 2 + 2 and rows
-        assert cli._study_levels(cli._STUDY_KEYS | config, 1e-3) == [("cp", None, 6)]
+        settings = cli.StudySettings.from_dict(config, "keys of a study config")
+        assert cli._study_levels(settings, 1e-3) == [("cp", None, 6)]
 
     @pytest.mark.parametrize("config,eps,levels", [
         # ranks and effrank: one level per listed eps, or per listed CP rank
@@ -469,7 +489,8 @@ class TestStudy:
             "refine_default_eps", "svdecay_default_eps", "config_eps_wins",
             "cp_rank_wins", "cp_default_rank"])
     def test_study_levels(self, config, eps, levels):
-        assert cli._study_levels(cli._STUDY_KEYS | config, eps) == levels
+        settings = cli.StudySettings.from_dict(config, "keys of a study config")
+        assert cli._study_levels(settings, eps) == levels
 
     def test_phase_field_runs_every_study(self, tmp_path):
         config = {
@@ -514,8 +535,31 @@ class TestStudy:
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(config))
         assert run("study", "--config", cfg_path, "--out", tmp_path / "res") == 0
-        # one build each for ranks, refine (one grid), svdecay and effrank
-        assert seen == [config["cp_opts"]] * 4
+        # one build of the one level on the study's bundle, which ranks,
+        # svdecay and effrank share, and one on the refine grid's own bundle
+        assert seen == [config["cp_opts"]] * 2
+
+    @pytest.mark.parametrize("config,kinds,builds", [
+        # ranks and effrank build the listed levels, svdecay one at 1e-4
+        ({}, ["ranks", "svdecay", "effrank"], [0.1, 0.03, 0.01, 1e-4]),
+        ({"eps_list": [0.1, 0.01, 1e-4]}, ["ranks", "svdecay", "effrank"], [0.1, 0.01, 1e-4]),
+        ({"eps_list": [0.1, 0.01]}, ["effrank", "svdecay", "ranks"], [0.1, 0.01, 1e-4]),
+        ({"format": "cp", "cp_rank_list": [2, 3]}, ["svdecay", "ranks", "effrank"], [3, 2]),
+    ], ids=["default_list", "svdecay_level_listed", "effrank_first", "cp"])
+    def test_each_level_built_once(self, tmp_path, monkeypatch, config, kinds, builds):
+        seen = []
+        build = trom.build_offline
+
+        def record(*args, **kwargs):
+            seen.append(kwargs["cp_rank"] if kwargs["fmt"] == "cp" else kwargs["eps"])
+            return build(*args, **kwargs)
+        monkeypatch.setattr(trom, "build_offline", record)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"kind": "burgers", "m": 20, "n_steps": 12},
+                                        "grid": [3, 4], "svdecay_count": 2} | config))
+        kind_flags = [flag for kind in kinds for flag in ("--kind", kind)]
+        assert run("study", "--config", cfg_path, *kind_flags, "--out", tmp_path / "res") == 0
+        assert seen == builds
 
     @pytest.mark.parametrize("extra,named", [
         ({"eps_lst": [0.5]}, "study config: eps_lst is not among the keys of a "
@@ -533,19 +577,44 @@ class TestStudy:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("extra,named", [
-        ({"eps_list": 0.1}, "eps_list must be a list, got 0.1"),
-        ({"refine_grids": "2x3"}, 'refine_grids must be a list, got "2x3"'),
-        ({"query_count": "3"}, 'query_count must be an integer, got "3"'),
-        ({"seed": True}, "seed must be an integer, got true"),
+        ({"eps_list": 0.1}, "eps_list must be a non-empty list of finite numbers, got 0.1"),
+        ({"refine_grids": "2x3"}, "refine_grids must be a non-empty list, got '2x3'"),
+        ({"query_count": "3"}, "query_count must be an integer, got '3'"),
+        ({"seed": True}, "seed must be an integer, got True"),
         ({"n_u": 4.0}, "n_u must be an integer, got 4.0"),
-        ({"t_window": "0.5"}, 't_window must be a number, got "0.5"'),
-        ({"mode": None}, "mode must be a string, got null"),
+        ({"t_window": "0.5"}, "t_window must be a finite number, got '0.5'"),
+        ({"mode": None}, "mode must be a string, got None"),
+        # keys whose default is None, and values of the right type out of range
+        ({"eps": "0.1"}, "eps must be None or a finite number, got '0.1'"),
+        ({"eps": 1}, "eps must be below 1, got 1"),
+        ({"eps_list": [0.1, -0.01]}, "eps_list entries must be at least 0, got (0.1, -0.01)"),
+        ({"eps_list": []}, "eps_list must be a non-empty list of finite numbers, got ()"),
+        ({"format": "ht"}, "format must be among tt, hosvd, cp, got 'ht'"),
+        ({"mode": "gappy"}, "mode must be among ls, deim, got 'gappy'"),
+        ({"cp_rank": "3"}, "cp_rank must be None or an integer, got '3'"),
+        ({"cp_rank": 0}, "cp_rank must be at least 1, got 0"),
+        ({"cp_rank_list": [4, 0]}, "cp_rank_list entries must be at least 1, got (4, 0)"),
+        ({"cp_opts": {"sweeps": 3}},
+         "cp_opts keys must be among max_sweeps, tol, seed, got {'sweeps': 3}"),
+        ({"cp_opts": [3]}, "cp_opts must be None or a JSON object, got (3,)"),
+        ({"query_count": 0}, "query_count must be at least 1, got 0"),
+        ({"svdecay_count": 0}, "svdecay_count must be at least 1, got 0"),
+        ({"interp_order": 0}, "interp_order must be at least 1, got 0"),
+        ({"n_u": 0}, "n_u must be at least 1, got 0"),
+        ({"n_f": -2}, "n_f must be at least 1, got -2"),
+        ({"seed": -1}, "seed must be at least 0, got -1"),
+        ({"grid": [3.5, 4]}, "grid must be None or a non-empty list of integers, got (3.5, 4)"),
     ], ids=["list", "list_string", "int_string", "int_bool", "int_float", "float_string",
-            "string_null"])
+            "string_null", "eps_string", "eps_one", "eps_list_negative", "eps_list_empty",
+            "format_unknown", "mode_unknown", "cp_rank_string", "cp_rank_zero",
+            "cp_rank_list_zero", "cp_opts_unknown_key", "cp_opts_list", "query_count_zero",
+            "svdecay_count_zero", "interp_order_zero", "n_u_zero", "n_f_negative",
+            "seed_negative", "grid_float"])
     def test_value_of_wrong_type_refused_before_sampling(self, tmp_path, monkeypatch,
                                                          extra, named):
         monkeypatch.setattr(fom, "sample_snapshots",
                             lambda *args: pytest.fail("sampled before the type check"))
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"problem": {"kind": "burgers", "m": 20, "n_steps": 12}, "grid": [3, 4]} | extra))
