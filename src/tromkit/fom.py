@@ -4,7 +4,8 @@ snapshot-tensor generation over a training grid.
 Each problem is one frozen config class in the registry ``PROBLEMS``, keyed
 by ``kind``.  The class defines every fact of its problem: its operator,
 nonlinear term, initial state, grids, full-order march, error metrics and
-CLI name.  The base ``ProblemConfig`` validates the fields, and the module
+CLI name.  The base ``ProblemConfig``, on the settings schema ``Settings``
+that the study settings share, validates the fields, and the module
 functions (``affine_operator_for``, ``run_fom``, ...) delegate to the class,
 so a new problem is one class and one registry entry.
 
