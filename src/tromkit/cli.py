@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 import time
+import types
 from numbers import Real
 from pathlib import Path
 
@@ -86,42 +87,55 @@ def _alpha_str(alpha) -> str:
 
 
 def _refusing(source: str, make, *args, flags: dict | None = None, **kwargs):
-    """Call ``make``, and end its ``ValueError`` in a one-line ``SystemExit`` led by
-    the flag (``flags``: field -> flag) whose field starts the message, else by ``source``."""
+    """Call ``make``, and end its ``ValueError`` or ``OSError`` in a one-line ``SystemExit``
+    led by the flag (``flags``: field -> flag) whose field starts the message, else by
+    ``source``.  Never wrap a solve: ``np.linalg.LinAlgError`` is a ``ValueError``."""
     try:
         return make(*args, **kwargs)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         where = next((flag for field, flag in (flags or {}).items()
                       if str(exc).startswith(f"{field} ")), source)
         raise SystemExit(f"{where}: {exc}") from None
 
 
-def _load_config(args) -> dict:
+def _load_config(args) -> tuple[dict, StudySettings]:
+    """The ``--config`` file's settings as given and as the ``StudySettings`` they make."""
     cfg = {}
-    if getattr(args, "config", None):
-        cfg = _refusing(f"config file {args.config} is not JSON", json.loads,
-                        Path(args.config).read_text())
+    if args.config:
+        cfg = _refusing(f"--config {args.config}",
+                        lambda: json.loads(Path(args.config).read_text()))
         if not isinstance(cfg, dict):
             raise SystemExit(f"config file {args.config} must hold a JSON object of "
                              f"settings, not {json.dumps(cfg)[:40]}")
-        if not isinstance(cfg.get("problem", {}), dict):
-            raise SystemExit(f"config file {args.config}: problem must be a JSON object of "
-                             f"problem fields, not {json.dumps(cfg['problem'])[:40]}")
-    return cfg
+    return cfg, _refusing(f"{args.command} config", StudySettings.from_dict, cfg,
+                          "keys of a study config")
 
 
-def _problem_config(args, file_cfg: dict) -> fom.ProblemConfig:
-    spec = dict(file_cfg.get("problem", {}))
+def _flagged(args, source: str, make, spec: dict, **dests):
+    """``make(spec)`` once the flags ``dests`` (field -> flag dest) that are set are
+    written into ``spec``; a refusal is led by the flag whose field it names."""
+    dests = {key: dest for key, dest in dests.items() if getattr(args, dest, None) is not None}
+    spec.update((key, getattr(args, dest)) for key, dest in dests.items())
+    return _refusing(source, make, spec, flags={
+        key: f"--{dest.replace('_', '-')} {spec[key]}" for key, dest in dests.items()})
+
+
+def _local_dim(flag: str, n: int | None, bound: int) -> int:
+    """``n``, ``bound`` (the artifact's) when None; refused outside 1..``bound``."""
+    if n is not None and not 1 <= n <= bound:
+        raise SystemExit(f"{flag}: local dimension {n} must be at least 1 and at most "
+                         f"{bound}, the artifact's bound")
+    return bound if n is None else n
+
+
+def _problem_config(args, settings: StudySettings) -> fom.ProblemConfig:
+    spec = dict(settings.problem or {})
     if getattr(args, "problem", None):
         spec["kind"] = _PROBLEMS[args.problem].kind
     if "kind" not in spec:
         raise SystemExit("no problem selected; pass --problem or a config file")
-    flags = {}
-    for field, flag in (("m", "m"), ("n_steps", "steps"), ("seed", "seed")):
-        if getattr(args, flag, None) is not None:
-            spec[field] = getattr(args, flag)
-            flags[field] = f"--{flag} {spec[field]}"
-    cfg = _refusing("problem config", fom.config_from_dict, spec, flags=flags)
+    cfg = _flagged(args, "problem config", fom.config_from_dict, spec,
+                   m="m", n_steps="steps", seed="seed")
     if getattr(args, "paper_scale", False):
         # the problem's paper-scale sizes where no flag or file sets them
         cfg = fom.config_from_dict({"m": cfg.paper_m, "n_steps": cfg.paper_steps} | spec)
@@ -163,9 +177,9 @@ def _solve_query(art: trom.OfflineArtifact, alpha, n_u: int, n_f: int, mode: str
 # ---------------------------------------------------------------------------
 
 def cmd_sample(args) -> int:
-    file_cfg = _load_config(args)
-    cfg = _problem_config(args, file_cfg)
-    shape = _parse_shape(args.grid) if args.grid else file_cfg.get("grid")
+    _, settings = _load_config(args)
+    cfg = _problem_config(args, settings)
+    shape = _parse_shape(args.grid) if args.grid else settings.grid
     if args.paper_scale and shape is None:
         shape = cfg.paper_shape
     grid = _refusing("--grid" if args.grid else "config grid", cfg.grid, shape)
@@ -232,14 +246,12 @@ _ROUNDING_SLACK = 1e-12
 
 def cmd_offline(args) -> int:
     # the build flags, refused as a study config's keys are, before any load
-    keys = ("format", "eps", "cp_rank", "interp_order")
-    flags = {key: "--" + key.replace("_", "-") for key in keys}
-    settings = _refusing("offline", StudySettings, **{key: getattr(args, key) for key in keys},
-                         flags={key: f"{flags[key]} {getattr(args, key)}" for key in keys})
+    settings = _flagged(args, "offline", lambda spec: StudySettings(**spec), {},
+                        **{key: key for key in ("format", "eps", "cp_rank", "interp_order")})
     need = "cp_rank" if settings.format == "cp" else "eps"
     if getattr(settings, need) is None:
-        raise SystemExit(f"--format {settings.format} needs {flags[need]}")
-    snaps = fom.load_snapshots(args.snapshots)
+        raise SystemExit(f"--format {settings.format} needs --{need.replace('_', '-')}")
+    snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
     art, elapsed = _build_artifact(snaps, settings, (args.format, args.eps, args.cp_rank))
     err_u = err_f = None
     if not args.skip_errors:
@@ -266,13 +278,12 @@ def cmd_offline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_query(args) -> int:
-    art = trom.load_artifact(args.artifact)
+    art = _refusing(f"--artifact {args.artifact}", trom.load_artifact, args.artifact)
     alpha = _parse_alpha(args.alpha, art.grid)
     error_metrics = None if args.no_reference else _refusing(
         "query", fom.config_from_dict(art.problem).error_metrics, args.t_window)
-    bounds = art.local_dim_bounds()
-    n_u = bounds[0] if args.n_phi is None else args.n_phi
-    n_f = bounds[1] if args.n_psi is None else args.n_psi
+    n_u, n_f = (_local_dim(flag, n, bound) for flag, n, bound in zip(
+        ("--n-phi", "--n-psi"), (args.n_phi, args.n_psi), art.local_dim_bounds()))
     cfg, local, betas, states, t_basis, t_int = _solve_query(art, alpha, n_u, n_f, args.mode)
     bad = ~np.all(np.isfinite(betas), axis=0)
     if bad.any():
@@ -311,10 +322,10 @@ def cmd_query(args) -> int:
 
 @dataclasses.dataclass(frozen=True)
 class StudySettings(fom.Settings):
-    """Every key of a study config with its default, checked as a problem config
-    is; ``offline`` builds from ``format``, ``eps``, ``cp_rank`` and ``interp_order``.
-    ``problem`` and ``grid`` are read as ``sample`` reads them; a None ``eps`` is
-    1e-3 for refine and 1e-4 for svdecay, a None ``cp_rank`` the largest listed."""
+    """Every key of a config file with its default, checked as a problem config is;
+    ``sample`` reads ``problem`` and ``grid``, ``offline`` and ``verify`` the fields their
+    flags set.  A None ``eps`` is 1e-3 for refine and 1e-4 for svdecay, a None ``cp_rank``
+    the largest listed; ``cp_opts`` are ``cp_als`` keywords, checked as it annotates them."""
 
     problem: dict | None = None
     grid: tuple[int, ...] | None = None
@@ -338,8 +349,21 @@ class StudySettings(fom.Settings):
     least = dict.fromkeys(["cp_rank", "cp_rank_list", "interp_order", "query_count", "n_u",
                            "n_f", "svdecay_count"], 1) | {"eps": 0, "eps_list": 0}
     below = {"eps": 1, "eps_list": 1}
-    choices = {"format": ("tt", "hosvd", "cp"), "mode": ("ls", "deim"),
-               "cp_opts": tuple(decomp.cp_als.__kwdefaults__)}
+    choices = {"format": ("tt", "hosvd", "cp"), "mode": ("ls", "deim")}
+
+    def __post_init__(self):
+        super().__post_init__()
+        try:
+            _CpOpts.from_dict(self.cp_opts or {}, "keywords of cp_als")
+        except ValueError as exc:
+            raise ValueError(f"cp_opts {exc}") from None
+
+
+# the keywords of ``cp_als`` that ``cp_opts`` may set, each checked by its annotation
+_CpOpts = dataclasses.make_dataclass("_CpOpts", [
+    (key, decomp.cp_als.__annotations__[key], dataclasses.field(default=value))
+    for key, value in decomp.cp_als.__kwdefaults__.items()],
+    bases=(fom.Settings,), namespace={"least": {"max_sweeps": 1}}, frozen=True)
 
 
 def _study_levels(settings: StudySettings, eps=None) -> list[tuple]:
@@ -358,16 +382,16 @@ def _check_alphas(grid: ParameterGrid, count: int, seed: int) -> np.ndarray:
     return grid.sample(count, np.random.default_rng(seed))
 
 
-def _study_ranks(snaps, settings, build):
+def _study_ranks(snaps, settings, shared):
     """Ranks, compression factors, and achieved errors versus accuracy."""
     rows = []
     for level in _study_levels(settings):
-        art, elapsed = build(level)
-        rows.append(_offline_report_row(art, *_compression_errors(art, snaps), elapsed))
+        art, elapsed = shared.build(level)
+        rows.append(_offline_report_row(art, *shared.errors(level), elapsed))
     return "ranks_vs_eps.csv", _OFFLINE_HEADER, rows
 
 
-def _study_refine(snaps, settings, build):
+def _study_refine(snaps, settings, shared):
     """Averaged/max query error versus grid refinement: the late-window
     gradient-energy quotient for transport, the space-time l2 error for the
     phase field.  A grid whose max error is above 1, which the zero trajectory
@@ -393,11 +417,11 @@ def _study_refine(snaps, settings, build):
                                   f"max_err_{metric}", "n_queries"], rows)
 
 
-def _study_svdecay(snaps, settings, build):
+def _study_svdecay(snaps, settings, shared):
     """Scaled singular values: all-snapshot unfolding versus local matrices."""
     [level] = _study_levels(settings, 1e-4)
-    art, _ = build(level)
-    _, f_svals = pod.pod_basis(snaps.f_tensor)
+    art, _ = shared.build(level)
+    f_svals = shared.svals("f")
     alphas = _check_alphas(snaps.grid, settings.svdecay_count, settings.seed)
     locs = [trom.local_bases(art, al, 1, 1) for al in alphas]
     depth = min([f_svals.size] + [loc.f_sing_vals.size for loc in locs])
@@ -410,17 +434,16 @@ def _study_svdecay(snaps, settings, build):
     return "sing_val_decay.csv", header, rows
 
 
-def _study_effrank(snaps, settings, build):
+def _study_effrank(snaps, settings, shared):
     """Compressed-format error versus truncated-SVD error at equal effective rank."""
     tensors = {"u": snaps.u_tensor, "f": snaps.f_tensor}
-    svals = {tag: pod.pod_basis(tensor)[1] for tag, tensor in tensors.items()}
     rows = {tag: [] for tag in tensors}
     for level in _study_levels(settings):
-        art, _ = build(level)
-        errs = dict(zip(tensors, _compression_errors(art, snaps)))
+        art, _ = shared.build(level)
+        errs = dict(zip(tensors, shared.errors(level)))
         for tag, part in (("u", art.u_part), ("f", art.f_part)):
-            eff = part.ranks[-1]
-            tail = max(float(np.sum(svals[tag]**2)) - float(np.sum(svals[tag][:eff]**2)), 0.0)
+            eff, svals = part.ranks[-1], shared.svals(tag)
+            tail = max(float(np.sum(svals**2)) - float(np.sum(svals[:eff]**2)), 0.0)
             err_svd = np.sqrt(tail) / np.linalg.norm(tensors[tag])
             rows[tag].append([tag, art.eps, eff, f"{errs[tag]:.6e}", f"{err_svd:.6e}"])
     return ("effective_rank.csv", ["tensor", "eps", "effective_rank", "err_lrtd",
@@ -432,17 +455,15 @@ _STUDIES = {"ranks": _study_ranks, "refine": _study_refine,
 
 
 def cmd_study(args) -> int:
-    file_cfg = _load_config(args)
-    settings = _refusing("study config", StudySettings.from_dict, file_cfg,
-                         "keys of a study config")
+    file_cfg, settings = _load_config(args)
     out_dir = Path(args.out or settings.out_dir)
     if args.snapshots:
-        snaps = fom.load_snapshots(args.snapshots)
+        snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
         snap_path = Path(args.snapshots)
         # a problem or grid that the config or --problem names must be the bundle's
         pairs = []
-        if args.problem or "problem" in file_cfg:
-            pairs.append(("problem", fom.config_to_dict(_problem_config(args, file_cfg)),
+        if args.problem or settings.problem is not None:
+            pairs.append(("problem", fom.config_to_dict(_problem_config(args, settings)),
                           fom.config_to_dict(snaps.config)))
         if settings.grid is not None:
             pairs.append(("grid", settings.grid, list(snaps.grid.shape)))
@@ -450,7 +471,7 @@ def cmd_study(args) -> int:
                                 f"{snap_path}", "config")
         cfg = snaps.config
     else:
-        cfg = _problem_config(args, file_cfg)
+        cfg = _problem_config(args, settings)
         grid = _refusing("config grid", cfg.grid, settings.grid)
     kinds = args.kind or list(_STUDIES)
     if "refine" in kinds:
@@ -463,12 +484,17 @@ def cmd_study(args) -> int:
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
         fom.save_snapshots(snap_path, snaps)
-    # each (format, eps, cp_rank) level is built once on the study's bundle
+    # taken once on the study's bundle: each (format, eps, cp_rank) level's
+    # artifact and compression errors, and each tensor's singular values
     build = functools.cache(functools.partial(_build_artifact, snaps, settings))
+    shared = types.SimpleNamespace(
+        build=build,
+        errors=functools.cache(lambda level: _compression_errors(build(level)[0], snaps)),
+        svals=functools.cache(lambda tag: pod.pod_basis(getattr(snaps, f"{tag}_tensor"))[1]))
     outputs = []
     for kind in kinds:
         t0 = time.perf_counter()
-        name, header, rows = _STUDIES[kind](snaps, settings, build)
+        name, header, rows = _STUDIES[kind](snaps, settings, shared)
         outputs.append(out_dir / name)
         _write_csv(outputs[-1], header, rows)
         print(f"study {kind}: {time.perf_counter() - t0:.1f}s -> {outputs[-1]}")
@@ -559,22 +585,20 @@ def _check_pairing(art: trom.OfflineArtifact, snaps: fom.SnapshotSet,
 
 
 def cmd_verify(args) -> int:
-    art = trom.load_artifact(args.artifact)
-    snaps = fom.load_snapshots(args.snapshots)
+    art = _refusing(f"--artifact {args.artifact}", trom.load_artifact, args.artifact)
+    if args.alphas:
+        alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
+    else:
+        settings = _flagged(args, "verify", lambda spec: StudySettings(**spec), {},
+                            query_count="random", seed="seed")
+        alphas = _check_alphas(art.grid, settings.query_count, settings.seed)
+    n_list = _refusing(f"--n-list entries must be integers, got {args.n_list}",
+                       lambda: [int(x) for x in args.n_list.split(",")])
+    n_list = [_local_dim("--n-list", n, art.local_dim_bounds()[1]) for n in n_list]
+    snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
     _check_pairing(art, snaps, args.artifact, args.snapshots)
     if int(np.prod(snaps.u_tensor.shape)) > 2 * 10**7:
         raise SystemExit("instance too large for dense verification")
-    if args.alphas:
-        alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
-    elif args.random < 1:
-        raise SystemExit(f"--random {args.random} leaves no parameter to check; "
-                         f"pass a count of at least 1 or --alphas")
-    else:
-        alphas = _check_alphas(snaps.grid, args.random, args.seed)
-    n_list = _refusing(f"--n-list entries must be integers, got {args.n_list}",
-                       lambda: [int(x) for x in args.n_list.split(",")])
-    if min(n_list) < 1:
-        raise SystemExit(f"--n-list entries must be at least 1, got {args.n_list}")
     rows, violations = _verify_rows(art, snaps, alphas, n_list, args.mode)
     out = Path(args.out or "verify.csv")
     _write_csv(out, _VERIFY_HEADER, rows)

@@ -33,8 +33,7 @@ import scipy.sparse as sp
 
 from . import metrics, store
 from .grids import ParameterGrid, uniform_axis
-from .stepping import (AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2,
-                       _march_full, integrate_full)
+from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2, integrate_full
 
 
 def _finite_number(value) -> bool:
@@ -277,7 +276,7 @@ class BurgersConfig(ProblemConfig):
                 np.multiply(-w, gu.reshape(w.shape), out=next(f_cols))
             return x.reshape(rhs.shape)
 
-        _bdf2(solve, u0, self.dt, self.n_steps, tail=True, out=out)
+        _bdf2(solve, u0, self.dt, self.n_steps, out=out)
 
 
 def _require_finite(states: np.ndarray, run: str, alpha: np.ndarray) -> None:
@@ -376,8 +375,8 @@ class AllenCahnConfig(ProblemConfig):
         multi-column kernels."""
         u0 = self.initial_state(alphas)
         a_mat = self.affine().assemble(alphas.reshape(-1, alphas.shape[-1])[0])
-        _march_full(a_mat, self.nonlinearity(alphas), u0, self.dt, self.n_steps,
-                    self.stabilization(self.dt), out, f_out)
+        integrate_full(a_mat, self.nonlinearity(alphas), u0, self.dt, self.n_steps,
+                       self.stabilization(self.dt), out, f_out)
 
 
 def neumann_laplacian(m: int) -> sp.csr_matrix:

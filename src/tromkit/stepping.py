@@ -93,7 +93,7 @@ class AdvectiveTerm:
 
 
 def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
-          observe=None, y0: np.ndarray | None = None, tail: bool = False,
+          observe=None, y0: np.ndarray | None = None,
           out: np.ndarray | None = None) -> np.ndarray:
     """March x_1 .. x_{n_steps} into ``out[..., j-1]`` and return ``out``.
 
@@ -111,7 +111,7 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
     ``y0`` being the exact observed initial state.  The full-order models
     read the state itself (the default); the tests march a reduced system
     through its selected rows as the oracle of ``integrate_reduced``.
-    ``tail`` launches one more step past the last stored state, so that the
+    One more step is launched past the last stored state, so that the
     full-order solvers can record its term value; its solution is dropped.
     """
     if out is None:
@@ -122,47 +122,37 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
     y_prev, y_curr = (x_prev, x_curr) if identity else (y0, observe(x_curr))
     out[..., 0] = x_curr
     c = 1.5 / dt + stab
-    for j in range(1, n_steps + tail):
+    for j in range(1, n_steps + 1):
         w = 2.0 * y_curr - y_prev
         rhs = (2.0 * x_curr - 0.5 * x_prev) / dt
         if stab:
             rhs += stab * (w if identity else 2.0 * x_curr - x_prev)
-        x_next = solve(c, w, rhs)
-        if j == n_steps:
-            break
-        x_prev, x_curr = x_curr, x_next
-        out[..., j] = x_curr
-        y_prev, y_curr = y_curr, (x_curr if identity else observe(x_curr))
+        x_prev, x_curr = x_curr, solve(c, w, rhs)
+        if j < n_steps:     # the extra last solve only records its term value
+            out[..., j] = x_curr
+            y_prev, y_curr = y_curr, (x_curr if identity else observe(x_curr))
     return out
 
 
-def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float,
-                   n_steps: int, stab: float = 0.0) -> tuple[np.ndarray, np.ndarray]:
+def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: int,
+                   stab: float = 0.0, out: np.ndarray | None = None,
+                   f_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Run the pointwise full-order scheme; returns (states, f_values).
 
     Each is M x n_steps: ``states[:, j-1]`` is the solution at t = j dt and
     ``f_values[:, j-1]`` the nonlinear-term value used by the BDF2 step
-    launched from it.  One extra internal step past the last stored state
+    launched from it; one extra internal step past the last stored state
     supplies the final f-snapshot, mirroring how the snapshots are defined.
-    """
-    u0 = np.asarray(u0, dtype=np.float64)
-    states = np.empty(u0.shape + (n_steps,))
-    f_vals = np.empty_like(states)
-    _march_full(a_mat, term, u0, dt, n_steps, stab, states, f_vals)
-    return states, f_vals
-
-
-def _march_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: int,
-                stab: float, out: np.ndarray, f_out: np.ndarray) -> None:
-    """``integrate_full`` into the given ``out`` and ``f_out`` views.
-
-    ``u0`` may be a block of runs that share ``a_mat``, shape (..., M): each
+    ``u0`` may be a block of runs that share ``a_mat``, shape (..., M): a
     step is one multi-right-hand-side solve with the shift's ``splu``, and
-    ``term.fn`` sees the whole block.
+    ``term.fn`` sees the whole block.  Given ``out`` and ``f_out`` views (a
+    slab of the snapshot tensors) are written in place.
     """
     if not isinstance(term, PointwiseTerm):
         raise TypeError(f"unsupported nonlinearity {type(term)!r}; transport runs "
                         "march through fom.run_fom")
+    u0 = np.asarray(u0, dtype=np.float64)
+    f_out = np.empty(u0.shape + (n_steps,)) if f_out is None else f_out
     a_mat = sp.csr_matrix(a_mat)
     size = u0.shape[-1]
     eye = sp.identity(size, format="csr")
@@ -177,7 +167,7 @@ def _march_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: in
         # runs as the columns of one Fortran-ordered right-hand side
         return factor(c).solve(g.reshape(-1, size).T).T.reshape(g.shape)
 
-    _bdf2(solve, u0, dt, n_steps, stab=stab, tail=True, out=out)
+    return _bdf2(solve, u0, dt, n_steps, stab=stab, out=out), f_out
 
 
 @dataclass(frozen=True)

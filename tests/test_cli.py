@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import re
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tromkit import cli, decomp, fom, trom
+from tromkit import cli, decomp, fom, pod, trom
 
 
 def run(*argv):
@@ -88,20 +89,24 @@ class TestSample:
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("command", ["sample", "study"])
-    @pytest.mark.parametrize("problem", [[1], "burgers", None], ids=["array", "string", "null"])
-    def test_problem_that_is_not_an_object_refused(self, tmp_path, command, problem):
+    @pytest.mark.parametrize("problem,message", [
+        ([1], "{} config: problem must be None or a JSON object, got (1,)"),
+        ("burgers", "{} config: problem must be None or a JSON object, got 'burgers'"),
+        # a null problem is an absent one
+        (None, "no problem selected; pass --problem or a config file"),
+    ], ids=["array", "string", "null"])
+    def test_problem_that_is_not_an_object_refused(self, tmp_path, command, problem, message):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"problem": problem}))
-        message = (f"config file {cfg_path}: problem must be a JSON object of problem "
-                   f"fields, not {json.dumps(problem)}")
+        message = message.format(command)
         with pytest.raises(SystemExit, match=f"^{re.escape(message)}$"):
             run(command, "--config", cfg_path, "--out", tmp_path / "bad")
 
     def test_config_file_that_is_not_json_refused(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text('{"problem": {"kind":\n')
-        with pytest.raises(SystemExit, match=f"^config file {re.escape(str(cfg_path))} is "
-                                             "not JSON: Expecting value: line 2 column 1"):
+        with pytest.raises(SystemExit, match=f"^--config {re.escape(str(cfg_path))}: "
+                                             "Expecting value: line 2 column 1"):
             run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
 
     @pytest.mark.parametrize("problem,named", [
@@ -172,9 +177,10 @@ class TestSample:
                               r"the allen_cahn problem has 3 parameters"),
         ("burgers", "3xq", r"--grid '3xq' is not a shape"),
         # a shape from a config file, which need not be a list of integers
-        ("burgers", {"grid": "3x4"}, r"config grid: grid shape '3x4' is not a list of integers"),
-        ("burgers", {"grid": [3.5, 4]},
-         r"config grid: grid shape \[3.5, 4\] is not a list of integers"),
+        ("burgers", {"grid": "3x4"}, r"sample config: grid must be None or a non-empty list "
+                                     r"of integers, got '3x4'"),
+        ("burgers", {"grid": [3.5, 4]}, r"sample config: grid must be None or a non-empty "
+                                        r"list of integers, got \(3.5, 4\)"),
         ("burgers", {"refine_grids": [3, 4]},
          r"config refine_grids: grid shape 3 is not a list of integers"),
     ], ids=["three_for_two", "two_for_three", "not_integer", "config_string",
@@ -362,12 +368,25 @@ class TestQuery:
                    "--t-window", "1", "--no-reference") == 0
 
     @pytest.mark.parametrize("flags", [("--n-phi", "0"), ("--n-psi=-2",)])
-    def test_nonpositive_dims_rejected(self, workdir, flags):
-        # 0 is a dimension, not "unset": only a missing flag takes the bound
+    def test_nonpositive_dims_rejected(self, workdir, monkeypatch, flags):
+        # 0 is a dimension, not "unset": only a missing flag takes the bound;
+        # the refusal names the flag, before any solve or reference run
         root, _ = workdir
-        with pytest.raises(ValueError, match="admissible"):
+        monkeypatch.setattr(trom, "local_bases", lambda *args: pytest.fail("solved"))
+        monkeypatch.setattr(fom, "run_fom", lambda *args: pytest.fail("reference ran"))
+        flag, n = flags[0].split("=") if len(flags) == 1 else flags
+        bound = trom.load_artifact(root / "art.trbl").local_dim_bounds()[flag == "--n-psi"]
+        with pytest.raises(SystemExit, match=f"^{flag}: local dimension {n} must be at least "
+                                             f"1 and at most {bound}, the artifact's bound$"):
+            run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5", *flags)
+
+    def test_dim_above_the_bound_rejected(self, workdir, monkeypatch):
+        root, _ = workdir
+        monkeypatch.setattr(trom, "local_bases", lambda *args: pytest.fail("solved"))
+        n_u = trom.load_artifact(root / "art.trbl").local_dim_bounds()[0]
+        with pytest.raises(SystemExit, match=f"^--n-phi: local dimension {n_u + 1} must be "):
             run("query", "--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
-                "--no-reference", *flags)
+                "--n-phi", n_u + 1, "--no-reference")
 
 
 class TestStudy:
@@ -561,19 +580,40 @@ class TestStudy:
         assert run("study", "--config", cfg_path, *kind_flags, "--out", tmp_path / "res") == 0
         assert seen == builds
 
-    @pytest.mark.parametrize("extra,named", [
-        ({"eps_lst": [0.5]}, "study config: eps_lst is not among the keys of a "
-                             "study config: problem, grid, out_dir, format, eps, "),
-        ({"n_U": 4, "count": 2}, "study config: count, n_U are not among the keys "),
-    ], ids=["one", "two"])
-    def test_unknown_key_refused_before_sampling(self, tmp_path, monkeypatch, extra, named):
+    def test_each_measurement_taken_once(self, tmp_path, monkeypatch):
+        # ranks and effrank share each level's compression errors, and
+        # svdecay and effrank the term tensor's singular values
+        calls = collections.Counter()
+        for module, name in ((decomp, "relative_error"), (pod, "pod_basis")):
+            def counted(*args, _fn=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _fn(*args)
+            monkeypatch.setattr(module, name, counted)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"problem": {"kind": "burgers", "m": 20, "n_steps": 12},
+                                        "grid": [3, 4], "eps_list": [0.1, 0.01, 1e-4],
+                                        "svdecay_count": 2}))
+        assert run("study", "--config", cfg_path, "--kind", "ranks", "--kind", "effrank",
+                   "--kind", "svdecay", "--out", tmp_path / "res") == 0
+        assert calls == {"relative_error": 6, "pod_basis": 2}
+
+    @pytest.mark.parametrize("command,extra,named", [
+        ("study", {"eps_lst": [0.5]}, "study config: eps_lst is not among the keys of a "
+                                      "study config: problem, grid, out_dir, format, eps, "),
+        ("study", {"n_U": 4, "count": 2}, "study config: count, n_U are not among the keys "),
+        # sample reads the same schema, so a typo does not sample the default grid
+        ("sample", {"gird": [2, 2]}, "sample config: gird is not among the keys of a "
+                                     "study config: "),
+    ], ids=["one", "two", "sample_typo"])
+    def test_unknown_key_refused_before_sampling(self, tmp_path, monkeypatch, command, extra,
+                                                 named):
         monkeypatch.setattr(fom, "sample_snapshots",
                             lambda *args: pytest.fail("sampled before the key check"))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(
             {"problem": {"kind": "burgers", "m": 20, "n_steps": 12}, "grid": [3, 4]} | extra))
         with pytest.raises(SystemExit, match=named):
-            run("study", "--config", cfg_path, "--out", tmp_path / "bad")
+            run(command, "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
 
     @pytest.mark.parametrize("extra,named", [
@@ -595,8 +635,15 @@ class TestStudy:
         ({"cp_rank": 0}, "cp_rank must be at least 1, got 0"),
         ({"cp_rank_list": [4, 0]}, "cp_rank_list entries must be at least 1, got (4, 0)"),
         ({"cp_opts": {"sweeps": 3}},
-         "cp_opts keys must be among max_sweeps, tol, seed, got {'sweeps': 3}"),
+         "cp_opts sweeps is not among the keywords of cp_als: max_sweeps, tol, seed"),
         ({"cp_opts": [3]}, "cp_opts must be None or a JSON object, got (3,)"),
+        # each cp_opts value as cp_als annotates its keyword
+        ({"cp_opts": {"max_sweeps": "3"}}, "cp_opts max_sweeps must be an integer, got '3'"),
+        ({"cp_opts": {"max_sweeps": 0}}, "cp_opts max_sweeps must be at least 1, got 0"),
+        ({"cp_opts": {"tol": 0}}, "cp_opts tol must be a finite number above 0, got 0"),
+        ({"cp_opts": {"tol": [1e-6]}},
+         "cp_opts tol must be a finite number above 0, got (1e-06,)"),
+        ({"cp_opts": {"seed": -1}}, "cp_opts seed must be at least 0, got -1"),
         ({"query_count": 0}, "query_count must be at least 1, got 0"),
         ({"svdecay_count": 0}, "svdecay_count must be at least 1, got 0"),
         ({"interp_order": 0}, "interp_order must be at least 1, got 0"),
@@ -607,7 +654,9 @@ class TestStudy:
     ], ids=["list", "list_string", "int_string", "int_bool", "int_float", "float_string",
             "string_null", "eps_string", "eps_one", "eps_list_negative", "eps_list_empty",
             "format_unknown", "mode_unknown", "cp_rank_string", "cp_rank_zero",
-            "cp_rank_list_zero", "cp_opts_unknown_key", "cp_opts_list", "query_count_zero",
+            "cp_rank_list_zero", "cp_opts_unknown_key", "cp_opts_list",
+            "cp_opts_max_sweeps_string", "cp_opts_max_sweeps_zero", "cp_opts_tol_zero",
+            "cp_opts_tol_list", "cp_opts_seed_negative", "query_count_zero",
             "svdecay_count_zero", "interp_order_zero", "n_u_zero", "n_f_negative",
             "seed_negative", "grid_float"])
     def test_value_of_wrong_type_refused_before_sampling(self, tmp_path, monkeypatch,
@@ -759,13 +808,16 @@ class TestVerify:
         assert len(together) == len(separate) == 2 * len(n_list)
         assert all(row == separate[(row[0], row[1])] for row in together)
 
-    def test_n_above_term_bound_rejected(self, workdir, tmp_path):
+    def test_n_above_term_bound_rejected(self, workdir, tmp_path, monkeypatch):
         root, snap = workdir
+        monkeypatch.setattr(fom, "load_snapshots", lambda *args: pytest.fail("bundle loaded"))
         n_f = trom.load_artifact(root / "art.trbl").local_dim_bounds()[1]
-        with pytest.raises(ValueError, match="admissible"):
+        with pytest.raises(SystemExit, match=f"^--n-list: local dimension {n_f + 1} must be at "
+                                             f"least 1 and at most {n_f}, the artifact's "):
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--alphas", "0.05,0.5", "--n-list", f"4,{n_f + 1}",
                 "--out", tmp_path / "v.csv")
+        assert not (tmp_path / "v.csv").exists()
 
     def test_n_below_one_rejected(self, workdir, tmp_path):
         root, snap = workdir
@@ -781,12 +833,28 @@ class TestVerify:
         assert not (tmp_path / "v.csv").exists()
 
     @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_no_parameter_left_to_check_rejected(self, workdir, tmp_path, count):
+    def test_no_parameter_left_to_check_rejected(self, workdir, tmp_path, monkeypatch, count):
+        # --random is the schema's query_count, refused before the bundle is read
         root, snap = workdir
-        with pytest.raises(SystemExit, match=f"--random {count} leaves no parameter"):
+        monkeypatch.setattr(fom, "load_snapshots", lambda *args: pytest.fail("bundle loaded"))
+        with pytest.raises(SystemExit, match=f"^--random {count}: query_count must be at "
+                                             f"least 1, got {count}$"):
             run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
                 "--random", count, "--n-list", "4", "--out", tmp_path / "v.csv")
         assert not (tmp_path / "v.csv").exists()
+
+    def test_negative_seed_rejected(self, workdir, tmp_path, monkeypatch):
+        root, snap = workdir
+        monkeypatch.setattr(fom, "load_snapshots", lambda *args: pytest.fail("bundle loaded"))
+        with pytest.raises(SystemExit, match="^--seed -1: seed must be at least 0, got -1$"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--seed=-1", "--n-list", "4", "--out", tmp_path / "v.csv")
+
+    def test_seed_and_random_unread_with_alphas(self, workdir, tmp_path):
+        root, snap = workdir
+        assert run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                   "--alphas", "0.05,0.5", "--random", "0", "--seed=-1", "--n-list", "4",
+                   "--out", tmp_path / "v.csv") == 0
 
     @pytest.mark.parametrize("problem,m,grid,side", [
         ("burgers", "50", "2x3", "grid"), ("allen-cahn", "8", "2x2x2", "problem")])
@@ -843,3 +911,32 @@ class TestVerify:
         idx = header.index("lhs_term")
         vals = [float(r[idx]) for r in rows]
         assert all(b >= a * (1 - 1e-9) for a, b in zip(vals, vals[1:]))
+
+
+class TestInputFiles:
+    @pytest.mark.parametrize("command,flag", [
+        ("sample", "--config"), ("offline", "--snapshots"), ("query", "--artifact"),
+        ("study", "--config"), ("study", "--snapshots"), ("verify", "--artifact"),
+        ("verify", "--snapshots")])
+    @pytest.mark.parametrize("kind", ["missing", "foreign"])
+    def test_unreadable_input_refused_in_one_line(self, workdir, tmp_path, command, flag,
+                                                  kind):
+        # a missing file, or one of another kind (an artifact as a config or
+        # a bundle, a bundle as an artifact), is refused naming flag and path
+        root, snap = workdir
+        art = root / "art.trbl"
+        given = {"--config": None, "--snapshots": snap, "--artifact": art}
+        given[flag] = (tmp_path / "none" if kind == "missing"
+                       else snap if flag == "--artifact" else art)
+        argv = {"sample": [], "study": [],
+                "offline": ["--format", "tt", "--eps", "0.1"],
+                "query": ["--alpha", "0.05,0.5", "--no-reference"],
+                "verify": ["--alphas", "0.05,0.5", "--n-list", "2"]}[command]
+        needs = {"sample": ["--config"], "study": [flag], "offline": ["--snapshots"],
+                 "query": ["--artifact"], "verify": ["--artifact", "--snapshots"]}[command]
+        argv += [x for name in needs for x in (name, given[name])]
+        with pytest.raises(SystemExit) as refusal:
+            run(command, *argv, "--out", tmp_path / "bad")
+        message = str(refusal.value)
+        assert message.startswith(f"{flag} {given[flag]}: ") and "\n" not in message
+        assert not (tmp_path / "bad").exists()
