@@ -8,7 +8,7 @@ from .fom import AllenCahnConfig, BurgersConfig, SnapshotSet, run_fom, sample_sn
 from .grids import GridAxis, ParameterGrid, interp_weights, uniform_axis
 from .pod import pod_offline, pod_solve
 from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm
-from .tensors import frobenius_norm, unfold
+from .tensors import unfold
 from .trom import (LocalROM, OfflineArtifact, build_offline, build_reduced_system,
                    load_artifact, local_bases, save_artifact, trom_solve)
 
@@ -19,7 +19,7 @@ __all__ = [
     "GridAxis", "LocalROM", "OfflineArtifact", "ParameterGrid", "PointwiseTerm",
     "SelectionIndices", "SnapshotSet",
     "build_offline", "build_reduced_system",
-    "cp_als", "deim_select", "frobenius_norm", "hosvd",
+    "cp_als", "deim_select", "hosvd",
     "interp_weights", "load_artifact", "local_bases", "pod_offline", "pod_solve",
     "relative_error", "run_fom", "sample_snapshots", "save_artifact",
     "selection_gain", "trom_solve", "tt_svd", "unfold", "uniform_axis",

@@ -98,6 +98,26 @@ def _refusing(source: str, make, *args, flags: dict | None = None, **kwargs):
         raise SystemExit(f"{where}: {exc}") from None
 
 
+def _output(flag: str, path, directory: bool = False) -> Path:
+    """``path``, once the directory it is written into (``path`` itself when
+    ``directory``) exists; one that cannot be made is refused, led by ``flag``."""
+    path = Path(path)
+    _refusing(f"{flag} {path}", (path if directory else path.parent).mkdir,
+              parents=True, exist_ok=True)
+    return path
+
+
+def _query_artifact(path) -> trom.OfflineArtifact:
+    """The ``--artifact`` of ``query`` and ``verify``, refused unless it holds the
+    problem description and the reduced operator that their solves need."""
+    art = _refusing(f"--artifact {path}", trom.load_artifact, path)
+    if art.a_reduced is None:   # saved only beside a problem description
+        raise SystemExit(f"--artifact {path}: the artifact has no "
+                         f"{'reduced operator' if art.problem else 'problem description'}; "
+                         "rebuild it with `tromkit offline`")
+    return art
+
+
 def _load_config(args) -> tuple[dict, StudySettings]:
     """The ``--config`` file's settings as given and as the ``StudySettings`` they make."""
     cfg = {}
@@ -183,8 +203,7 @@ def cmd_sample(args) -> int:
     if args.paper_scale and shape is None:
         shape = cfg.paper_shape
     grid = _refusing("--grid" if args.grid else "config grid", cfg.grid, shape)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output("--out", args.out, directory=True)
     t0 = time.perf_counter()
     snaps = fom.sample_snapshots(cfg, grid)
     elapsed = time.perf_counter() - t0
@@ -251,6 +270,8 @@ def cmd_offline(args) -> int:
     need = "cp_rank" if settings.format == "cp" else "eps"
     if getattr(settings, need) is None:
         raise SystemExit(f"--format {settings.format} needs --{need.replace('_', '-')}")
+    out = _output("--out", args.out)
+    report = args.report and _output("--report", args.report)
     snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
     art, elapsed = _build_artifact(snaps, settings, (args.format, args.eps, args.cp_rank))
     err_u = err_f = None
@@ -262,12 +283,10 @@ def cmd_offline(args) -> int:
         if over:
             print(f"offline: {'; '.join(over)}; no artifact written", file=sys.stderr)
             return 1
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
     trom.save_artifact(out, art)
     row = _offline_report_row(art, err_u, err_f, elapsed)
-    if args.report:
-        _write_csv(Path(args.report), _OFFLINE_HEADER, [row])
+    if report:
+        _write_csv(report, _OFFLINE_HEADER, [row])
     print("  ".join(f"{h}={v}" for h, v in zip(_OFFLINE_HEADER, row) if v != ""))
     print(f"artifact: {out}")
     return 0
@@ -278,7 +297,9 @@ def cmd_offline(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_query(args) -> int:
-    art = _refusing(f"--artifact {args.artifact}", trom.load_artifact, args.artifact)
+    metrics = args.metrics and _output("--metrics", args.metrics)
+    out = args.out and _output("--out", args.out)
+    art = _query_artifact(args.artifact)
     alpha = _parse_alpha(args.alpha, art.grid)
     error_metrics = None if args.no_reference else _refusing(
         "query", fom.config_from_dict(art.problem).error_metrics, args.t_window)
@@ -307,10 +328,10 @@ def cmd_query(args) -> int:
               "err_l2l2", "err_l2h1", "t_basis", "t_integrate", "t_fom"]
     row = [_alpha_str(alpha), art.fmt, art.eps, art.cp_rank, n_u, n_f, args.mode,
            f"{local.cstar:.6e}", err_l2l2, err_h1, f"{t_basis:.4f}", f"{t_int:.4f}", t_fom]
-    if args.metrics:
-        _write_csv(Path(args.metrics), header, [row])
-    if args.out:
-        np.savez(args.out, betas=betas, states=states, alpha=alpha,
+    if metrics:
+        _write_csv(metrics, header, [row])
+    if out:
+        np.savez(out, betas=betas, states=states, alpha=alpha,
                  times=cfg.dt * np.arange(1, cfg.n_steps + 1))
     print("  ".join(f"{h}={v}" for h, v in zip(header, row) if v != ""))
     return 0
@@ -456,7 +477,6 @@ _STUDIES = {"ranks": _study_ranks, "refine": _study_refine,
 
 def cmd_study(args) -> int:
     file_cfg, settings = _load_config(args)
-    out_dir = Path(args.out or settings.out_dir)
     if args.snapshots:
         snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
         snap_path = Path(args.snapshots)
@@ -479,7 +499,8 @@ def cmd_study(args) -> int:
         _refusing("study config", cfg.error_metrics, settings.t_window)
         for shape in settings.refine_grids:
             _refusing("config refine_grids", cfg.grid, shape)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _output("--out" if args.out else "config out_dir", args.out or settings.out_dir,
+                      directory=True)
     if not args.snapshots:
         snaps = fom.sample_snapshots(cfg, grid)
         snap_path = out_dir / "snapshots.trbl"
@@ -574,18 +595,21 @@ _VERIFY_HEADER = ["alpha", "n", "mode", "cstar", "lhs_state", "bound_state",
 def _check_pairing(art: trom.OfflineArtifact, snaps: fom.SnapshotSet,
                    art_path, snap_path) -> None:
     """Refuse a snapshot bundle that is not the artifact's training set:
-    its problem (when the artifact records one), grid and tensor shape must
-    match the artifact's."""
-    pairs = [("grid", art.grid.to_dict(), snaps.grid.to_dict()),
+    its problem, grid and tensor shape must match the artifact's."""
+    pairs = [("problem", art.problem, fom.config_to_dict(snaps.config)),
+             ("grid", art.grid.to_dict(), snaps.grid.to_dict()),
              ("full_shape", list(art.full_shape), list(snaps.u_tensor.shape))]
-    if art.problem is not None:
-        pairs.insert(0, ("problem", art.problem, fom.config_to_dict(snaps.config)))
     _refuse_mismatch(pairs, f"snapshot bundle {snap_path} does not belong to artifact "
                             f"{art_path}", "artifact")
 
 
+# the most entries of one snapshot tensor that dense verification reads
+_VERIFY_MAX_ENTRIES = 2 * 10**7
+
+
 def cmd_verify(args) -> int:
-    art = _refusing(f"--artifact {args.artifact}", trom.load_artifact, args.artifact)
+    out = _output("--out", args.out or "verify.csv")
+    art = _query_artifact(args.artifact)
     if args.alphas:
         alphas = [_parse_alpha(a, art.grid) for a in args.alphas.split(";")]
     else:
@@ -595,12 +619,13 @@ def cmd_verify(args) -> int:
     n_list = _refusing(f"--n-list entries must be integers, got {args.n_list}",
                        lambda: [int(x) for x in args.n_list.split(",")])
     n_list = [_local_dim("--n-list", n, art.local_dim_bounds()[1]) for n in n_list]
+    # the bundle's size, which the pairing check holds to the artifact's, before it is read
+    if (entries := int(np.prod(art.full_shape))) > _VERIFY_MAX_ENTRIES:
+        raise SystemExit(f"--snapshots {args.snapshots}: its tensors hold {entries} entries, "
+                         f"above the {_VERIFY_MAX_ENTRIES} of dense verification")
     snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
     _check_pairing(art, snaps, args.artifact, args.snapshots)
-    if int(np.prod(snaps.u_tensor.shape)) > 2 * 10**7:
-        raise SystemExit("instance too large for dense verification")
     rows, violations = _verify_rows(art, snaps, alphas, n_list, args.mode)
-    out = Path(args.out or "verify.csv")
     _write_csv(out, _VERIFY_HEADER, rows)
     print(f"{len(rows)} checks, {violations} violations -> {out}")
     return 1 if violations else 0

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import dpocon, dposv
 
-from .tensors import frobenius_norm, refold, unfold
+from .tensors import refold, unfold
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +224,7 @@ def truncated_left_svd(mat: np.ndarray, budget: float
     """
     rows, cols = mat.shape
     floor = (_GRAM_SAFETY * min(rows, cols) * np.finfo(np.float64).eps
-             * frobenius_norm(mat)**2)
+             * np.linalg.norm(mat)**2)
     if budget * budget <= floor:
         u, s, vt = np.linalg.svd(mat, full_matrices=False)
         r = _kept_rank(s, budget)
@@ -258,7 +258,7 @@ def tt_svd(t: np.ndarray, eps: float) -> TTPart:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     dims = t.shape
     d = t.ndim
-    budget = eps * frobenius_norm(t) / math.sqrt(d - 1)
+    budget = eps * np.linalg.norm(t) / math.sqrt(d - 1)
 
     first, _, rest = truncated_left_svd(t.reshape(dims[0], -1, order="F"), budget)
     cores = []
@@ -297,7 +297,7 @@ def hosvd(t: np.ndarray, eps: float) -> TuckerPart:
     if not 0.0 <= eps < 1.0:
         raise ValueError(f"eps must be in [0, 1), got {eps}")
     d = t.ndim
-    budget = eps * frobenius_norm(t) / math.sqrt(d)
+    budget = eps * np.linalg.norm(t) / math.sqrt(d)
     factors = []
     core = t
     for k in range(d):
@@ -378,7 +378,7 @@ def cp_als(
         raise ValueError(f"max_sweeps must be at least 1, got {max_sweeps}")
     d = t.ndim
     dims = t.shape
-    norm_t = frobenius_norm(t)
+    norm_t = np.linalg.norm(t)
     if norm_t == 0.0:
         return (_cp_from_factors([np.zeros((n, rank)) for n in dims]),
                 {"rel_error": 0.0, "sweeps": 0, "converged": True})

@@ -10,15 +10,11 @@ import scipy.linalg.lapack
 
 @dataclass(frozen=True)
 class SelectionIndices:
-    """Distinct row indices picked by the DEIM selection, in pick order."""
+    """Distinct row indices picked by the DEIM selection, in pick order: the
+    pivot rows of ``deim_select``, or a stored selection that
+    ``trom.load_artifact`` has checked against its basis."""
 
     indices: np.ndarray
-
-    def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.intp)
-        if idx.ndim != 1 or len(np.unique(idx)) != idx.size:
-            raise ValueError("selection indices must be a 1-D list of distinct rows")
-        object.__setattr__(self, "indices", idx)
 
     def __len__(self) -> int:
         return int(self.indices.size)

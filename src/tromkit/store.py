@@ -63,14 +63,9 @@ def read_tensor(fh: BinaryIO) -> np.ndarray:
     return np.reshape(data.astype(np.float64), dims, order="F")
 
 
-def dumps_meta(meta: dict) -> bytes:
-    return json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
-
-
 def save_bundle(path, meta: dict, blobs: dict[str, np.ndarray]) -> None:
-    meta = dict(meta)
-    meta["blobs"] = list(blobs.keys())
-    payload = dumps_meta(meta)
+    meta = meta | {"blobs": list(blobs)}
+    payload = json.dumps(meta, sort_keys=True, separators=(",", ":")).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", FORMAT_VERSION))

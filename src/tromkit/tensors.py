@@ -1,4 +1,4 @@
-"""Dense in-memory tensor kernels: unfoldings and norms.
+"""Dense in-memory tensor kernels: unfolding and refolding.
 
 Tensors are plain float64 ``numpy.ndarray`` values and all functions here are
 pure.  The canonical element order (unfolding columns, serialized entries) is
@@ -9,12 +9,6 @@ lives in :mod:`tromkit.store`.
 from __future__ import annotations
 
 import numpy as np
-
-
-def frobenius_norm(t: np.ndarray) -> float:
-    """Square root of the sum of squared entries, read in memory order, so
-    that a contiguous tensor of either order is not copied."""
-    return float(np.linalg.norm(np.asarray(t).ravel(order="K")))
 
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:

@@ -940,3 +940,68 @@ class TestInputFiles:
         message = str(refusal.value)
         assert message.startswith(f"{flag} {given[flag]}: ") and "\n" not in message
         assert not (tmp_path / "bad").exists()
+
+
+class TestOutputFiles:
+    @pytest.mark.parametrize("command,flag", [
+        ("offline", "--report"), ("query", "--metrics"), ("query", "--out"),
+        ("verify", "--out")])
+    def test_output_directory_made_before_any_load(self, workdir, tmp_path, monkeypatch,
+                                                   command, flag):
+        root, snap = workdir
+        argv = {"offline": ["--snapshots", snap, "--format", "tt", "--eps", "1e-3",
+                            "--out", tmp_path / "art.trbl"],
+                "query": ["--artifact", root / "art.trbl", "--alpha", "0.05,0.5",
+                          "--no-reference"],
+                "verify": ["--artifact", root / "art.trbl", "--snapshots", snap,
+                           "--alphas", "0.05,0.5", "--n-list", "2"]}[command]
+        name = "traj.npz" if (command, flag) == ("query", "--out") else "out.csv"
+        # a path below a regular file is refused in one line before anything is read
+        (tmp_path / "file").write_text("")
+        blocked = tmp_path / "file" / name
+        with monkeypatch.context() as patch:
+            for module, loader in ((fom, "load_snapshots"), (trom, "load_artifact")):
+                patch.setattr(module, loader, lambda *args: pytest.fail("input loaded"))
+            with pytest.raises(SystemExit) as refusal:
+                run(command, *argv, flag, blocked)
+        message = str(refusal.value)
+        assert message.startswith(f"{flag} {blocked}: ") and "\n" not in message
+        # and a directory that is not there yet is made
+        out = tmp_path / "new" / "deeper" / name
+        assert run(command, *argv, flag, out) == 0
+        assert out.stat().st_size > 0
+
+
+class TestArtifactContents:
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    @pytest.mark.parametrize("with_problem,missing", [
+        (True, "reduced operator"), (False, "problem description")])
+    def test_artifact_without_what_solves_need_refused(self, workdir, tmp_path, monkeypatch,
+                                                       command, with_problem, missing):
+        # the library saves artifacts without an operator or a problem description
+        _, snap = workdir
+        snaps = fom.load_snapshots(snap)
+        path = tmp_path / "bare.trbl"
+        trom.save_artifact(path, trom.build_offline(
+            snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt="tt", eps=1e-3,
+            problem=fom.config_to_dict(snaps.config) if with_problem else None))
+        for module, name in ((fom, "run_fom"), (trom, "local_bases")):
+            monkeypatch.setattr(module, name, lambda *args: pytest.fail("solve ran"))
+        argv = {"query": ["--alpha", "0.05,0.5"],
+                "verify": ["--snapshots", snap, "--alphas", "0.05,0.5", "--n-list", "2",
+                           "--out", tmp_path / "v.csv"]}[command]
+        with pytest.raises(SystemExit, match=f"^--artifact {re.escape(str(path))}: the "
+                                             f"artifact has no {missing}; rebuild it"):
+            run(command, "--artifact", path, *argv)
+
+    def test_verify_size_limit_checked_before_the_bundle_is_read(self, workdir, tmp_path,
+                                                                monkeypatch):
+        root, snap = workdir
+        entries = int(np.prod(trom.load_artifact(root / "art.trbl").full_shape))
+        monkeypatch.setattr(cli, "_VERIFY_MAX_ENTRIES", entries - 1)
+        monkeypatch.setattr(fom, "load_snapshots", lambda *args: pytest.fail("bundle loaded"))
+        with pytest.raises(SystemExit, match=f"^--snapshots {re.escape(str(snap))}: its "
+                                             f"tensors hold {entries} entries, above the "
+                                             f"{entries - 1} of dense verification$"):
+            run("verify", "--artifact", root / "art.trbl", "--snapshots", snap,
+                "--alphas", "0.05,0.5", "--n-list", "2", "--out", tmp_path / "v.csv")

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -606,6 +607,15 @@ class TestArtifactSerialization:
                 path = tmp_path / f"{cfg.kind}_{fmt}.trbl"
                 trom.save_artifact(path, art)
                 loaded = trom.load_artifact(path)
+                # the coupling matrices and the reduced operator, recomputed
+                # on load from the parts and the stored selection
+                for name in ("uty", "pty"):
+                    np.testing.assert_array_equal(getattr(loaded, name), getattr(art, name))
+                np.testing.assert_array_equal(loaded.selection.indices, art.selection.indices)
+                assert loaded.cstar_ls == art.cstar_ls
+                assert len(loaded.a_reduced.terms) == len(art.a_reduced.terms)
+                for ours, theirs in zip(loaded.a_reduced.terms, art.a_reduced.terms):
+                    np.testing.assert_array_equal(ours, theirs)
                 dims = art.local_dim_bounds()
                 for mode in ("ls", "deim"):
                     betas = [trom.trom_solve(
@@ -677,15 +687,55 @@ class TestArtifactSerialization:
             cf = art.compression_factors()
             assert cf["cf_u"] == u.size / art.u_part.online_entries
 
-    def test_other_schema_refused(self, tmp_path):
+    @pytest.mark.parametrize("schema", ["tromkit-artifact-1", "tromkit-artifact-2"])
+    def test_other_schema_refused(self, tmp_path, schema):
         from tromkit import store
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
         path = tmp_path / "a.trbl"
         trom.save_artifact(path, art)
         meta, blobs = store.load_bundle(path)
-        meta["schema"] = "tromkit-artifact-1"
+        meta["schema"] = schema
         store.save_bundle(path, meta, blobs)
-        with pytest.raises(ValueError, match="'tromkit-artifact-1'.*tromkit offline"):
+        with pytest.raises(ValueError, match=f"'{schema}'.*tromkit offline"):
+            trom.load_artifact(path)
+
+    def test_bundle_holds_only_the_parts(self, tmp_path, small_burgers):
+        from tromkit import store
+        cfg, grid, snaps = small_burgers
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-3,
+                                 a_op=cfg.affine(), problem=fom.config_to_dict(cfg))
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        assert all(name[:2] in ("u_", "f_") for name in blobs)
+        assert meta["reduced_operator"] is True and "n_a_terms" not in meta
+
+    def test_load_runs_no_selection(self, tmp_path, monkeypatch):
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        for name in ("deim_select", "selection_gain"):
+            monkeypatch.setattr(trom, name,
+                                lambda *args, name=name: pytest.fail(f"{name} ran on load"))
+        loaded = trom.load_artifact(path)
+        np.testing.assert_array_equal(loaded.pty, art.pty)
+
+    @pytest.mark.parametrize("edit", [
+        lambda rows: [10**6] + rows[1:], lambda rows: [-1] + rows[1:], lambda rows: rows[:-1],
+        lambda rows: rows + [max(rows) + 1], lambda rows: [rows[1]] + rows[1:],
+        lambda rows: [0.5] + rows[1:]],
+        ids=["out_of_range", "negative", "short", "long", "repeated", "not_integer"])
+    def test_stored_selection_not_one_row_per_column_refused(self, tmp_path, edit):
+        from tromkit import store
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["selection"] = edit(meta["selection"])
+        store.save_bundle(path, meta, blobs)
+        m, n = art.f_part.basis.shape
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has a stored selection "
+                                             f"that is not {n} distinct rows of its {m}-row "):
             trom.load_artifact(path)
 
     def test_unknown_part_kind_refused(self, tmp_path):
