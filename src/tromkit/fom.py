@@ -10,7 +10,11 @@ functions (``affine_operator_for``, ``run_fom``, ...) delegate to the class,
 so a new problem is one class and one registry entry.
 
 Both problems march with the one semi-implicit BDF2 loop of
-:mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time:
+:mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time, and
+each hands it its own step solve: the transport march a banded solve, and
+the phase-field march, which also relaxes the initial states, a fast
+diagonalisation of ``neumann_second_difference``, the 1-D factor its
+Laplacian is built from.
 ``sample_snapshots`` makes one march per node of the first grid axis, over
 every node of the remaining axes, and writes each step straight into that
 slab of the snapshot tensors.  ``run_fom`` marches the block of one run.
@@ -33,7 +37,7 @@ import scipy.sparse as sp
 
 from . import metrics, store
 from .grids import ParameterGrid, uniform_axis
-from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2, integrate_full
+from .stepping import AdvectiveTerm, AffineOperator, PointwiseTerm, _bdf2
 
 
 def _finite_number(value) -> bool:
@@ -368,27 +372,84 @@ class AllenCahnConfig(ProblemConfig):
         """March the runs at ``alphas`` (shape (..., 3)), which share the
         width and so the operator the offline stage projects, as one block
         from their initial states, writing run r's states and term values into
-        ``out[r]`` and ``f_out[r]``: one ``splu`` per shift, one
-        multi-right-hand-side solve per step, and the potential on the whole
-        block through a per-run asymmetry column.  It can round apart from one
-        run's solve in the last digits, since SuperLU then takes its
-        multi-column kernels."""
-        u0 = self.initial_state(alphas)
-        a_mat = self.affine().assemble(alphas.reshape(-1, alphas.shape[-1])[0])
-        integrate_full(a_mat, self.nonlinearity(alphas), u0, self.dt, self.n_steps,
-                       self.stabilization(self.dt), out, f_out)
+        ``out[r]`` and ``f_out[r]`` (``march_block``)."""
+        self.march_block(alphas, self.initial_state(alphas), self.dt, self.n_steps, out, f_out)
+
+    def march_block(self, alphas: np.ndarray, u0: np.ndarray, dt: float, n_steps: int,
+                    out: np.ndarray | None = None,
+                    f_out: np.ndarray | None = None) -> np.ndarray:
+        """The phase field's one block march, of ``march`` and of the
+        initial-state relaxation (``ac_initial_state``): the runs at
+        ``alphas``, which share the width, from ``u0`` (shape (..., M)) for
+        ``n_steps`` steps of ``dt``, into ``out`` (allocated when not given)
+        and, when given, their term values into ``f_out``; returns ``out``.
+        A step solves with the operator's coefficient and the 1-D factor of
+        its Laplacian by fast diagonalisation (``shifted_neumann_solver``),
+        every run through its own products, and evaluates the potential on the
+        whole block through a per-run asymmetry column."""
+        g = float(self.affine().coeff(alphas.reshape(-1, alphas.shape[-1])[0])[0])
+        shifted = shifted_neumann_solver(self.m, g)
+        term = self.nonlinearity(alphas).fn
+        f_cols = None if f_out is None else iter(np.moveaxis(f_out, -1, 0))
+
+        def solve(c, w, rhs):
+            f = term(u0 if w is None else w)
+            if w is not None and f_cols is not None:
+                next(f_cols)[:] = f     # entry j-1 takes the term value of step j
+            return shifted(c, rhs + f)
+
+        return _bdf2(solve, u0, dt, n_steps, stab=self.stabilization(dt), out=out)
+
+
+def neumann_second_difference(m: int) -> sp.dia_matrix:
+    """The 1-D factor of the phase-field operator: the second difference on
+    m cells of width h = 1/m with reflection closures, scaled by 1/h^2.  A
+    closure adds the reflected neighbour, which cancels one -1 of the centre,
+    so a single cell, reflected on both sides, gets 0."""
+    ones = np.ones(m)
+    main = -2.0 * ones
+    main[0] += 1.0
+    main[-1] += 1.0
+    return sp.diags([ones[:-1], main, ones[:-1]], offsets=(-1, 0, 1)) * m**2
 
 
 def neumann_laplacian(m: int) -> sp.csr_matrix:
     """Second-order 5-point Laplacian on an m x m cell-centered grid with
-    reflection rows, scaled by 1/h^2 (h = 1/m).  Symmetric negative
+    reflection rows: the Kronecker sum of ``neumann_second_difference(m)``
+    with itself, so the state index is row * m + column.  Symmetric negative
     semi-definite; constants are in the null space."""
-    ones = np.ones(m)
-    main = -2.0 * ones
-    main[0] = main[-1] = -1.0
-    l1 = sp.diags([ones[:-1], main, ones[:-1]], offsets=(-1, 0, 1))
-    eye = sp.identity(m)
-    return ((sp.kron(l1, eye) + sp.kron(eye, l1)) * m**2).tocsr()
+    l1, eye = neumann_second_difference(m), sp.identity(m)
+    return (sp.kron(l1, eye) + sp.kron(eye, l1)).tocsr()
+
+
+@lru_cache(maxsize=8)
+def _neumann_eigen(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``Q`` and ``lam_i + lam_j`` (m x m) of the symmetric eigendecomposition
+    Q diag(lam) Q^T of ``neumann_second_difference(m)``; read-only arrays."""
+    lam, q = np.linalg.eigh(neumann_second_difference(m).toarray())
+    lam_sum = lam[:, None] + lam
+    for part in (q, lam_sum):
+        part.flags.writeable = False
+    return q, lam_sum
+
+
+def shifted_neumann_solver(m: int, g: float):
+    """``solve(c, rhs)``: the solution x of ``(c I - g neumann_laplacian(m)) x =
+    rhs`` for each run of a block ``rhs`` (shape (..., m*m)), by fast
+    diagonalisation (Lynch, Rice & Thomas 1964).  With the state of a run as
+    an m x m array G, the operator is ``l1 G + G l1`` for the 1-D factor
+    ``l1 = Q diag(lam) Q^T``, so x is ``Q [(Q^T G Q) / (c - g (lam_i +
+    lam_j))] Q^T``: four m x m products per run, which ``matmul`` takes one
+    run at a time, so every run of a block gets the numbers of its own
+    solve.  The denominators are kept per shift ``c``."""
+    q, lam_sum = _neumann_eigen(m)
+    denom = lru_cache(maxsize=None)(lambda c: c - g * lam_sum)
+
+    def solve(c, rhs):
+        x = rhs.reshape(rhs.shape[:-1] + (m, m))
+        return (q @ ((q.T @ x @ q) / denom(c)) @ q.T).reshape(rhs.shape)
+
+    return solve
 
 
 def potential_derivative(u: np.ndarray, asym: float) -> np.ndarray:
@@ -452,9 +513,8 @@ def ac_initial_state(cfg: AllenCahnConfig, p_high: float) -> np.ndarray:
     if cfg.pre_steps == 0:
         return field
     dt_pre = cfg.pre_time / cfg.pre_steps
-    relax = [0.01, 0.0]     # the width and asymmetry of the relaxation
-    states, _ = integrate_full(cfg.affine().assemble(relax), cfg.nonlinearity(relax), field,
-                               dt_pre, cfg.pre_steps, stab=cfg.stabilization(dt_pre))
+    # at the width 0.01 and the asymmetry 0 of the relaxation
+    states = cfg.march_block(np.array([0.01, 0.0]), field, dt_pre, cfg.pre_steps)
     out = states[:, -1].copy()
     out.flags.writeable = False
     return out

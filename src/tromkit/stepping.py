@@ -13,9 +13,11 @@ the snapshot tensors; a single run is the block of one.  A full-order solver
 differs from another only in the per-step solve callback it hands to the
 loop:
 
-* pointwise -- a cached ``splu`` of the constant step matrix per shift (the
-  phase-field FOM assembles it from its ``AffineOperator``); the runs of one
-  width share it, so a step is one multi-right-hand-side solve;
+* pointwise -- the phase-field block march (``AllenCahnConfig.march_block``)
+  solves with the constant step matrix by fast diagonalisation of the 1-D
+  factor its Laplacian is built from, each run by its own m x m products.
+  ``integrate_full`` steps with any assembled sparse matrix through a cached
+  ``splu`` per shift; the tests use it as that march's reference;
 * advective -- the transport block march (``BurgersConfig.march``) passes a
   banded solve, the one kept copy of the transport stencil.  Each run's step
   matrix depends on its own state, so a block stacks them into one
@@ -137,7 +139,9 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
 def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: int,
                    stab: float = 0.0, out: np.ndarray | None = None,
                    f_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the pointwise full-order scheme; returns (states, f_values).
+    """Run the pointwise scheme with the sparse matrix ``a_mat``; returns
+    (states, f_values).  This generic stepper is the tests' reference for the
+    phase-field FOM, which solves its steps by fast diagonalisation instead.
 
     Each is M x n_steps: ``states[:, j-1]`` is the solution at t = j dt and
     ``f_values[:, j-1]`` the nonlinear-term value used by the BDF2 step

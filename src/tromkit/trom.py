@@ -351,7 +351,11 @@ def load_artifact(path) -> OfflineArtifact:
         raise ValueError(f"{path} has a stored selection that is not {n} distinct rows "
                          f"of its {m}-row term basis; rebuild the artifact with "
                          "`tromkit offline`")
-    a_op = config_from_dict(meta["problem"]).affine() if meta["reduced_operator"] else None
+    problem = meta["problem"]
+    if meta["reduced_operator"] and not (isinstance(problem, dict) and "kind" in problem):
+        raise ValueError(f"{path} has a reduced operator but no problem kind to rebuild its "
+                         "coefficient from; rebuild the artifact with `tromkit offline`")
+    a_op = config_from_dict(problem).affine() if meta["reduced_operator"] else None
     return _coupled_artifact(
         u_part, f_part, a_op, SelectionIndices(rows), meta["cstar_ls"], fmt=meta["format"],
         grid=ParameterGrid.from_dict(meta["grid"]), full_shape=tuple(meta["full_shape"]),

@@ -994,6 +994,21 @@ class TestArtifactContents:
                                              f"artifact has no {missing}; rebuild it"):
             run(command, "--artifact", path, *argv)
 
+    def test_artifact_without_problem_kind_refused(self, workdir, tmp_path):
+        # a bundle edited to keep its reduced operator but lose the problem's
+        # kind ends in one line, not a traceback
+        from tromkit import store
+        root, _ = workdir
+        meta, blobs = store.load_bundle(root / "art.trbl")
+        path = tmp_path / "nokind.trbl"
+        problem = {key: value for key, value in meta["problem"].items() if key != "kind"}
+        store.save_bundle(path, meta | {"problem": problem}, blobs)
+        with pytest.raises(SystemExit, match=f"^--artifact {re.escape(str(path))}: "
+                                             f"{re.escape(str(path))} has a reduced operator "
+                                             "but no problem kind") as exc:
+            run("query", "--artifact", path, "--alpha", "0.05,0.5", "--no-reference")
+        assert "\n" not in str(exc.value)
+
     def test_verify_size_limit_checked_before_the_bundle_is_read(self, workdir, tmp_path,
                                                                 monkeypatch):
         root, snap = workdir

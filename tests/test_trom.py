@@ -738,6 +738,20 @@ class TestArtifactSerialization:
                                              f"that is not {n} distinct rows of its {m}-row "):
             trom.load_artifact(path)
 
+    @pytest.mark.parametrize("problem", [None, {"m": 12}], ids=["none", "no_kind"])
+    def test_reduced_operator_without_problem_kind_refused(self, tmp_path, problem):
+        from tromkit import store
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["reduced_operator"], meta["problem"] = True, problem
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has a reduced operator "
+                                             "but no problem kind to rebuild its coefficient "
+                                             "from"):
+            trom.load_artifact(path)
+
     def test_unknown_part_kind_refused(self, tmp_path):
         from tromkit import store
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
