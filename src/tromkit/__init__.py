@@ -1,6 +1,6 @@
 """Parametric model order reduction with low-rank tensor compression and
 two-stage DEIM hyper-reduction, plus the finite-difference test problems and
-a benchmark harness."""
+the command line that samples, compresses, queries and studies them."""
 
 from .decomp import cp_als, hosvd, relative_error, tt_svd
 from .deim import SelectionIndices, deim_select, selection_gain

@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import hashlib
 import json
+import os
 import sys
 import time
 import types
@@ -23,6 +24,7 @@ from . import decomp, fom, pod, trom
 from .grids import ParameterGrid
 
 CSV_SCHEMA = "tromkit-csv-1"
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 # the registered problems by the name ``--problem`` takes
 _PROBLEMS = {cls.cli_name: cls for cls in fom.PROBLEMS.values()}
@@ -48,6 +50,8 @@ def _write_manifest(out_dir: Path, command: str, config: dict,
         "config": config,
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
+        # artifacts are byte-identical at one BLAS thread count only; null if unset
+        "blas_threads": {name: os.environ.get(name) for name in _BLAS_THREAD_VARS},
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 

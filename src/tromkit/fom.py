@@ -11,10 +11,10 @@ so a new problem is one class and one registry entry.
 
 Both problems march with the one semi-implicit BDF2 loop of
 :mod:`tromkit.stepping` (BDF1 first step), a block of runs at a time, and
-each hands it its own step solve: the transport march a banded solve, and
-the phase-field march, which also relaxes the initial states, a fast
-diagonalisation of ``neumann_second_difference``, the 1-D factor its
-Laplacian is built from.
+each hands it its own step solve: the transport march one LAPACK ``dgtsv``
+of its tridiagonal bands, and the phase-field march, which also relaxes the
+initial states, a fast diagonalisation of ``neumann_second_difference``,
+the 1-D factor its Laplacian is built from.
 ``sample_snapshots`` makes one march per node of the first grid axis, over
 every node of the remaining axes, and writes each step straight into that
 slab of the snapshot tensors.  ``run_fom`` marches the block of one run.
@@ -32,8 +32,8 @@ from dataclasses import asdict, dataclass, fields
 from functools import lru_cache, partial
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgtsv
 
 from . import metrics, store
 from .grids import ParameterGrid, uniform_axis
@@ -245,15 +245,18 @@ class BurgersConfig(ProblemConfig):
         run r's states and term values into ``out[r]`` and ``f_out[r]`` (each
         m x n_steps).
 
-        The loop gets a banded solve, the one kept copy of the transport
-        stencil: reading its bands from the assembled operators made a run
-        about 10% slower at m=400 and 30% or more at m=40 (2-core machine, one
-        BLAS thread), and FOM time is both sampling cost and the ROM/FOM
-        speed-up's denominator.  Each run's step matrix depends on its own
-        state, so the block stacks them into one tridiagonal system whose
-        coupling entries are exactly zero, and one LAPACK ``gtsv`` per step
-        gives every run the numbers of its own solve.  A non-finite run
-        spreads to the others through ``0 * NaN``.
+        A step is one LAPACK ``dgtsv`` on three bands written in place, the
+        one kept copy of the transport stencil: reading its bands from the
+        assembled operators made a run about 10% slower at m=400 and 30% or
+        more at m=40 (2-core machine, one BLAS thread), and FOM time is both
+        sampling cost and the ROM/FOM speed-up's denominator.  Each run's step
+        matrix depends on its own state, so the block stacks them into one
+        tridiagonal system whose coupling entries are exactly zero, and the
+        one solve gives every run the numbers of its own.  One non-finite
+        entry leaves the whole block's solution non-finite: elimination
+        carries it forward (``0 * NaN`` at a zero coupling, or the row
+        interchange a NaN pivot forces), back substitution backward.  A
+        nonzero ``info`` raises ``np.linalg.LinAlgError``.
         """
         m, h = self.m, self.h
         u0 = self.initial_state(alphas)
@@ -263,15 +266,23 @@ class BurgersConfig(ProblemConfig):
         diag = lru_cache(maxsize=None)(lambda c: c + 2.0 * diff)
         lower = -diff[..., 1:]
         f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
-        ab = np.zeros((3,) + u0.shape)
-        ab[0, ..., 1:] = lower
-        bands = ab.reshape(3, -1)
+        # bands that dgtsv overwrites, as it does the fresh rhs; it reads size - 1
+        # entries of the off-diagonal ones, a run's last the zero coupling, which
+        # stays zero in the sub-diagonal: no finite pivot is swapped with a zero
+        sub, main, sup, upper = np.zeros((4,) + u0.shape)
+        upper[..., :-1] = lower
+        bands = sub.reshape(-1)[:-1], main.reshape(-1), sup.reshape(-1)[:-1]
 
         def solve(c, w, rhs):
-            coeff = u0 if w is None else w
-            np.add(diag(c), coeff / h, out=ab[1])
-            np.subtract(lower, coeff[..., 1:] / h, out=ab[2, ..., :-1])
-            x = scipy.linalg.solve_banded((1, 1), bands, rhs.reshape(-1), check_finite=False)
+            q = (u0 if w is None else w) / h
+            np.add(diag(c), q, out=main)
+            np.subtract(lower, q[..., 1:], out=sub[..., :-1])
+            sup[...] = upper
+            x, info = dgtsv(*bands, rhs.reshape(-1), overwrite_dl=True, overwrite_d=True,
+                            overwrite_du=True, overwrite_b=True)[3:]
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"singular {self.run_name} step matrix (dgtsv info={info})")
             if w is not None:
                 gu = np.empty_like(x)               # the upwind gradient of each run
                 np.subtract(x[1:], x[:-1], out=gu[1:])
@@ -352,7 +363,7 @@ class AllenCahnConfig(ProblemConfig):
         parameter vector, a column (..., 1) for a block of them (..., 3)."""
         alpha = np.asarray(alpha)
         asym = float(alpha[1]) if alpha.ndim == 1 else alpha[..., 1:2]
-        # -potential_derivative(u, asym) bit for bit, the sign in the coefficients
+        # minus the derivative of the double well u^2 (1-u)^2 + (asym/10)(u^4 - u/2)
         c3, c0 = -4.0 - 0.4 * asym, 0.05 * asym
         return PointwiseTerm(fn=lambda u: _cubic(u, c3, 6.0, -2.0, c0))
 
@@ -450,14 +461,6 @@ def shifted_neumann_solver(m: int, g: float):
         return (q @ ((q.T @ x @ q) / denom(c)) @ q.T).reshape(rhs.shape)
 
     return solve
-
-
-def potential_derivative(u: np.ndarray, asym: float) -> np.ndarray:
-    """Derivative of the double well u^2 (1-u)^2 + (asym/10)(u^4 - u/2),
-    2u(1-u)(1-2u) + (asym/10)(4u^3 - 1/2), evaluated as the cubic
-    (4 + 0.4 asym) u^3 - 6 u^2 + 2 u - 0.05 asym.  ``asym`` is a number or
-    a column (..., 1) of one asymmetry per row of ``u``."""
-    return _cubic(u, 4.0 + 0.4 * asym, -6.0, 2.0, -0.05 * asym)
 
 
 def _cubic(u: np.ndarray, c3, c2: float, c1: float, c0) -> np.ndarray:

@@ -2,9 +2,7 @@
 
 ``_bdf2`` holds the recurrence: a BDF1 start, then BDF2 steps whose history
 term is ``(2 x_j - x_{j-1} / 2) / dt`` and whose nonlinearity is treated at
-the extrapolation ``2 y_j - y_{j-1}`` of an observation y of the state.  It
-is the full-order march, and the tests use it as the oracle of the reduced
-march.
+the extrapolation ``2 x_j - x_{j-1}``.  It is the full-order march.
 
 The state may have any shape, and the loop writes each step into a
 caller-given ``out`` view.  The full-order models march a block of runs, the
@@ -15,14 +13,12 @@ loop:
 
 * pointwise -- the phase-field block march (``AllenCahnConfig.march_block``)
   solves with the constant step matrix by fast diagonalisation of the 1-D
-  factor its Laplacian is built from, each run by its own m x m products.
-  ``integrate_full`` steps with any assembled sparse matrix through a cached
-  ``splu`` per shift; the tests use it as that march's reference;
-* advective -- the transport block march (``BurgersConfig.march``) passes a
-  banded solve, the one kept copy of the transport stencil.  Each run's step
-  matrix depends on its own state, so a block stacks them into one
-  tridiagonal system with exactly zero coupling entries and takes one
-  banded solve per step.
+  factor its Laplacian is built from, each run by its own m x m products;
+* advective -- the transport block march (``BurgersConfig.march``) writes
+  the three bands of its step matrix, the one kept copy of the transport
+  stencil, and calls LAPACK ``dgtsv`` directly.  A block stacks its runs,
+  whose step matrices depend on their own states, into one tridiagonal
+  system with exactly zero coupling entries: one ``dgtsv`` per step.
 
 ``integrate_reduced`` marches the rank-sized coefficients by the same scheme
 into one history array, without a callback.  From the second BDF2 step on,
@@ -32,7 +28,8 @@ initial-state entries instead:
 
 * reduced pointwise -- the inverse of the constant step matrix, stacked with
   the selected basis rows, so one product gives the linear part and the
-  extrapolated observation and a second adds ``f_map`` times the term;
+  extrapolated state at the selected rows and a second adds ``f_map`` times
+  the term;
 * reduced advective -- one LAPACK ``dgesv`` of the rank-sized step matrix,
   which changes with the extrapolated state.  The hyper-reduced transport
   term is linear in that state, so it is contracted once per query into an
@@ -54,12 +51,10 @@ step ``j`` as the j-th f-snapshot; every integrator produces states at times
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgesv
 
 
@@ -95,7 +90,6 @@ class AdvectiveTerm:
 
 
 def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
-          observe=None, y0: np.ndarray | None = None,
           out: np.ndarray | None = None) -> np.ndarray:
     """March x_1 .. x_{n_steps} into ``out[..., j-1]`` and return ``out``.
 
@@ -108,70 +102,26 @@ def _bdf2(solve, x0: np.ndarray, dt: float, n_steps: int, *, stab: float = 0.0,
     ``c`` (``1/dt + stab`` for the BDF1 start, ``1.5/dt + stab`` after) and
     right-hand side ``rhs`` (history plus ``stab`` times the extrapolated
     state), adding its own nonlinearity: at the exact initial state when
-    ``w`` is None (the start), otherwise at the extrapolated observation
-    ``w``.  ``observe`` maps a state to what the nonlinearity reads,
-    ``y0`` being the exact observed initial state.  The full-order models
-    read the state itself (the default); the tests march a reduced system
-    through its selected rows as the oracle of ``integrate_reduced``.
+    ``w`` is None (the start), otherwise at the extrapolated state ``w``.
+    Each step gets a fresh ``rhs``, which ``solve`` may overwrite.
     One more step is launched past the last stored state, so that the
     full-order solvers can record its term value; its solution is dropped.
     """
     if out is None:
         out = np.empty(x0.shape + (n_steps,))
-    identity = observe is None
     c = 1.0 / dt + stab
     x_prev, x_curr = x0, solve(c, None, c * x0)
-    y_prev, y_curr = (x_prev, x_curr) if identity else (y0, observe(x_curr))
     out[..., 0] = x_curr
     c = 1.5 / dt + stab
     for j in range(1, n_steps + 1):
-        w = 2.0 * y_curr - y_prev
+        w = 2.0 * x_curr - x_prev
         rhs = (2.0 * x_curr - 0.5 * x_prev) / dt
         if stab:
-            rhs += stab * (w if identity else 2.0 * x_curr - x_prev)
+            rhs += stab * w
         x_prev, x_curr = x_curr, solve(c, w, rhs)
         if j < n_steps:     # the extra last solve only records its term value
             out[..., j] = x_curr
-            y_prev, y_curr = y_curr, (x_curr if identity else observe(x_curr))
     return out
-
-
-def integrate_full(a_mat: sp.spmatrix, term, u0: np.ndarray, dt: float, n_steps: int,
-                   stab: float = 0.0, out: np.ndarray | None = None,
-                   f_out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Run the pointwise scheme with the sparse matrix ``a_mat``; returns
-    (states, f_values).  This generic stepper is the tests' reference for the
-    phase-field FOM, which solves its steps by fast diagonalisation instead.
-
-    Each is M x n_steps: ``states[:, j-1]`` is the solution at t = j dt and
-    ``f_values[:, j-1]`` the nonlinear-term value used by the BDF2 step
-    launched from it; one extra internal step past the last stored state
-    supplies the final f-snapshot, mirroring how the snapshots are defined.
-    ``u0`` may be a block of runs that share ``a_mat``, shape (..., M): a
-    step is one multi-right-hand-side solve with the shift's ``splu``, and
-    ``term.fn`` sees the whole block.  Given ``out`` and ``f_out`` views (a
-    slab of the snapshot tensors) are written in place.
-    """
-    if not isinstance(term, PointwiseTerm):
-        raise TypeError(f"unsupported nonlinearity {type(term)!r}; transport runs "
-                        "march through fom.run_fom")
-    u0 = np.asarray(u0, dtype=np.float64)
-    f_out = np.empty(u0.shape + (n_steps,)) if f_out is None else f_out
-    a_mat = sp.csr_matrix(a_mat)
-    size = u0.shape[-1]
-    eye = sp.identity(size, format="csr")
-    factor = lru_cache(maxsize=None)(lambda c: spla.splu((c * eye - a_mat).tocsc()))
-    f_cols = iter(np.moveaxis(f_out, -1, 0))    # entry j-1 takes the term value of step j
-
-    def solve(c, w, rhs):
-        f = term.fn(u0 if w is None else w)
-        if w is not None:
-            next(f_cols)[:] = f
-        g = rhs + f
-        # runs as the columns of one Fortran-ordered right-hand side
-        return factor(c).solve(g.reshape(-1, size).T).T.reshape(g.shape)
-
-    return _bdf2(solve, u0, dt, n_steps, stab=stab, out=out), f_out
 
 
 @dataclass(frozen=True)
@@ -267,7 +217,7 @@ def integrate_reduced(sys: ReducedSystem, beta0: np.ndarray, dt: float,
             w = 2.0 * (sel @ hist[:, 1]) - sys.u0_sel
             hist[:, 2] = inv @ (c_c * hist[:, 1] + c_p * beta0) + inv_f_map @ fn(w)
             # times the pair [beta_{j-1}; beta_j]: the linear part and the
-            # extrapolated observation
+            # extrapolated state at the selected rows
             stacked = np.block([[c_p * inv, c_c * inv], [-sel, 2.0 * sel]])
             seq = hist.reshape(-1, order="F")       # a view: beta_0, beta_1, ...
             for j in range(2, n_steps):

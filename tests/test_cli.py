@@ -53,6 +53,18 @@ class TestSample:
         assert manifest["config"]["kind"] == "allen_cahn"
         assert manifest["config"]["seed"] == 7
 
+    def test_manifest_records_blas_threads_as_given(self, tmp_path, monkeypatch):
+        # byte identity of the outputs holds per BLAS thread count only
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", " 2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        assert run("sample", "--problem", "burgers", "--m", "10", "--steps", "4",
+                   "--grid", "2x2", "--out", tmp_path / "s") == 0
+        manifest = json.loads((tmp_path / "s" / "manifest.json").read_text())
+        assert manifest["blas_threads"] == {"OPENBLAS_NUM_THREADS": "1",
+                                            "OMP_NUM_THREADS": " 2",
+                                            "MKL_NUM_THREADS": None}
+
     def test_seed_refused_on_transport(self, tmp_path):
         # the transport config has no seed field, and the refusal names the flag
         with pytest.raises(SystemExit, match="^--seed 9: seed is not among the fields "

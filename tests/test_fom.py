@@ -2,11 +2,15 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from tromkit import fom, stepping, store
-from tromkit.stepping import PointwiseTerm, integrate_full
+from tromkit.grids import GridAxis, ParameterGrid
+from tromkit.stepping import PointwiseTerm
+
+from oracles import integrate_full, potential_derivative
 
 
 def burgers_diffusion(m, nu):
@@ -102,7 +106,7 @@ class TestBurgersFom:
         assert np.linalg.norm(f_vals - ref_f) < 1e-10 * np.linalg.norm(ref_f)
 
     def test_generic_stepper_takes_pointwise_terms_only(self):
-        # transport runs march through run_fom's banded block solve
+        # transport runs march through run_fom's tridiagonal block solve
         cfg = fom.BurgersConfig(m=10, n_steps=3)
         with pytest.raises(TypeError, match="unsupported nonlinearity"):
             integrate_full(burgers_diffusion(cfg.m, 0.1), cfg.nonlinearity(),
@@ -110,21 +114,70 @@ class TestBurgersFom:
 
     def test_non_finite_step_is_named(self, monkeypatch):
         cfg = fom.BurgersConfig(m=20, n_steps=10)
-        banded = fom.scipy.linalg.solve_banded
+        real = fom.dgtsv
         calls = []
 
         def poisoned(*args, **kwargs):
-            # the k-th banded solve returns the state at t = k dt
+            # the k-th tridiagonal solve returns the state at t = k dt
             calls.append(None)
-            out = banded(*args, **kwargs)
+            out = real(*args, **kwargs)
             if len(calls) == 4:
-                out[3] = np.nan
+                out[3][3] = np.nan
             return out
 
-        monkeypatch.setattr(fom.scipy.linalg, "solve_banded", poisoned)
+        monkeypatch.setattr(fom, "dgtsv", poisoned)
         with pytest.raises(FloatingPointError,
                            match=r"transport run at step 4 of 10, alpha=\[0\.1, 0\.5\]"):
             fom.run_fom(cfg, (0.1, 0.5))
+
+    def test_block_march_equals_banded_solve_bit_for_bit(self, monkeypatch):
+        # one 8-run slab through dgtsv, then through scipy's validated banded
+        # solve of the same three bands put in its place; run 3 starts from
+        # -3 times its step, so that pivoting rewrites the bands dgtsv gets
+        cfg = fom.BurgersConfig(m=40, n_steps=40)
+        alphas = np.stack(np.meshgrid([0.05], cfg.grid((6, 8)).axes[1].nodes,
+                                      indexing="ij"), axis=-1)[0]
+        real = fom.BurgersConfig.initial_state
+        monkeypatch.setattr(fom.BurgersConfig, "initial_state", lambda cfg_, a: np.where(
+            np.arange(8)[:, None] == 3, -3.0, 1.0) * real(cfg_, a))
+        got = np.empty((2, 8, cfg.m, cfg.n_steps))
+        cfg.march(alphas, *got)
+
+        def banded(dl, d, du, b, **kwargs):
+            ab = np.zeros((3, d.size))
+            ab[0, 1:], ab[1], ab[2, :-1] = du, d, dl
+            return None, None, None, scipy.linalg.solve_banded((1, 1), ab, b), 0
+
+        monkeypatch.setattr(fom, "dgtsv", banded)
+        ref = np.empty_like(got)
+        cfg.march(alphas, *ref)
+        assert np.all(np.isfinite(ref)) and np.any(ref[1] != 0.0)
+        assert np.array_equal(got[0], ref[0])
+        assert np.array_equal(got[1], ref[1])
+
+    def test_singular_step_raises_and_is_named(self, monkeypatch):
+        # m=3, dt=0.25 and nu=0.0625 make every band entry exact: the start's
+        # diagonal is c + 2 nu / h^2 = 6, and a constant state of -1.5 cancels
+        # it, which leaves the step matrix [[0, -1, 0], [5, 0, -1], [0, 5, 0]]
+        # with two parallel columns, so dgtsv meets an exact zero pivot
+        cfg = fom.BurgersConfig(m=3, n_steps=4)
+        grid = ParameterGrid((GridAxis(np.array([0.0625, 0.125])),
+                              GridAxis(np.array([0.3, 0.6]))))
+        real = fom.BurgersConfig.initial_state
+
+        def poisoned(cfg_, alpha):
+            front = np.asarray(alpha)[..., 1:2]
+            return np.where(front == 0.6, -1.5, real(cfg_, alpha))
+
+        monkeypatch.setattr(fom.BurgersConfig, "initial_state", poisoned)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match=r"singular transport step matrix \(dgtsv info=3\)"):
+            fom.run_fom(cfg, (0.0625, 0.6))
+        with pytest.raises(RuntimeError) as info:
+            fom.sample_snapshots(cfg, grid)
+        assert str(info.value) == "full-order run failed at alpha=[0.0625, 0.6]"
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
+        assert "dgtsv info=3" in str(info.value.__cause__)
 
     def test_bdf2_contractive_without_forcing(self):
         # G-stability energy for the two-step scheme, forced term disabled
@@ -205,7 +258,7 @@ class TestAllenCahn:
 
     def test_potential_derivative_roots(self):
         # the cubic's Horner passes hit its roots exactly
-        got = fom.potential_derivative(np.array([0.0, 0.5, 1.0]), 0.0)
+        got = potential_derivative(np.array([0.0, 0.5, 1.0]), 0.0)
         assert np.array_equal(got, np.zeros(3))
 
     @pytest.mark.parametrize("asym", [0.0, 0.3, 1.0])
@@ -216,14 +269,14 @@ class TestAllenCahn:
         # and a block of rows with one asymmetry each, as the block march passes it
         block, col = np.vstack([u, u[::-1], u]), np.array([[asym], [asym / 2], [0.0]])
         for x, a in ((u, asym), (block, col)):
-            err = np.abs(fom.potential_derivative(x, a) - factored(x, a))
+            err = np.abs(potential_derivative(x, a) - factored(x, a))
             assert np.all(err <= 1e-14 * (1.0 + np.abs(x) ** 3))
 
     def test_potential_derivative_only_reads_its_input(self):
         u = np.linspace(-0.5, 1.5, 9)
         u.flags.writeable = False
         before = u.copy()
-        fom.potential_derivative(u, 0.3)
+        potential_derivative(u, 0.3)
         assert np.array_equal(u, before)
 
     def test_term_is_the_negated_potential_derivative(self):
@@ -232,10 +285,10 @@ class TestAllenCahn:
         u = np.linspace(-0.5, 1.5, 401)
         alphas = np.array([[0.02, 0.3, 0.51], [0.02, 1.0, 0.5]])
         assert np.array_equal(cfg.nonlinearity(alphas[0]).fn(u),
-                              -fom.potential_derivative(u, 0.3))
+                              -potential_derivative(u, 0.3))
         block = np.vstack([u, u[::-1]])
         assert np.array_equal(cfg.nonlinearity(alphas).fn(block),
-                              -fom.potential_derivative(block, alphas[:, 1:2]))
+                              -potential_derivative(block, alphas[:, 1:2]))
 
     def test_golden_regression(self):
         cfg = fom.AllenCahnConfig(m=16, n_steps=20, seed=42)
@@ -335,8 +388,8 @@ class TestSampling:
 
     def test_slab_equals_standalone_run_bitwise(self, small_burgers):
         # the runs of a first-axis node march as one block, whose stacked
-        # tridiagonal system has exactly zero coupling entries, so the banded
-        # solve gives every run the numbers of its own solve
+        # tridiagonal system has exactly zero coupling entries, so the one
+        # dgtsv gives every run the numbers of its own solve
         cfg, grid, snaps = small_burgers
         edge = cfg.grid((1, 4))
         for grid, snaps in ((grid, snaps), (edge, fom.sample_snapshots(cfg, edge))):
@@ -464,21 +517,21 @@ class TestSampling:
 
     @pytest.mark.parametrize("fault", ["raises", "non_finite"])
     def test_slab_failure_that_no_node_repeats_is_named(self, monkeypatch, fault):
-        # the banded solve fails only for stacked blocks, so every node of the
-        # first slab runs on its own and the slab's own error is the cause
+        # the tridiagonal solve fails only for stacked blocks, so every node of
+        # the first slab runs on its own and the slab's own error is the cause
         cfg = fom.BurgersConfig(m=20, n_steps=6)
         grid = cfg.grid((2, 3))
-        banded = fom.scipy.linalg.solve_banded
+        real = fom.dgtsv
         slab_error = np.linalg.LinAlgError("stacked solve failed")
 
-        def poisoned(l_and_u, ab, b, **kwargs):
+        def poisoned(dl, d, du, b, **kwargs):
             if b.size == cfg.m:
-                return banded(l_and_u, ab, b, **kwargs)
+                return real(dl, d, du, b, **kwargs)
             if fault == "raises":
                 raise slab_error
-            return np.full_like(b, np.nan)
+            return dl, d, du, np.full_like(b, np.nan), 0
 
-        monkeypatch.setattr(fom.scipy.linalg, "solve_banded", poisoned)
+        monkeypatch.setattr(fom, "dgtsv", poisoned)
         with pytest.raises(RuntimeError) as info:
             fom.sample_snapshots(cfg, grid)
         first_slab = [grid.node((0, j)).tolist() for j in range(3)]

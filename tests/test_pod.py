@@ -8,6 +8,7 @@ from tromkit.stepping import AffineOperator, PointwiseTerm
 from tromkit.tensors import unfold
 
 from conftest import deim_apply
+from oracles import integrate_full
 
 
 def completed_local(art, alpha, mode="deim"):
@@ -155,7 +156,6 @@ class TestPodSolve:
         u0 = np.zeros(m)
         u0[:keep] = [1.0, -0.5, 0.25]
 
-        from tromkit.stepping import integrate_full
         states, f_vals = integrate_full(a_full, PointwiseTerm(fn=lambda u: b * u),
                                         u0, 0.05, 30)
         tensor_u = states.reshape(m, 1, 30)

@@ -104,3 +104,46 @@ def test_problems_picked_only_by_their_class(path):
     # each problem's facts live on its config class in fom; elsewhere a
     # problem is reached through the config or the registry
     assert problem_knowledge(path) == []
+
+
+# the four module wrappers that the benchmark calls by name
+BENCHMARK_ENTRY_POINTS = {"fom.affine_operator_for", "fom.nonlinearity_for",
+                          "fom.initial_state_for", "fom.default_grid"}
+
+
+def unreferenced_functions(sources: dict[str, str], exported) -> list[str]:
+    """Public module-level functions, as ``module.name``, that no module of
+    ``sources`` (module name -> source) loads by name or attribute and that
+    ``exported`` does not list.  A docstring, a comment or the ``def`` itself
+    is no reference."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    loaded = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+    return [f"{module}.{node.name}" for module, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and node.name not in loaded and node.name not in exported]
+
+
+def test_function_scan_counts_loads_only():
+    sources = {"a": ('"""helper is named here, and orphan too."""\n'
+                     "def helper():\n    return 1\n"
+                     "def orphan():\n    '''orphan'''\n    return helper()\n"
+                     "def exported():\n    pass\n"
+                     "def _private():\n    pass\n"
+                     "def method_called():\n    pass\n"
+                     "class C:\n    def method(self):\n        pass\n"),
+               "b": "from . import a\nx = a.method_called\norphan = 1\n"}
+    assert unreferenced_functions(sources, ["exported"]) == ["a.orphan"]
+
+
+def test_every_public_function_has_a_caller_in_the_package():
+    # code that only the tests call lives under tests/
+    sources = {path.stem: path.read_text() for path in MODULES}
+    assert sorted(set(unreferenced_functions(sources, tromkit.__all__))
+                  - BENCHMARK_ENTRY_POINTS) == []

@@ -9,6 +9,7 @@ from tromkit.grids import GridAxis, ParameterGrid
 from tromkit.stepping import AffineOperator
 
 from conftest import selection_matrix, smooth_tensor
+from oracles import observed_bdf2
 
 
 def smooth_grid():
@@ -43,8 +44,7 @@ def _assert_advective_step_matches_oracle(cfg, lifted, rows, a_red, f_map, alpha
         n = sys.start if w is None else f_map @ (w[:, None] * sel_grad)
         return np.linalg.solve(c * eye - a_red + n, rhs)
 
-    oracle = stepping._bdf2(solve, beta0, cfg.dt, n_steps,
-                            observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+    oracle = observed_bdf2(solve, beta0, cfg.dt, n_steps, sys.sel_state.__matmul__, sys.u0_sel)
     got = stepping.integrate_reduced(sys, beta0, cfg.dt, n_steps)
     assert got.shape == oracle.shape
     assert np.all(np.isfinite(oracle))
@@ -67,8 +67,8 @@ def _assert_pointwise_step_matches_oracle(cfg, art, alpha, mode, n_steps=None):
         f = sys.start if w is None else sys.f_map @ sys.term.fn(w)
         return np.linalg.solve(c * eye - sys.a_red, rhs + f)
 
-    oracle = stepping._bdf2(solve, beta0, cfg.dt, n_steps, stab=stab,
-                            observe=sys.sel_state.__matmul__, y0=sys.u0_sel)
+    oracle = observed_bdf2(solve, beta0, cfg.dt, n_steps, sys.sel_state.__matmul__,
+                           sys.u0_sel, stab=stab)
     got = stepping.integrate_reduced(sys, beta0, cfg.dt, n_steps)
     assert got.shape == oracle.shape
     assert np.all(np.isfinite(oracle))
