@@ -3,7 +3,7 @@ two-stage DEIM hyper-reduction, plus the finite-difference test problems and
 the command line that samples, compresses, queries and studies them."""
 
 from .decomp import cp_als, hosvd, relative_error, tt_svd
-from .deim import SelectionIndices, deim_select, selection_gain
+from .deim import deim_select, selection_gain
 from .fom import AllenCahnConfig, BurgersConfig, SnapshotSet, run_fom, sample_snapshots
 from .grids import GridAxis, ParameterGrid, interp_weights, uniform_axis
 from .pod import pod_offline, pod_solve
@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AdvectiveTerm", "AffineOperator", "AllenCahnConfig", "BurgersConfig",
     "GridAxis", "LocalROM", "OfflineArtifact", "ParameterGrid", "PointwiseTerm",
-    "SelectionIndices", "SnapshotSet",
+    "SnapshotSet",
     "build_offline", "build_reduced_system",
     "cp_als", "deim_select", "hosvd",
     "interp_weights", "load_artifact", "local_bases", "pod_offline", "pod_solve",

@@ -1,4 +1,4 @@
-"""Benchmark command line: snapshot generation, offline compression, online
+"""The command line: snapshot generation, offline compression, online
 queries, reproduction studies, and empirical verification of the error
 bounds.  Everything lands as CSV tables plus a JSON manifest that links
 inputs to outputs by content hash.
@@ -113,11 +113,10 @@ def _output(flag: str, path, directory: bool = False) -> Path:
 
 def _query_artifact(path) -> trom.OfflineArtifact:
     """The ``--artifact`` of ``query`` and ``verify``, refused unless it holds the
-    problem description and the reduced operator that their solves need."""
+    problem description that their solves and its reduced operator come from."""
     art = _refusing(f"--artifact {path}", trom.load_artifact, path)
-    if art.a_reduced is None:   # saved only beside a problem description
-        raise SystemExit(f"--artifact {path}: the artifact has no "
-                         f"{'reduced operator' if art.problem else 'problem description'}; "
+    if art.problem is None:
+        raise SystemExit(f"--artifact {path}: the artifact has no problem description; "
                          "rebuild it with `tromkit offline`")
     return art
 
@@ -252,8 +251,8 @@ def _build_artifact(snaps: fom.SnapshotSet, settings: StudySettings,
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=settings.interp_order, a_op=snaps.config.affine(),
-        problem=fom.config_to_dict(snaps.config), cp_opts=settings.cp_opts)
+        interp_order=settings.interp_order, problem=fom.config_to_dict(snaps.config),
+        cp_opts=settings.cp_opts)
     return art, time.perf_counter() - t0
 
 
@@ -638,7 +637,7 @@ def cmd_verify(args) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tromkit",
-        description="model reduction benchmark harness (CSV out)")
+        description="parametric tensor model order reduction (CSV out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("sample", help="generate snapshot tensors")

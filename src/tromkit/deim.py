@@ -2,26 +2,13 @@
 stability constant of the oblique projector it defines."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg.lapack
 
 
-@dataclass(frozen=True)
-class SelectionIndices:
-    """Distinct row indices picked by the DEIM selection, in pick order: the
-    pivot rows of ``deim_select``, or a stored selection that
-    ``trom.load_artifact`` has checked against its basis."""
-
-    indices: np.ndarray
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
-
-
-def deim_select(basis: np.ndarray) -> SelectionIndices:
-    """Greedy DEIM row selection on a column basis.
+def deim_select(basis: np.ndarray) -> np.ndarray:
+    """Greedy DEIM row selection on a column basis: distinct row indices in
+    pick order.
 
     The first index maximizes |first column|; each later index maximizes the
     residual of the next column after interpolating it at the rows already
@@ -44,12 +31,12 @@ def deim_select(basis: np.ndarray) -> SelectionIndices:
     rows = np.arange(m)
     for j, p in enumerate(piv[:n]):
         rows[[j, p]] = rows[[p, j]]
-    return SelectionIndices(rows[:n])
+    return rows[:n]
 
 
-def selection_gain(basis: np.ndarray, sel: SelectionIndices) -> float:
+def selection_gain(basis: np.ndarray, rows: np.ndarray) -> float:
     """Spectral norm of (P^T Y)^{-1}; the interpolation stability constant."""
-    sub = np.asarray(basis)[sel.indices, :]
+    sub = np.asarray(basis)[rows, :]
     smin = np.linalg.svd(sub, compute_uv=False)[-1]
     if smin == 0.0:
         raise np.linalg.LinAlgError("selected square system is singular")

@@ -536,8 +536,8 @@ def config_to_dict(cfg: ProblemConfig) -> dict:
 
 def config_from_dict(d: dict) -> ProblemConfig:
     """The config a dict describes; JSON lists become tuples."""
-    d = dict(d)
-    kind = d.pop("kind")
+    d = dict(d) if isinstance(d, dict) else {}
+    kind = d.pop("kind", None)
     cls = PROBLEMS.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise ValueError(f"unknown problem kind {kind!r}; expected one of "
@@ -647,9 +647,12 @@ def load_snapshots(path) -> SnapshotSet:
     meta, blobs = store.load_bundle(path)
     if meta.get("schema") != "tromkit-snapshots-1":
         raise ValueError("not a snapshot bundle")
-    return SnapshotSet(
-        u_tensor=blobs["u_tensor"],
-        f_tensor=blobs["f_tensor"],
-        grid=ParameterGrid.from_dict(meta["grid"]),
-        config=config_from_dict(meta["problem"]),
-    )
+    try:
+        return SnapshotSet(
+            u_tensor=blobs["u_tensor"],
+            f_tensor=blobs["f_tensor"],
+            grid=ParameterGrid.from_dict(meta["grid"]),
+            config=config_from_dict(meta["problem"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path} has no metadata key or blob {exc}") from None

@@ -1,4 +1,5 @@
-"""Error norms used by the benchmark studies."""
+"""Error norms behind each problem's ``error_metrics``, which the query
+command and the refine study report."""
 from __future__ import annotations
 
 import numpy as np

@@ -57,8 +57,7 @@ def pod_offline(u_snaps: np.ndarray, f_snaps: np.ndarray, n_u: int, n_f: int,
         if n > u.shape[1] or s[n - 1] <= s[0] * 1e-14:
             raise ValueError(f"{name} snapshots are rank-deficient below n={n}")
         parts.append(TTPart(cores=(), time_scale=s[:n], basis=u[:, :n], time_factor=np.eye(n)))
-    return _coupled_artifact(*parts, a_op, fmt="pod", eps=None, cp_rank=None,
-                             interp_order=0, grid=None, full_shape=np.shape(u_snaps))
+    return _coupled_artifact(*parts, a_op=a_op)
 
 
 def pod_solve(art: OfflineArtifact, alpha, term, u0: np.ndarray, dt: float,

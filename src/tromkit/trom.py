@@ -19,17 +19,18 @@ not depend on the parameter, the online stage is POD-DEIM (``pod``); that
 in-memory artifact has ``fmt="pod"`` and ``grid`` None.
 
 An artifact is saved as one bundle (``store``) with schema
-``tromkit-artifact-3``, which holds the parts and the selection but none of
-their products.  Each compressed part is written from its dataclass
-fields: an array field becomes the blob ``{tag}_{field}`` and a tuple field
-the blobs ``{tag}_{field}{i}``, its length kept in the part metadata beside
-``kind``; ``tag`` is ``u`` or ``f``.  The metadata hold the selected rows,
-``cstar_ls``, the grid, the problem description and whether the artifact
-has a reduced operator.  Load recomputes ``U^T Y``, ``P^T Y`` and the reduced
-operator (from the problem's operator) with the constructor that the
-offline stage uses, and refuses a selection that is not one distinct
-term-basis row per basis column.  Artifacts of any other schema are
-refused, to be rebuilt from their snapshot bundle.
+``tromkit-artifact-4``, which holds the parts, the selected rows, the grid
+and the build inputs ``eps``, ``interp_order``, ``problem`` and ``cp_fit``,
+and nothing that these determine: the format, CP rank and tensor shape are
+read off the parts and the grid, and ``_coupled_artifact``, the one
+constructor on build and on load, computes ``cstar_ls``, ``U^T Y``,
+``P^T Y`` and the reduced operator.  Each compressed part is written from
+its dataclass fields: an array field becomes the blob ``{tag}_{field}`` and a
+tuple field the blobs ``{tag}_{field}{i}``, its length kept in the part
+metadata beside ``kind``; ``tag`` is ``u`` or ``f``.  Load refuses a bundle
+that lacks a metadata key or blob, whose two parts differ in kind, or whose
+selection is not one distinct term-basis row per basis column.  Artifacts of
+any other schema are refused, to be rebuilt from their snapshot bundle.
 """
 from __future__ import annotations
 
@@ -41,7 +42,8 @@ import scipy.linalg
 
 from . import store
 from .decomp import CPPart, OnlinePart, TTPart, TuckerPart, cp_als, hosvd, tt_svd
-from .deim import SelectionIndices, deim_select, selection_gain
+from .deim import deim_select, selection_gain
+from .fom import config_from_dict
 from .grids import ParameterGrid, interp_weights
 from .stepping import AffineOperator, integrate_reduced, reduced_system
 
@@ -55,21 +57,33 @@ class OfflineArtifact:
     """Everything the offline stage hands to online queries; ``a_reduced``
     is the linear operator projected onto the universal state basis."""
 
-    fmt: str                              # "tt" | "hosvd" | "cp" | "pod"
-    eps: float | None
-    cp_rank: int | None
-    interp_order: int                     # 0 for POD
-    grid: ParameterGrid | None            # None for POD
     u_part: OnlinePart
     f_part: OnlinePart
-    selection: SelectionIndices           # greedy rows of the term basis
+    selection: np.ndarray                 # greedy rows of the term basis
     uty: np.ndarray                       # U^T Y
     pty: np.ndarray                       # P^T Y, square nonsingular
     cstar_ls: float                       # |(P^T Y)^{-1}|, shared by all queries
-    full_shape: tuple[int, ...]           # shape of each snapshot tensor
+    grid: ParameterGrid | None = None     # None for POD
+    eps: float | None = None
+    interp_order: int = 0                 # 0 for POD
     a_reduced: AffineOperator | None = None
     problem: dict | None = None
     cp_fit: dict | None = None
+
+    @property
+    def fmt(self) -> str:
+        """The parts' kind ("tt", "hosvd" or "cp"), or "pod" without a grid."""
+        return "pod" if self.grid is None else self.u_part.kind
+
+    @property
+    def cp_rank(self) -> int | None:
+        return self.u_part.ranks[0] if self.fmt == "cp" else None
+
+    @property
+    def full_shape(self) -> tuple[int, ...]:
+        """Shape of each snapshot tensor of an artifact with a grid."""
+        return (self.u_part.basis.shape[0], *self.grid.shape,
+                self.u_part.time_factor.shape[0])
 
     def weights(self, alpha) -> list[np.ndarray]:
         return ([] if self.grid is None
@@ -138,23 +152,24 @@ def build_offline(
 
     if u_part.basis.shape[1] == 0 or f_part.basis.shape[1] == 0:
         raise ValueError("compression collapsed to rank zero")
-    return _coupled_artifact(u_part, f_part, a_op, fmt=fmt, eps=eps, cp_rank=cp_rank,
-                             interp_order=interp_order, grid=grid, problem=problem,
-                             full_shape=tuple(u_snaps.shape), cp_fit=cp_fit)
+    return _coupled_artifact(u_part, f_part, a_op=a_op, eps=eps, interp_order=interp_order,
+                             grid=grid, problem=problem, cp_fit=cp_fit)
 
 
-def _coupled_artifact(u_part, f_part, a_op, selection=None, cstar_ls=None,
+def _coupled_artifact(u_part, f_part, selection=None, a_op=None, problem=None,
                       **fields) -> OfflineArtifact:
     """The one constructor of an artifact: two parts, the term-basis selection
-    and its gain (run here unless given, as a loaded bundle gives them), the
-    coupling matrices and the reduced operator of ``a_op``."""
+    (run here unless given, as a loaded bundle gives it) and what they
+    determine: the selection's gain, the coupling matrices and the reduced
+    operator of ``a_op``, by default the operator of ``problem``."""
     if selection is None:
         selection = deim_select(f_part.basis)
-        cstar_ls = selection_gain(f_part.basis, selection)
+    if a_op is None and problem is not None:
+        a_op = config_from_dict(problem).affine()
     return OfflineArtifact(
         u_part=u_part, f_part=f_part, selection=selection,
-        uty=u_part.basis.T @ f_part.basis, pty=f_part.basis[selection.indices, :],
-        cstar_ls=cstar_ls,
+        uty=u_part.basis.T @ f_part.basis, pty=f_part.basis[selection, :],
+        cstar_ls=selection_gain(f_part.basis, selection), problem=problem,
         a_reduced=a_op.reduce(u_part.basis) if a_op is not None else None, **fields)
 
 
@@ -220,26 +235,25 @@ def build_reduced_system(art: OfflineArtifact, local: LocalROM,
     if mode not in ("ls", "deim"):
         raise ValueError(f"unknown hyper-reduction mode {mode!r}")
     if art.a_reduced is None:
-        raise ValueError("artifact has no reduced operator; build it with a_op")
+        raise ValueError("artifact has no reduced operator; build it with a_op or problem")
     a_red = local.u_coords.T @ art.a_reduced.assemble(local.alpha) @ local.u_coords
 
     proj = local.u_coords.T @ art.uty @ local.f_coords     # n_u x n_f
     b = art.pty @ local.f_coords                           # r_first_f x n_f
     if mode == "deim":
         sub_sel = deim_select(b)
-        square = b[sub_sel.indices, :]
-        gain = np.linalg.inv(square)
+        gain = np.linalg.inv(b[sub_sel, :])
         f_map = proj @ gain
-        used = art.selection.indices[sub_sel.indices]
+        used = art.selection[sub_sel]
         cstar = float(np.linalg.norm(gain, 2))
     else:
         q, r = scipy.linalg.qr(b, mode="economic", check_finite=False)
         f_map = scipy.linalg.solve_triangular(r, proj.T, trans="T",
                                               check_finite=False).T @ q.T
-        used = art.selection.indices
+        used = art.selection
         cstar = art.cstar_ls
     return dataclasses.replace(local, mode=mode, a_red=a_red, f_map=f_map,
-                               used_rows=np.asarray(used), cstar=cstar)
+                               used_rows=used, cstar=cstar)
 
 
 def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
@@ -263,10 +277,10 @@ def trom_solve(art: OfflineArtifact, local: LocalROM, term, u0: np.ndarray,
 # Serialization
 # ---------------------------------------------------------------------------
 
-_SCHEMA = "tromkit-artifact-3"
+_SCHEMA = "tromkit-artifact-4"
 _PART_KINDS = {cls.kind: cls for cls in (TTPart, TuckerPart, CPPart)}
-# artifact fields that the bundle metadata hold as they are
-_PLAIN_FIELDS = ("eps", "cp_rank", "interp_order", "problem", "cp_fit")
+# the build inputs, which the bundle metadata hold as they are
+_PLAIN_FIELDS = ("eps", "interp_order", "problem", "cp_fit")
 
 
 def _part_blobs(tag: str, part: OnlinePart) -> tuple[dict, dict]:
@@ -298,8 +312,8 @@ def _part_from_blobs(tag: str, meta: dict, blobs: dict) -> OnlinePart:
 
 
 def save_artifact(path, art: OfflineArtifact) -> None:
-    """Write the artifact's parts, selection and metadata as a bundle.  The
-    operator coefficient is a function and is rebuilt on load from
+    """Write the artifact's parts, selection and build inputs as a bundle.
+    The operator coefficient is a function and is rebuilt on load from
     ``problem``, so an artifact with a reduced operator but no problem
     description is refused."""
     if art.grid is None:
@@ -311,28 +325,22 @@ def save_artifact(path, art: OfflineArtifact) -> None:
     f_meta, f_blobs = _part_blobs("f", art.f_part)
     meta = {name: getattr(art, name) for name in _PLAIN_FIELDS} | {
         "schema": _SCHEMA,
-        "format": art.fmt,
         "grid": art.grid.to_dict(),
         "u_part": u_meta,
         "f_part": f_meta,
-        "full_shape": list(art.full_shape),
-        "reduced_operator": art.a_reduced is not None,
-        # Stored, not computed again on load: a load that also re-ran
-        # ``deim_select`` and ``selection_gain`` raised the transport-query
-        # benchmark's peak RSS to a median of 262.8 MB against 238.3 MB,
-        # past its 10% bound.
-        "selection": art.selection.indices.tolist(),
-        "cstar_ls": art.cstar_ls,
+        # Stored, not selected again on load: a load that also re-ran
+        # ``deim_select`` (and ``selection_gain``, which load runs anyway)
+        # raised the transport-query benchmark's peak RSS to a median of
+        # 262.8 MB against 238.3 MB, past its 10% bound.
+        "selection": art.selection.tolist(),
     }
     store.save_bundle(path, meta, {**u_blobs, **f_blobs})
 
 
 def load_artifact(path) -> OfflineArtifact:
-    """Read a bundle and rebuild the artifact from its parts and its stored
-    selection with the constructor that ``build_offline`` uses."""
-    # Affine coefficient functions are rebuilt from the problem description.
-    from .fom import config_from_dict
-
+    """Read a bundle and rebuild the artifact from its parts, its stored
+    selection and its build inputs with the constructor that
+    ``build_offline`` uses."""
     meta, blobs = store.load_bundle(path)
     # C-contiguous, as artifacts have always loaded: over the Fortran-ordered
     # arrays of ``read_tensor`` the online products round differently, and a
@@ -342,21 +350,22 @@ def load_artifact(path) -> OfflineArtifact:
     if schema != _SCHEMA:
         raise ValueError(f"{path} has schema {schema!r}, not {_SCHEMA!r}; rebuild "
                          "the artifact with `tromkit offline`")
-    u_part = _part_from_blobs("u", meta["u_part"], blobs)
-    f_part = _part_from_blobs("f", meta["f_part"], blobs)
+    try:
+        u_part = _part_from_blobs("u", meta["u_part"], blobs)
+        f_part = _part_from_blobs("f", meta["f_part"], blobs)
+        rows, grid = np.asarray(meta["selection"]), ParameterGrid.from_dict(meta["grid"])
+        fields = {name: meta[name] for name in _PLAIN_FIELDS}
+    except KeyError as exc:
+        raise ValueError(f"{path} has no metadata key or blob {exc}; rebuild the artifact "
+                         "with `tromkit offline`") from None
+    if u_part.kind != f_part.kind:
+        raise ValueError(f"{path} has a {u_part.kind} state part but a {f_part.kind} term "
+                         "part; rebuild the artifact with `tromkit offline`")
     # one distinct term-basis row per basis column, or ``P^T Y`` cannot be taken
-    rows, (m, n) = np.asarray(meta["selection"]), f_part.basis.shape
+    m, n = f_part.basis.shape
     if not (rows.shape == (n,) and rows.dtype.kind == "i"
             and np.unique(rows[(rows >= 0) & (rows < m)]).size == n):
         raise ValueError(f"{path} has a stored selection that is not {n} distinct rows "
                          f"of its {m}-row term basis; rebuild the artifact with "
                          "`tromkit offline`")
-    problem = meta["problem"]
-    if meta["reduced_operator"] and not (isinstance(problem, dict) and "kind" in problem):
-        raise ValueError(f"{path} has a reduced operator but no problem kind to rebuild its "
-                         "coefficient from; rebuild the artifact with `tromkit offline`")
-    a_op = config_from_dict(problem).affine() if meta["reduced_operator"] else None
-    return _coupled_artifact(
-        u_part, f_part, a_op, SelectionIndices(rows), meta["cstar_ls"], fmt=meta["format"],
-        grid=ParameterGrid.from_dict(meta["grid"]), full_shape=tuple(meta["full_shape"]),
-        **{name: meta[name] for name in _PLAIN_FIELDS})
+    return _coupled_artifact(u_part, f_part, rows, grid=grid, **fields)

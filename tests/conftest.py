@@ -43,11 +43,11 @@ def deim_apply(basis, sel, f):
     approximation of ``f`` at the rows of ``sel``."""
     y = np.asarray(basis, dtype=np.float64)
     f = np.asarray(f, dtype=np.float64)
-    return y @ np.linalg.solve(y[sel.indices, :], f[sel.indices])
+    return y @ np.linalg.solve(y[sel, :], f[sel])
 
 
 def selection_matrix(sel, n_rows):
     """Dense selection matrix P (n_rows x len(sel)); columns are unit vectors."""
     p = np.zeros((n_rows, len(sel)))
-    p[sel.indices, np.arange(len(sel))] = 1.0
+    p[sel, np.arange(len(sel))] = 1.0
     return p

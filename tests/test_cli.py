@@ -793,7 +793,7 @@ class TestVerify:
         m, n_t = snaps.u_tensor.shape[0], snaps.config.n_steps
         # With every row selected the ls fit is the orthogonal projection
         # onto the leading n term vectors, so lhs_term is the tail itself.
-        assert loaded.selection.indices.size == m
+        assert loaded.selection.size == m
         tail = float(rows[0][header.index("tail_term")])
         assert lhs[14] == pytest.approx(tail**2 / (n_t * m), rel=1e-6)
         scale = np.mean(snaps.f_tensor**2)
@@ -986,29 +986,39 @@ class TestOutputFiles:
 
 class TestArtifactContents:
     @pytest.mark.parametrize("command", ["query", "verify"])
-    @pytest.mark.parametrize("with_problem,missing", [
-        (True, "reduced operator"), (False, "problem description")])
-    def test_artifact_without_what_solves_need_refused(self, workdir, tmp_path, monkeypatch,
-                                                       command, with_problem, missing):
-        # the library saves artifacts without an operator or a problem description
+    def test_artifact_without_problem_refused(self, workdir, tmp_path, monkeypatch, command):
+        # the library saves artifacts without a problem description
         _, snap = workdir
         snaps = fom.load_snapshots(snap)
         path = tmp_path / "bare.trbl"
         trom.save_artifact(path, trom.build_offline(
-            snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt="tt", eps=1e-3,
-            problem=fom.config_to_dict(snaps.config) if with_problem else None))
+            snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt="tt", eps=1e-3))
         for module, name in ((fom, "run_fom"), (trom, "local_bases")):
             monkeypatch.setattr(module, name, lambda *args: pytest.fail("solve ran"))
         argv = {"query": ["--alpha", "0.05,0.5"],
                 "verify": ["--snapshots", snap, "--alphas", "0.05,0.5", "--n-list", "2",
                            "--out", tmp_path / "v.csv"]}[command]
         with pytest.raises(SystemExit, match=f"^--artifact {re.escape(str(path))}: the "
-                                             f"artifact has no {missing}; rebuild it"):
+                                             "artifact has no problem description; rebuild"):
             run(command, "--artifact", path, *argv)
 
+    @pytest.mark.parametrize("command", ["query", "verify"])
+    def test_artifact_built_without_operator_answers(self, workdir, tmp_path, command):
+        # the reduced operator is the problem's when the build is given none
+        _, snap = workdir
+        snaps = fom.load_snapshots(snap)
+        path = tmp_path / "no_op.trbl"
+        trom.save_artifact(path, trom.build_offline(
+            snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt="tt", eps=1e-3,
+            problem=fom.config_to_dict(snaps.config)))
+        argv = {"query": ["--alpha", "0.05,0.5", "--no-reference"],
+                "verify": ["--snapshots", snap, "--alphas", "0.05,0.5", "--n-list", "2",
+                           "--out", tmp_path / "v.csv"]}[command]
+        assert run(command, "--artifact", path, *argv) == 0
+
     def test_artifact_without_problem_kind_refused(self, workdir, tmp_path):
-        # a bundle edited to keep its reduced operator but lose the problem's
-        # kind ends in one line, not a traceback
+        # a bundle edited to lose the problem's kind, which its reduced
+        # operator is rebuilt from, ends in one line, not a traceback
         from tromkit import store
         root, _ = workdir
         meta, blobs = store.load_bundle(root / "art.trbl")
@@ -1016,10 +1026,35 @@ class TestArtifactContents:
         problem = {key: value for key, value in meta["problem"].items() if key != "kind"}
         store.save_bundle(path, meta | {"problem": problem}, blobs)
         with pytest.raises(SystemExit, match=f"^--artifact {re.escape(str(path))}: "
-                                             f"{re.escape(str(path))} has a reduced operator "
-                                             "but no problem kind") as exc:
+                                             "unknown problem kind None") as exc:
             run("query", "--artifact", path, "--alpha", "0.05,0.5", "--no-reference")
         assert "\n" not in str(exc.value)
+
+    @pytest.mark.parametrize("command,key", [
+        ("query", "selection"), ("query", "u_part"), ("query", "grid"), ("query", "eps"),
+        ("query", "f_basis"), ("offline", "grid"), ("offline", "kind"),
+        ("offline", "f_tensor")])
+    def test_input_without_a_metadata_key_or_blob_refused(self, workdir, tmp_path, command,
+                                                         key):
+        # an artifact for query, a snapshot bundle for offline; ``kind`` is the problem's
+        from tromkit import store
+        root, snap = workdir
+        flag, source = {"query": ("--artifact", root / "art.trbl"),
+                        "offline": ("--snapshots", snap)}[command]
+        meta, blobs = store.load_bundle(source)
+        meta = {k: v for k, v in meta.items() if k != key}
+        meta["problem"] = {k: v for k, v in meta["problem"].items() if k != key}
+        blobs.pop(key, None)
+        path = tmp_path / "lacking.trbl"
+        store.save_bundle(path, meta, blobs)
+        argv = {"query": ["--alpha", "0.05,0.5", "--no-reference"],
+                "offline": ["--format", "tt", "--eps", "1e-3", "--out", tmp_path / "a.trbl"]}
+        with pytest.raises(SystemExit) as exc:
+            run(command, flag, path, *argv[command])
+        message = str(exc.value)
+        want = ("unknown problem kind None" if key == "kind"
+                else f"{path} has no metadata key or blob '{key}'")
+        assert message.startswith(f"{flag} {path}: {want}") and "\n" not in message
 
     def test_verify_size_limit_checked_before_the_bundle_is_read(self, workdir, tmp_path,
                                                                 monkeypatch):

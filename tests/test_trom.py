@@ -294,8 +294,8 @@ class TestBuildReducedSystem:
         got = local.f_map @ f[local.used_rows]
         u_loc = art.u_part.basis @ local.u_coords
         y = art.f_part.basis @ local.f_coords
-        oracle = u_loc.T @ (y @ np.linalg.solve((y)[art.selection.indices, :],
-                                                f[art.selection.indices]))
+        oracle = u_loc.T @ (y @ np.linalg.solve((y)[art.selection, :],
+                                                f[art.selection]))
         assert np.linalg.norm(got - oracle) <= 1e-9 * np.linalg.norm(oracle)
 
     def test_linear_term_composition_matches_dense_oracle(self):
@@ -611,8 +611,12 @@ class TestArtifactSerialization:
                 # on load from the parts and the stored selection
                 for name in ("uty", "pty"):
                     np.testing.assert_array_equal(getattr(loaded, name), getattr(art, name))
-                np.testing.assert_array_equal(loaded.selection.indices, art.selection.indices)
-                assert loaded.cstar_ls == art.cstar_ls
+                np.testing.assert_array_equal(loaded.selection, art.selection)
+                # the facts read off the parts and the grid, and the selection's gain
+                assert (art.fmt, art.cp_rank, art.full_shape) == (
+                    fmt, kw.get("cp_rank"), snaps.u_tensor.shape)
+                for name in ("fmt", "cp_rank", "full_shape", "cstar_ls"):
+                    assert getattr(loaded, name) == getattr(art, name), name
                 assert len(loaded.a_reduced.terms) == len(art.a_reduced.terms)
                 for ours, theirs in zip(loaded.a_reduced.terms, art.a_reduced.terms):
                     np.testing.assert_array_equal(ours, theirs)
@@ -645,14 +649,26 @@ class TestArtifactSerialization:
             trom.load_artifact(path)
 
     def test_artifact_without_operator_loads_without_one(self, tmp_path, small_burgers):
+        # neither an operator nor a problem to take one from
         cfg, grid, snaps = small_burgers
-        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt",
-                                 eps=1e-3, problem=fom.config_to_dict(cfg))
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-3)
         path = tmp_path / "a.trbl"
         trom.save_artifact(path, art)
         loaded = trom.load_artifact(path)
         assert art.a_reduced is None and loaded.a_reduced is None
         assert loaded.full_shape == snaps.u_tensor.shape
+
+    def test_operator_defaults_to_the_problems(self, tmp_path, small_burgers):
+        cfg, grid, snaps = small_burgers
+        given, derived = (trom.build_offline(
+            snaps.u_tensor, snaps.f_tensor, grid, fmt="tt", eps=1e-3, a_op=a_op,
+            problem=fom.config_to_dict(cfg)) for a_op in (cfg.affine(), None))
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, derived)
+        for art in (derived, trom.load_artifact(path)):
+            assert len(art.a_reduced.terms) == len(given.a_reduced.terms)
+            for ours, theirs in zip(art.a_reduced.terms, given.a_reduced.terms):
+                np.testing.assert_array_equal(ours, theirs)
 
     def test_operator_without_problem_refused(self, tmp_path, small_burgers):
         # the coefficient function cannot be stored; load rebuilds it from problem
@@ -687,7 +703,8 @@ class TestArtifactSerialization:
             cf = art.compression_factors()
             assert cf["cf_u"] == u.size / art.u_part.online_entries
 
-    @pytest.mark.parametrize("schema", ["tromkit-artifact-1", "tromkit-artifact-2"])
+    @pytest.mark.parametrize("schema", ["tromkit-artifact-1", "tromkit-artifact-2",
+                                        "tromkit-artifact-3"])
     def test_other_schema_refused(self, tmp_path, schema):
         from tromkit import store
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
@@ -708,15 +725,16 @@ class TestArtifactSerialization:
         trom.save_artifact(path, art)
         meta, blobs = store.load_bundle(path)
         assert all(name[:2] in ("u_", "f_") for name in blobs)
-        assert meta["reduced_operator"] is True and "n_a_terms" not in meta
+        assert set(meta) == {"schema", "grid", "u_part", "f_part", "selection", "eps",
+                             "interp_order", "problem", "cp_fit", "blobs"}
+        assert meta["schema"] == "tromkit-artifact-4"
 
     def test_load_runs_no_selection(self, tmp_path, monkeypatch):
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
         path = tmp_path / "a.trbl"
         trom.save_artifact(path, art)
-        for name in ("deim_select", "selection_gain"):
-            monkeypatch.setattr(trom, name,
-                                lambda *args, name=name: pytest.fail(f"{name} ran on load"))
+        monkeypatch.setattr(trom, "deim_select",
+                            lambda *args: pytest.fail("deim_select ran on load"))
         loaded = trom.load_artifact(path)
         np.testing.assert_array_equal(loaded.pty, art.pty)
 
@@ -738,18 +756,36 @@ class TestArtifactSerialization:
                                              f"that is not {n} distinct rows of its {m}-row "):
             trom.load_artifact(path)
 
-    @pytest.mark.parametrize("problem", [None, {"m": 12}], ids=["none", "no_kind"])
+    # the reduced operator of an artifact with a problem is that problem's, so
+    # a problem whose kind is null or missing, or that is no object, is refused
+    @pytest.mark.parametrize("problem", [{"kind": None, "m": 12}, {"m": 12}, [1]],
+                             ids=["none", "no_kind", "not_object"])
     def test_reduced_operator_without_problem_kind_refused(self, tmp_path, problem):
         from tromkit import store
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
         path = tmp_path / "a.trbl"
         trom.save_artifact(path, art)
         meta, blobs = store.load_bundle(path)
-        meta["reduced_operator"], meta["problem"] = True, problem
+        meta["problem"] = problem
         store.save_bundle(path, meta, blobs)
-        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has a reduced operator "
-                                             "but no problem kind to rebuild its coefficient "
-                                             "from"):
+        with pytest.raises(ValueError, match="^unknown problem kind None; expected one of"):
+            trom.load_artifact(path)
+
+    def test_parts_of_two_kinds_refused(self, tmp_path):
+        from tromkit import store
+        (tt, *_), (ho, *_) = (build_smooth(fmt=fmt, eps=1e-6) for fmt in ("tt", "hosvd"))
+        trom.save_artifact(tmp_path / "tt.trbl", tt)
+        trom.save_artifact(tmp_path / "ho.trbl", ho)
+        meta, blobs = store.load_bundle(tmp_path / "tt.trbl")
+        ho_meta, ho_blobs = store.load_bundle(tmp_path / "ho.trbl")
+        # the HOSVD term part, with its selection, beside the TT state part
+        blobs = {k: v for k, v in blobs.items() if k[:2] == "u_"} | {
+            k: v for k, v in ho_blobs.items() if k[:2] == "f_"}
+        path = tmp_path / "mixed.trbl"
+        store.save_bundle(path, meta | {"f_part": ho_meta["f_part"],
+                                        "selection": ho_meta["selection"]}, blobs)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} has a tt state part "
+                                             "but a hosvd term part; rebuild"):
             trom.load_artifact(path)
 
     def test_unknown_part_kind_refused(self, tmp_path):
