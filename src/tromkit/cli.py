@@ -157,12 +157,8 @@ def _problem_config(args, settings: StudySettings) -> fom.ProblemConfig:
         spec["kind"] = _PROBLEMS[args.problem].kind
     if "kind" not in spec:
         raise SystemExit("no problem selected; pass --problem or a config file")
-    cfg = _flagged(args, "problem config", fom.config_from_dict, spec,
-                   m="m", n_steps="steps", seed="seed")
-    if getattr(args, "paper_scale", False):
-        # the problem's paper-scale sizes where no flag or file sets them
-        cfg = fom.config_from_dict({"m": cfg.paper_m, "n_steps": cfg.paper_steps} | spec)
-    return cfg
+    return _flagged(args, "problem config", fom.config_from_dict, spec,
+                    m="m", n_steps="steps", seed="seed")
 
 
 def _refuse_mismatch(pairs, what: str, side: str) -> None:
@@ -203,8 +199,6 @@ def cmd_sample(args) -> int:
     _, settings = _load_config(args)
     cfg = _problem_config(args, settings)
     shape = _parse_shape(args.grid) if args.grid else settings.grid
-    if args.paper_scale and shape is None:
-        shape = cfg.paper_shape
     grid = _refusing("--grid" if args.grid else "config grid", cfg.grid, shape)
     out_dir = _output("--out", args.out, directory=True)
     t0 = time.perf_counter()
@@ -233,9 +227,7 @@ def _offline_report_row(art: trom.OfflineArtifact, err_u, err_f, elapsed) -> lis
             "-".join(map(str, art.f_part.ranks)),
             f"{cf['cf_u']:.1f}", f"{cf['cf_f']:.1f}",
             f"{cf['cf_combined']:.1f}" if "cf_combined" in cf else "",
-            "" if err_u is None else f"{err_u:.6e}",
-            "" if err_f is None else f"{err_f:.6e}",
-            *cp_cols, f"{elapsed:.3f}"]
+            f"{err_u:.6e}", f"{err_f:.6e}", *cp_cols, f"{elapsed:.3f}"]
 
 
 _OFFLINE_HEADER = ["format", "eps", "cp_rank", "ranks_u", "ranks_f",
@@ -246,13 +238,12 @@ _OFFLINE_HEADER = ["format", "eps", "cp_rank", "ranks_u", "ranks_f",
 def _build_artifact(snaps: fom.SnapshotSet, settings: StudySettings,
                     level: tuple) -> tuple[trom.OfflineArtifact, float]:
     """Build one artifact at a (format, eps, cp_rank) level with the settings'
-    ``interp_order`` and ``cp_opts``; also returns the seconds it took."""
+    ``interp_order``; also returns the seconds it took."""
     fmt, eps, cp_rank = level
     t0 = time.perf_counter()
     art = trom.build_offline(
         snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt=fmt, eps=eps, cp_rank=cp_rank,
-        interp_order=settings.interp_order, problem=fom.config_to_dict(snaps.config),
-        cp_opts=settings.cp_opts)
+        interp_order=settings.interp_order, problem=fom.config_to_dict(snaps.config))
     return art, time.perf_counter() - t0
 
 
@@ -277,15 +268,13 @@ def cmd_offline(args) -> int:
     report = args.report and _output("--report", args.report)
     snaps = _refusing(f"--snapshots {args.snapshots}", fom.load_snapshots, args.snapshots)
     art, elapsed = _build_artifact(snaps, settings, (args.format, args.eps, args.cp_rank))
-    err_u = err_f = None
-    if not args.skip_errors:
-        err_u, err_f = _compression_errors(art, snaps)
-        over = [f"tensor {name} error {err:.6e} exceeds eps {art.eps:g}"
-                for name, err in (("u", err_u), ("f", err_f))
-                if art.eps is not None and err > art.eps + _ROUNDING_SLACK]
-        if over:
-            print(f"offline: {'; '.join(over)}; no artifact written", file=sys.stderr)
-            return 1
+    err_u, err_f = _compression_errors(art, snaps)
+    over = [f"tensor {name} error {err:.6e} exceeds eps {art.eps:g}"
+            for name, err in (("u", err_u), ("f", err_f))
+            if art.eps is not None and err > art.eps + _ROUNDING_SLACK]
+    if over:
+        print(f"offline: {'; '.join(over)}; no artifact written", file=sys.stderr)
+        return 1
     trom.save_artifact(out, art)
     row = _offline_report_row(art, err_u, err_f, elapsed)
     if report:
@@ -348,8 +337,9 @@ def cmd_query(args) -> int:
 class StudySettings(fom.Settings):
     """Every key of a config file with its default, checked as a problem config is;
     ``sample`` reads ``problem`` and ``grid``, ``offline`` and ``verify`` the fields their
-    flags set.  A None ``eps`` is 1e-3 for refine and 1e-4 for svdecay, a None ``cp_rank``
-    the largest listed; ``cp_opts`` are ``cp_als`` keywords, checked as it annotates them."""
+    flags set, and a flag wins over the file.  A None ``eps`` is 1e-3 for refine and 1e-4
+    for svdecay, a None ``cp_rank`` the largest listed.  The paper's sizes are the
+    committed ``configs/*_paper.json``."""
 
     problem: dict | None = None
     grid: tuple[int, ...] | None = None
@@ -360,7 +350,6 @@ class StudySettings(fom.Settings):
     cp_rank: int | None = None
     cp_rank_list: tuple[int, ...] = (20, 50)
     interp_order: int = 2
-    cp_opts: dict | None = None
     seed: int = 2024
     query_count: int = 100
     t_window: Real = 0.5        # any finite number, where a float field is above 0
@@ -374,20 +363,6 @@ class StudySettings(fom.Settings):
                            "n_f", "svdecay_count"], 1) | {"eps": 0, "eps_list": 0}
     below = {"eps": 1, "eps_list": 1}
     choices = {"format": ("tt", "hosvd", "cp"), "mode": ("ls", "deim")}
-
-    def __post_init__(self):
-        super().__post_init__()
-        try:
-            _CpOpts.from_dict(self.cp_opts or {}, "keywords of cp_als")
-        except ValueError as exc:
-            raise ValueError(f"cp_opts {exc}") from None
-
-
-# the keywords of ``cp_als`` that ``cp_opts`` may set, each checked by its annotation
-_CpOpts = dataclasses.make_dataclass("_CpOpts", [
-    (key, decomp.cp_als.__annotations__[key], dataclasses.field(default=value))
-    for key, value in decomp.cp_als.__kwdefaults__.items()],
-    bases=(fom.Settings,), namespace={"least": {"max_sweeps": 1}}, frozen=True)
 
 
 def _study_levels(settings: StudySettings, eps=None) -> list[tuple]:
@@ -642,26 +617,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sample", help="generate snapshot tensors")
     p.add_argument("--problem", choices=list(_PROBLEMS))
-    p.add_argument("--config", help="JSON config file")
+    p.add_argument("--config", help="JSON config file, e.g. configs/burgers_paper.json "
+                                     "for the paper's sizes; the flags below win over it")
     p.add_argument("--grid", help="grid shape, e.g. 8x16")
     p.add_argument("--m", type=int, help="spatial resolution")
     p.add_argument("--steps", type=int, help="time steps")
     p.add_argument("--seed", type=int, help="initial-state seed (phase-field)")
-    p.add_argument("--paper-scale", action="store_true",
-                   help="published-experiment resolution (large)")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("offline", help="compress snapshots into an artifact")
+    p = sub.add_parser("offline", help="compress snapshots into an artifact; a TT or "
+                                       "HOSVD error above eps exits 1 and writes none")
     p.add_argument("--snapshots", required=True)
     p.add_argument("--format", choices=StudySettings.choices["format"], default="tt")
     p.add_argument("--eps", type=float)
     p.add_argument("--cp-rank", type=int)
     p.add_argument("--interp-order", type=int, default=2)
-    p.add_argument("--skip-errors", action="store_true",
-                   help="skip the achieved-accuracy reconstruction check; without "
-                        "it a TT or HOSVD error above eps exits 1 and writes no "
-                        "artifact")
     p.add_argument("--report", help="CSV report path")
     p.add_argument("--out", required=True, help="artifact path")
     p.set_defaults(func=cmd_offline)

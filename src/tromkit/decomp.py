@@ -74,7 +74,8 @@ from .tensors import refold, unfold
 class OnlinePart:
     """What the part kinds share: an orthonormal space basis and an
     orthonormal time factor around a small core matrix, which each format
-    contracts from its own parametric data in ``scaled_core_matrix``.
+    contracts from its own parametric data in ``scaled_core_matrix``; its
+    ``param_extents`` are the grid shape K_1 .. K_D that data was compressed on.
 
     Parts declare these two fields last: declared order is blob order, and
     loading them after the small online arrays kept the peak RSS of repeated
@@ -109,6 +110,10 @@ class TTPart(OnlinePart):
     @property
     def ranks(self) -> tuple[int, ...]:
         return (self.basis.shape[1],) + tuple(c.shape[2] for c in self.cores)
+
+    @property
+    def param_extents(self) -> tuple[int, ...]:
+        return tuple(c.shape[1] for c in self.cores)
 
     @property
     def online_entries(self) -> int:
@@ -147,6 +152,10 @@ class TuckerPart(OnlinePart):
         return self.core.shape
 
     @property
+    def param_extents(self) -> tuple[int, ...]:
+        return tuple(f.shape[0] for f in self.param_factors)
+
+    @property
     def online_entries(self) -> int:
         return self.core.size + sum(f.size for f in self.param_factors)
 
@@ -172,6 +181,10 @@ class CPPart(OnlinePart):
     @property
     def ranks(self) -> tuple[int, ...]:
         return (self.r_left.shape[1],)
+
+    @property
+    def param_extents(self) -> tuple[int, ...]:
+        return tuple(f.shape[0] for f in self.sigma_factors)
 
     @property
     def online_entries(self) -> int:

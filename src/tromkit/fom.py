@@ -81,8 +81,8 @@ class Settings:
     starts with the field name, a value that the field's annotated type does
     not admit (``_ADMITS``), a number below its ``least`` (0 for an integer
     not named there) or not below its ``below``, and a value outside its
-    ``choices``; of a list these hold for each entry, of an object for each
-    key.  It converts nothing, so accepted settings serialize as given.
+    ``choices``; of a list these hold for each entry.  It converts nothing,
+    so accepted settings serialize as given.
     """
 
     least, below, choices = {}, {}, {}
@@ -95,9 +95,8 @@ class Settings:
                 raise ValueError(f"{f.name} must be {what}, got {value!r}")
             if value is None:
                 continue
-            entries = (value if isinstance(value, tuple)
-                       else value.keys() if isinstance(value, dict) else [value])
-            name = f.name + {tuple: " entries", dict: " keys"}.get(type(value), "")
+            entries = value if isinstance(value, tuple) else [value]
+            name = f.name + (" entries" if isinstance(value, tuple) else "")
             least = self.least.get(f.name, 0 if f.type == "int" else None)
             if least is not None and min(entries) < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
@@ -122,10 +121,10 @@ class Settings:
 
 class ProblemConfig(Settings):
     """The base of the problem configs, which also set ``kind``,
-    ``cli_name``, ``run_name`` (the name their errors give),
-    ``default_shape`` and the paper-scale ``paper_m``, ``paper_steps`` and
-    ``paper_shape``.  The least sizes are ``least_m`` for ``m`` and 1 for
-    ``n_steps``, so that every stage takes the same sizes.
+    ``cli_name``, ``run_name`` (the name their errors give) and
+    ``default_shape``.  The least sizes are ``least_m`` for ``m`` and 1 for
+    ``n_steps``, so that every stage takes the same sizes.  The paper's
+    sizes are the committed study configs ``configs/*_paper.json``.
     """
 
     least_m = 1
@@ -183,7 +182,6 @@ class BurgersConfig(ProblemConfig):
     run_name = "transport"
     least_m = 3         # the upwind stencil's minimum
     default_shape = (8, 16)
-    paper_m, paper_steps, paper_shape = 400, 200, (16, 32)
 
     @property
     def n_dofs(self) -> int:
@@ -340,8 +338,6 @@ class AllenCahnConfig(ProblemConfig):
     cli_name = "allen-cahn"
     run_name = "phase-field"
     default_shape = (4, 3, 3)
-    # full tensors at paper scale occupy roughly 2.6 GB in memory
-    paper_m, paper_steps, paper_shape = 150, 200, (8, 3, 3)
 
     @property
     def n_dofs(self) -> int:
@@ -643,12 +639,13 @@ def save_snapshots(path, snaps: SnapshotSet) -> None:
 
 def load_snapshots(path) -> SnapshotSet:
     """Read a snapshot bundle; the per-point initial-state blob that older
-    bundles carry is read and ignored."""
+    bundles carry is read and ignored.  Refuses a bundle whose two tensors
+    are not both (n_dofs, *grid shape, n_steps) of its own problem and grid."""
     meta, blobs = store.load_bundle(path)
     if meta.get("schema") != "tromkit-snapshots-1":
         raise ValueError("not a snapshot bundle")
     try:
-        return SnapshotSet(
+        snaps = SnapshotSet(
             u_tensor=blobs["u_tensor"],
             f_tensor=blobs["f_tensor"],
             grid=ParameterGrid.from_dict(meta["grid"]),
@@ -656,3 +653,8 @@ def load_snapshots(path) -> SnapshotSet:
         )
     except KeyError as exc:
         raise ValueError(f"{path} has no metadata key or blob {exc}") from None
+    shape = (snaps.config.n_dofs, *snaps.grid.shape, snaps.config.n_steps)
+    if not snaps.u_tensor.shape == snaps.f_tensor.shape == shape:
+        raise ValueError(f"{path} holds tensors of shapes {snaps.u_tensor.shape} and "
+                         f"{snaps.f_tensor.shape}, not the {shape} of its problem and grid")
+    return snaps

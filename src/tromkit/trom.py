@@ -29,8 +29,10 @@ its dataclass fields: an array field becomes the blob ``{tag}_{field}`` and a
 tuple field the blobs ``{tag}_{field}{i}``, its length kept in the part
 metadata beside ``kind``; ``tag`` is ``u`` or ``f``.  Load refuses a bundle
 that lacks a metadata key or blob, whose two parts differ in kind, or whose
-selection is not one distinct term-basis row per basis column.  Artifacts of
-any other schema are refused, to be rebuilt from their snapshot bundle.
+selection is not one distinct term-basis row per basis column, and the
+constructor one whose grid is not the parts' or whose interpolation order is
+no integer of at least 1.  Artifacts of any other schema are refused, to be
+rebuilt from their snapshot bundle.
 """
 from __future__ import annotations
 
@@ -43,7 +45,7 @@ import scipy.linalg
 from . import store
 from .decomp import CPPart, OnlinePart, TTPart, TuckerPart, cp_als, hosvd, tt_svd
 from .deim import deim_select, selection_gain
-from .fom import config_from_dict
+from .fom import _integer, config_from_dict
 from .grids import ParameterGrid, interp_weights
 from .stepping import AffineOperator, integrate_reduced, reduced_system
 
@@ -131,8 +133,6 @@ def build_offline(
     if u_snaps.shape[1:-1] != grid.shape:
         raise ValueError(f"tensor parameter extents {u_snaps.shape[1:-1]} "
                          f"do not match the grid {grid.shape}")
-    if interp_order < 1:
-        raise ValueError(f"interpolation order must be at least 1, got {interp_order}")
 
     cp_fit = None
     if fmt in ("tt", "hosvd"):
@@ -157,11 +157,22 @@ def build_offline(
 
 
 def _coupled_artifact(u_part, f_part, selection=None, a_op=None, problem=None,
-                      **fields) -> OfflineArtifact:
+                      where="", **fields) -> OfflineArtifact:
     """The one constructor of an artifact: two parts, the term-basis selection
     (run here unless given, as a loaded bundle gives it) and what they
     determine: the selection's gain, the coupling matrices and the reduced
-    operator of ``a_op``, by default the operator of ``problem``."""
+    operator of ``a_op``, by default the operator of ``problem``.  With a
+    grid it refuses, in a ``ValueError`` led by ``where``, a grid shape that
+    is not both parts' parametric extents and an ``interp_order`` that is not
+    an integer of at least 1."""
+    grid, order = fields.get("grid"), fields.get("interp_order")
+    if grid is not None:
+        if not u_part.param_extents == f_part.param_extents == grid.shape:
+            raise ValueError(f"{where}grid shape {grid.shape} is not the parametric extents "
+                             f"{u_part.param_extents} and {f_part.param_extents} of the parts")
+        if not (_integer(order) and order >= 1):
+            raise ValueError(f"{where}interpolation order {order!r} is not an integer "
+                             "of at least 1")
     if selection is None:
         selection = deim_select(f_part.basis)
     if a_op is None and problem is not None:
@@ -368,4 +379,4 @@ def load_artifact(path) -> OfflineArtifact:
         raise ValueError(f"{path} has a stored selection that is not {n} distinct rows "
                          f"of its {m}-row term basis; rebuild the artifact with "
                          "`tromkit offline`")
-    return _coupled_artifact(u_part, f_part, rows, grid=grid, **fields)
+    return _coupled_artifact(u_part, f_part, rows, where=f"{path}: ", grid=grid, **fields)

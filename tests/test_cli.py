@@ -7,7 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tromkit import cli, decomp, fom, pod, trom
+from tromkit import cli, decomp, fom, pod, store, trom
+
+from conftest import CONFIGS
 
 
 def run(*argv):
@@ -155,17 +157,16 @@ class TestSample:
             run("sample", "--config", cfg_path, "--out", tmp_path / "bad")
         assert not (tmp_path / "bad").exists()
 
-    @pytest.mark.parametrize("argv,file_cfg,sizes,shape", [
-        (["--problem", "burgers"], None, (400, 200), (16, 32)),
-        (["--problem", "allen-cahn"], None, (150, 200), (8, 3, 3)),
-        (["--problem", "burgers", "--m", "50", "--steps", "7", "--grid", "2x3"], None,
-         (50, 7), (2, 3)),
-        ([], {"problem": {"kind": "allen_cahn", "m": 9}, "grid": [2, 2, 2]},
-         (9, 200), (2, 2, 2)),
-    ], ids=["transport", "phase_field", "flags_win", "config_file_wins"])
-    def test_paper_scale_presets(self, tmp_path, monkeypatch, argv, file_cfg, sizes, shape):
-        # the sizes and grid --paper-scale resolves to, without sampling: one
-        # phase-field tensor at paper scale is about 2.6 GB
+    @pytest.mark.parametrize("name,argv,sizes,shape", [
+        ("burgers", [], (400, 200), (16, 32)),
+        ("allen_cahn", [], (150, 200), (8, 3, 3)),
+        ("burgers", ["--m", "50", "--steps", "7", "--grid", "2x3"], (50, 7), (2, 3)),
+        ("allen_cahn", ["--m", "9", "--grid", "2x2x2"], (9, 200), (2, 2, 2)),
+    ], ids=["transport", "phase_field", "transport_flags_win", "phase_field_flags_win"])
+    def test_paper_configs(self, tmp_path, monkeypatch, name, argv, sizes, shape):
+        # the sizes and grid a committed paper config resolves to, without
+        # sampling: one phase-field tensor at the paper's size is about 2.6 GB;
+        # a flag wins over the file
         seen = []
 
         def record(cfg, grid):
@@ -173,13 +174,11 @@ class TestSample:
             raise RuntimeError("sampling skipped")
 
         monkeypatch.setattr(fom, "sample_snapshots", record)
-        if file_cfg is not None:
-            (tmp_path / "cfg.json").write_text(json.dumps(file_cfg))
-            argv = argv + ["--config", tmp_path / "cfg.json"]
         with pytest.raises(RuntimeError, match="sampling skipped"):
-            run("sample", *argv, "--paper-scale", "--out", tmp_path / "out")
+            run("sample", "--config", CONFIGS / f"{name}_paper.json", *argv,
+                "--out", tmp_path / "out")
         [(cfg, grid)] = seen
-        assert (cfg.m, cfg.n_steps) == sizes
+        assert (cfg.kind, cfg.m, cfg.n_steps) == (name, *sizes)
         assert grid.shape == shape
 
     @pytest.mark.parametrize("problem,grid,named", [
@@ -234,6 +233,26 @@ class TestOffline:
         assert row["cp_sweeps"] == f"{fit['u']['sweeps']}-{fit['f']['sweeps']}"
         assert row["cp_converged"] == (f"{int(fit['u']['converged'])}-"
                                        f"{int(fit['f']['converged'])}")
+
+    @pytest.mark.parametrize("command", ["offline", "study", "verify"])
+    def test_bundle_not_of_its_problem_refused_before_any_build(self, workdir, tmp_path,
+                                                                monkeypatch, command):
+        # a bundle whose problem says 20 steps for tensors of 40 once built,
+        # answered a query, and ended verify in a traceback
+        root, snap = workdir
+        meta, blobs = store.load_bundle(snap)
+        meta["problem"]["n_steps"] = 20
+        bad = tmp_path / "steps20.trbl"
+        store.save_bundle(bad, meta, blobs)
+        monkeypatch.setattr(trom, "build_offline", lambda *args, **kw: pytest.fail("built"))
+        argv = {"offline": ["--format", "tt", "--eps", "1e-3", "--out", tmp_path / "a.trbl"],
+                "study": ["--out", tmp_path / "study"],
+                "verify": ["--artifact", root / "art.trbl", "--out", tmp_path / "v.csv"]}
+        with pytest.raises(SystemExit, match="^" + re.escape(
+                f"--snapshots {bad}: {bad} holds tensors of shapes (50, 3, 4, 40) and "
+                "(50, 3, 4, 40), not the (50, 3, 4, 20) of its problem and grid") + "$"):
+            run(command, "--snapshots", bad, *argv[command])
+        assert list(tmp_path.iterdir()) == [bad]
 
     def test_artifact_loadable(self, workdir):
         root, _ = workdir
@@ -294,7 +313,7 @@ class TestQuery:
         metrics_csv = tmp_path / "q.csv"
         art = root / "art_exact.trbl"
         assert run("offline", "--snapshots", snap, "--format", "tt", "--eps", "0",
-                   "--skip-errors", "--out", art) == 0
+                   "--out", art) == 0
         assert run("query", "--artifact", art,
                    "--alpha", ",".join(map(str, alpha)),
                    "--mode", "ls", "--metrics", metrics_csv,
@@ -304,6 +323,24 @@ class TestQuery:
         assert float(row["err_l2l2"]) <= 1e-6
         data = np.load(tmp_path / "traj.npz")
         assert data["states"].shape == (50, 40)
+
+    @pytest.mark.parametrize("key,value,named", [
+        ("interp_order", 0, "interpolation order 0 is not an integer of at least 1"),
+        ("interp_order", "2", "interpolation order '2' is not an integer of at least 1"),
+        ("grid", {"axes": [{"nodes": [0.1], "log_scale": True, "lo": 0.01, "hi": 0.5},
+                           {"nodes": [0.2, 0.4, 0.6, 0.8], "log_scale": False,
+                            "lo": 0.2, "hi": 0.8}]},
+         "grid shape (1, 4) is not the parametric extents (3, 4) and (3, 4) of the parts"),
+    ], ids=["order_zero", "order_string", "one_node_axis"])
+    def test_edited_artifact_refused_in_one_line(self, workdir, tmp_path, key, value, named):
+        # each once answered, or ended in a traceback
+        root, _ = workdir
+        meta, blobs = store.load_bundle(root / "art.trbl")
+        bad = tmp_path / "edited.trbl"
+        store.save_bundle(bad, meta | {key: value}, blobs)
+        with pytest.raises(SystemExit, match="^" + re.escape(f"--artifact {bad}: {bad}: {named}")
+                           + "$"):
+            run("query", "--artifact", bad, "--alpha", "0.05,0.5", "--no-reference")
 
     def test_outside_box_rejected(self, workdir):
         root, _ = workdir
@@ -421,6 +458,19 @@ class TestStudy:
         cfg_path.write_text(json.dumps(config))
         assert run("study", "--config", cfg_path, "--out", out / "res") == 0
         return out / "res"
+
+    @pytest.mark.fullscale
+    def test_paper_transport_ranks(self):
+        # the TT ranks at eps 1e-4 that CHANGES.md records for the committed
+        # transport config (m=400, 200 steps, 16 x 32), whose sampling and
+        # build peak at about 1.9 GB
+        settings = cli.StudySettings.from_dict(
+            json.loads((CONFIGS / "burgers_paper.json").read_text()), "keys")
+        cfg = fom.config_from_dict(settings.problem)
+        snaps = fom.sample_snapshots(cfg, cfg.grid(settings.grid))
+        art = trom.build_offline(snaps.u_tensor, snaps.f_tensor, snaps.grid, fmt="tt",
+                                 eps=1e-4)
+        assert (art.u_part.ranks, art.f_part.ranks) == ((81, 209, 24), (207, 340, 36))
 
     def test_all_tables_emitted(self, study_out):
         for name in ("ranks_vs_eps.csv", "error_vs_grid.csv",
@@ -544,32 +594,6 @@ class TestStudy:
         assert len(rows) == 2
         assert all(np.isfinite(float(r[3])) for r in rows)
 
-    def test_cp_opts_reach_every_build(self, tmp_path, monkeypatch):
-        config = {
-            "problem": {"kind": "burgers", "m": 30, "n_steps": 20},
-            "grid": [3, 4],
-            "format": "cp",
-            "cp_rank_list": [3],
-            "cp_opts": {"max_sweeps": 2},
-            "n_u": 3, "n_f": 3,
-            "query_count": 1,
-            "refine_grids": [[2, 3]],
-            "svdecay_count": 1,
-        }
-        seen = []
-        build = trom.build_offline
-
-        def record(*args, **kwargs):
-            seen.append(kwargs["cp_opts"])
-            return build(*args, **kwargs)
-        monkeypatch.setattr(trom, "build_offline", record)
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps(config))
-        assert run("study", "--config", cfg_path, "--out", tmp_path / "res") == 0
-        # one build of the one level on the study's bundle, which ranks,
-        # svdecay and effrank share, and one on the refine grid's own bundle
-        assert seen == [config["cp_opts"]] * 2
-
     @pytest.mark.parametrize("config,kinds,builds", [
         # ranks and effrank build the listed levels, svdecay one at 1e-4
         ({}, ["ranks", "svdecay", "effrank"], [0.1, 0.03, 0.01, 1e-4]),
@@ -616,7 +640,10 @@ class TestStudy:
         # sample reads the same schema, so a typo does not sample the default grid
         ("sample", {"gird": [2, 2]}, "sample config: gird is not among the keys of a "
                                      "study config: "),
-    ], ids=["one", "two", "sample_typo"])
+        # the CP-ALS keywords are the library's, not a config's
+        ("study", {"cp_opts": {"max_sweeps": 2}}, "study config: cp_opts is not among the "
+                                                  "keys of a study config: "),
+    ], ids=["one", "two", "sample_typo", "cp_opts"])
     def test_unknown_key_refused_before_sampling(self, tmp_path, monkeypatch, command, extra,
                                                  named):
         monkeypatch.setattr(fom, "sample_snapshots",
@@ -646,16 +673,6 @@ class TestStudy:
         ({"cp_rank": "3"}, "cp_rank must be None or an integer, got '3'"),
         ({"cp_rank": 0}, "cp_rank must be at least 1, got 0"),
         ({"cp_rank_list": [4, 0]}, "cp_rank_list entries must be at least 1, got (4, 0)"),
-        ({"cp_opts": {"sweeps": 3}},
-         "cp_opts sweeps is not among the keywords of cp_als: max_sweeps, tol, seed"),
-        ({"cp_opts": [3]}, "cp_opts must be None or a JSON object, got (3,)"),
-        # each cp_opts value as cp_als annotates its keyword
-        ({"cp_opts": {"max_sweeps": "3"}}, "cp_opts max_sweeps must be an integer, got '3'"),
-        ({"cp_opts": {"max_sweeps": 0}}, "cp_opts max_sweeps must be at least 1, got 0"),
-        ({"cp_opts": {"tol": 0}}, "cp_opts tol must be a finite number above 0, got 0"),
-        ({"cp_opts": {"tol": [1e-6]}},
-         "cp_opts tol must be a finite number above 0, got (1e-06,)"),
-        ({"cp_opts": {"seed": -1}}, "cp_opts seed must be at least 0, got -1"),
         ({"query_count": 0}, "query_count must be at least 1, got 0"),
         ({"svdecay_count": 0}, "svdecay_count must be at least 1, got 0"),
         ({"interp_order": 0}, "interp_order must be at least 1, got 0"),
@@ -666,9 +683,7 @@ class TestStudy:
     ], ids=["list", "list_string", "int_string", "int_bool", "int_float", "float_string",
             "string_null", "eps_string", "eps_one", "eps_list_negative", "eps_list_empty",
             "format_unknown", "mode_unknown", "cp_rank_string", "cp_rank_zero",
-            "cp_rank_list_zero", "cp_opts_unknown_key", "cp_opts_list",
-            "cp_opts_max_sweeps_string", "cp_opts_max_sweeps_zero", "cp_opts_tol_zero",
-            "cp_opts_tol_list", "cp_opts_seed_negative", "query_count_zero",
+            "cp_rank_list_zero", "query_count_zero",
             "svdecay_count_zero", "interp_order_zero", "n_u_zero", "n_f_negative",
             "seed_negative", "grid_float"])
     def test_value_of_wrong_type_refused_before_sampling(self, tmp_path, monkeypatch,
@@ -779,7 +794,7 @@ class TestVerify:
         alpha = snaps.grid.node((0, 1))
         art = tmp_path / "art_exact.trbl"
         assert run("offline", "--snapshots", snap, "--format", "tt", "--eps", "0",
-                   "--skip-errors", "--out", art) == 0
+                   "--out", art) == 0
         # Below the local rank the lossless in-sample lhs_term is the local
         # SVD tail beyond n, not zero; it vanishes only at full local rank.
         loaded = trom.load_artifact(art)
@@ -806,7 +821,7 @@ class TestVerify:
         root, snap = workdir
         art = tmp_path / "art.trbl"
         assert run("offline", "--snapshots", snap, "--format", "tt", "--eps", eps,
-                   "--skip-errors", "--out", art) == 0
+                   "--out", art) == 0
         common = ("verify", "--artifact", art, "--snapshots", snap,
                   "--alphas", "0.05,0.5;0.02,0.3")
         assert run(*common, "--n-list", ",".join(map(str, n_list)),
@@ -904,7 +919,7 @@ class TestVerify:
         root, snap = workdir
         art = tmp_path / f"{fmt}.trbl"
         assert run("offline", "--snapshots", snap, "--format", fmt, *kw,
-                   "--skip-errors", "--out", art) == 0
+                   "--out", art) == 0
         for seed in range(3):
             out = tmp_path / f"v{seed}.csv"
             assert run("verify", "--artifact", art, "--snapshots", snap,

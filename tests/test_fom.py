@@ -1,3 +1,5 @@
+import json
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +12,7 @@ from tromkit import fom, stepping, store
 from tromkit.grids import GridAxis, ParameterGrid
 from tromkit.stepping import PointwiseTerm
 
+from conftest import CONFIGS
 from oracles import integrate_full, potential_derivative
 
 
@@ -478,6 +481,29 @@ class TestSampling:
         assert np.array_equal(loaded.f_tensor, snaps.f_tensor)
         assert loaded.config == cfg
 
+    @pytest.mark.parametrize("edit,f_steps,want", [
+        (lambda meta, blobs: meta["problem"].update(m=30), 60, (30, 3, 4, 60)),
+        (lambda meta, blobs: meta["problem"].update(n_steps=20), 60, (40, 3, 4, 20)),
+        (lambda meta, blobs: meta["grid"]["axes"][0].update(
+            nodes=meta["grid"]["axes"][0]["nodes"][:2]), 60, (40, 2, 4, 60)),
+        (lambda meta, blobs: blobs.update(f_tensor=blobs["f_tensor"][..., :-1]), 59,
+         (40, 3, 4, 60)),
+    ], ids=["problem_m", "problem_n_steps", "two_node_first_axis", "term_one_step_short"])
+    def test_bundle_not_of_its_problem_and_grid_refused(self, tmp_path, small_burgers,
+                                                        edit, f_steps, want):
+        # such edits once ended offline, or verify after a build and a query,
+        # in a traceback
+        _, _, snaps = small_burgers
+        path = tmp_path / "edited.trbl"
+        fom.save_snapshots(path, snaps)
+        meta, blobs = store.load_bundle(path)
+        edit(meta, blobs)
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path} holds tensors of shapes (40, 3, 4, 60) and (40, 3, 4, {f_steps}), "
+                f"not the {want} of its problem and grid") + "$"):
+            fom.load_snapshots(path)
+
     def test_failure_identifies_grid_point(self, monkeypatch):
         # a NaN initial state at the second node of each slab; in the stacked
         # transport solve it spreads to every run of the slab, so the slab's
@@ -598,11 +624,14 @@ class TestConfigSerialization:
 
     @pytest.mark.parametrize("kind", sorted(DICT_KEYS))
     def test_grids_span_the_parameters_the_problem_reads(self, kind):
-        # the default and paper-scale grids have one axis per entry of the
-        # parameter vector, whose last entry the initial state or the term reads
+        # the default grid and the committed paper config's have one axis per
+        # entry of the parameter vector, whose last entry the initial state or
+        # the term reads
         cfg = fom.PROBLEMS[kind](m=4, n_steps=3)
         grid = cfg.grid()
-        assert len(cfg.grid(cfg.paper_shape).axes) == grid.ndim
+        paper = json.loads((CONFIGS / f"{kind}_paper.json").read_text())
+        assert paper["problem"]["kind"] == kind
+        assert len(cfg.grid(paper["grid"]).axes) == grid.ndim
         alpha = grid.node((0,) * grid.ndim)
         assert cfg.initial_state(alpha).shape == (cfg.n_dofs,)
         cfg.nonlinearity(alpha)

@@ -788,6 +788,41 @@ class TestArtifactSerialization:
                                              "but a hosvd term part; rebuild"):
             trom.load_artifact(path)
 
+    @pytest.mark.parametrize("fmt,kw", [("tt", {"eps": 1e-6}), ("hosvd", {"eps": 1e-6}),
+                                        ("cp", {"cp_rank": 4})])
+    def test_grid_not_the_parts_extents_refused(self, tmp_path, fmt, kw):
+        # a one-node first axis once answered queries from the first node's
+        # slice of the parametric data
+        from tromkit import store
+        art, *_ = build_smooth(fmt=fmt, **kw)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["grid"]["axes"][0]["nodes"] = [1.0]
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: grid shape (1, 4) is not the parametric extents (5, 4) and "
+                "(5, 4) of the parts") + "$"):
+            trom.load_artifact(path)
+
+    @pytest.mark.parametrize("order", [0, -1, 1.0, "2", None, True],
+                             ids=["zero", "negative", "float", "string", "null", "bool"])
+    def test_interp_order_not_a_positive_integer_refused(self, tmp_path, order):
+        from tromkit import store
+        art, *_ = build_smooth(fmt="tt", eps=1e-6)
+        path = tmp_path / "a.trbl"
+        trom.save_artifact(path, art)
+        meta, blobs = store.load_bundle(path)
+        meta["interp_order"] = order
+        store.save_bundle(path, meta, blobs)
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"{path}: interpolation order {order!r} is not an integer of at least 1")):
+            trom.load_artifact(path)
+        # the same constructor refuses it on build
+        t = smooth_tensor()
+        with pytest.raises(ValueError, match=f"^interpolation order {re.escape(repr(order))} "):
+            trom.build_offline(t, t, smooth_grid(), fmt="tt", eps=0.1, interp_order=order)
+
     def test_unknown_part_kind_refused(self, tmp_path):
         from tromkit import store
         art, *_ = build_smooth(fmt="tt", eps=1e-6)
